@@ -8,6 +8,7 @@ runs with identical inputs (and any ``--threads``) are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -67,16 +68,21 @@ def _emit(args, payload) -> None:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """``start:stop:step`` or a comma-separated list."""
-    if ":" in spec:
-        start, stop, step = (float(p) for p in spec.split(":"))
-        out = []
-        x = start
-        while x <= stop + 1e-12:
-            out.append(round(x, 12))
-            x += step
-        return out
-    return [float(p) for p in spec.split(",")]
+    """``start:stop:step`` or a comma-separated list, all finite."""
+    values = [float(p) for p in spec.split(":" if ":" in spec else ",")]
+    if not all(map(math.isfinite, values)):
+        raise TypelabError(f"grid {spec!r} has a non-finite value")
+    if ":" not in spec:
+        return values
+    start, stop, step = values
+    if not step > 0:
+        raise TypelabError(f"grid {spec!r} needs a positive step")
+    out = []
+    x = start
+    while x <= stop + 1e-12:
+        out.append(round(x, 12))
+        x += step
+    return out
 
 
 def _cmd_energy(args) -> int:
@@ -140,53 +146,41 @@ def _cmd_type(args) -> int:
     return 0
 
 
-_THEOREM_NEEDS = {
-    "levinson": ("input",),
-    "hybrid": ("input", "intervals"),
-    "debranges": ("input", "weight"),
-    "krein-lm": ("weight",),
-    "borichev-sodin": ("input", "other"),
-    "duffin-schaeffer": ("input",),
-    "benedicks": ("partition",),
-    "suffgen": ("input", "sequence"),
+def _beurling_gap(args):
+    if args.intervals:
+        return beurling_gap_check(load_intervals(args.intervals))
+    if args.input:
+        return beurling_gap_check(load_sequence(args.input))
+    raise TypelabError("theorem beurling-gap requires --input or --intervals")
+
+
+# theorem name -> (required options, checker)
+_THEOREMS = {
+    "beurling-gap": ((), _beurling_gap),
+    "levinson": (("input",), lambda a: levinson_check(load_measure(a.input))),
+    "hybrid": (("input", "intervals"), lambda a: hybrid_check(
+        load_measure(a.input), load_intervals(a.intervals))),
+    "debranges": (("input", "weight"), lambda a: debranges_check(
+        load_weight_table(a.weight), load_measure(a.input), a.modulus)),
+    "krein-lm": (("weight",), lambda a: krein_lm_check(
+        load_weight_table(a.weight), monotone_flag=not a.no_monotone)),
+    "borichev-sodin": (("input", "other"), lambda a: borichev_sodin_compare(
+        load_measure(a.input), load_measure(a.other), a.delta, a.C, a.l)),
+    "duffin-schaeffer": (("input",), lambda a: duffin_schaeffer_check(
+        load_measure(a.input), a.L, a.c)),
+    "benedicks": (("partition",), lambda a: benedicks_conditions(
+        load_partition(a.partition), a.c1, a.c2, a.c3)),
+    "suffgen": (("input", "sequence"), lambda a: suffgen_bound(
+        load_measure(a.input), load_sequence(a.sequence), a.d)),
 }
 
 
 def _cmd_theorem(args) -> int:
-    name = args.name
-    for needed in _THEOREM_NEEDS.get(name, ()):
+    needs, check = _THEOREMS[args.name]
+    for needed in needs:
         if getattr(args, needed) is None:
-            raise TypelabError(f"theorem {name} requires --{needed}")
-    if name == "beurling-gap":
-        if not args.intervals and not args.input:
-            raise TypelabError("theorem beurling-gap requires --input or --intervals")
-        if args.intervals:
-            verdict = beurling_gap_check(load_intervals(args.intervals))
-        else:
-            verdict = beurling_gap_check(load_sequence(args.input))
-    elif name == "levinson":
-        verdict = levinson_check(load_measure(args.input))
-    elif name == "hybrid":
-        verdict = hybrid_check(load_measure(args.input), load_intervals(args.intervals))
-    elif name == "debranges":
-        verdict = debranges_check(load_weight_table(args.weight), load_measure(args.input),
-                                  args.modulus)
-    elif name == "krein-lm":
-        verdict = krein_lm_check(load_weight_table(args.weight),
-                                 monotone_flag=not args.no_monotone)
-    elif name == "borichev-sodin":
-        verdict = borichev_sodin_compare(load_measure(args.input), load_measure(args.other),
-                                         args.delta, args.C, args.l)
-    elif name == "duffin-schaeffer":
-        verdict = duffin_schaeffer_check(load_measure(args.input), args.L, args.c)
-    elif name == "benedicks":
-        verdict = benedicks_conditions(load_partition(args.partition),
-                                       args.c1, args.c2, args.c3)
-    elif name == "suffgen":
-        verdict = suffgen_bound(load_measure(args.input), load_sequence(args.sequence), args.d)
-    else:  # pragma: no cover - argparse restricts choices
-        raise TypelabError(f"unknown theorem {name!r}")
-    _emit(args, verdict)
+            raise TypelabError(f"theorem {args.name} requires --{needed}")
+    _emit(args, check(args))
     return 0
 
 
@@ -242,6 +236,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.steps < 1 or not 0 < args.a_max - args.a_min < math.inf:
+        raise TypelabError("oracle needs --steps >= 1 and --a-max > --a-min")
     measure = load_measure(args.input)
     step = (args.a_max - args.a_min) / args.steps
     grid = [args.a_min + step * k for k in range(1, args.steps + 1)]
@@ -338,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_type)
 
     p = sub.add_parser("theorem", help="classical checker verdicts")
-    p.add_argument("name", choices=("beurling-gap", "levinson", "hybrid", "debranges",
-                                    "krein-lm", "borichev-sodin", "duffin-schaeffer",
-                                    "benedicks", "suffgen"))
+    p.add_argument("name", choices=tuple(_THEOREMS))
     p.add_argument("--input", help="measure or sequence JSON document")
     p.add_argument("--intervals")
     p.add_argument("--weight")

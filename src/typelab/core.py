@@ -53,11 +53,6 @@ class NegativeTerm(TypelabError):
     pass
 
 
-def poisson_weight(x: float) -> float:
-    """Weight of the Poisson measure dx/(1+x^2) at ``x``."""
-    return 1.0 / (1.0 + x * x)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Half-open interval ``(left, right]``."""
@@ -111,13 +106,13 @@ class RealSequence:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if self.window <= 0:
-            raise TypelabError("window must be positive")
+        if not 0 < self.window < math.inf:  # also false on NaN
+            raise TypelabError("window must be positive and finite")
         if pts.size:
             if np.any(np.diff(pts) <= 0):
                 raise DuplicatePoint("points must be strictly increasing")
-            if np.max(np.abs(pts)) > self.window:
-                raise OutOfWindow("points must lie in [-T, T]")
+            if not np.max(np.abs(pts)) <= self.window:
+                raise OutOfWindow("points must be finite and lie in [-T, T]")
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -170,8 +165,8 @@ class Partition:
         object.__setattr__(self, "breakpoints", bks)
         if bks.size < 2:
             raise TypelabError("a partition needs at least two breakpoints")
-        if np.any(np.diff(bks) <= 0):
-            raise TypelabError("breakpoints must be strictly increasing")
+        if not (np.isfinite(bks).all() and (np.diff(bks) > 0).all()):
+            raise TypelabError("breakpoints must be finite and strictly increasing")
         if not np.any(bks == 0.0):
             raise TypelabError("partition must contain 0 as a breakpoint")
 
@@ -209,12 +204,14 @@ class DiscreteMeasure:
             raise EmptyInput("measure needs at least one atom")
         if pos.shape != mas.shape:
             raise TypelabError("positions and masses must align")
+        if not 0 < self.window < math.inf:
+            raise TypelabError("window must be positive and finite")
         if np.any(np.diff(pos) <= 0):
             raise DuplicatePoint("atom positions must be strictly increasing")
         if np.any(mas <= 0) or not np.all(np.isfinite(mas)):
             raise TypelabError("masses must be positive and finite")
-        if np.max(np.abs(pos)) > self.window:
-            raise OutOfWindow("atom outside the window")
+        if not np.max(np.abs(pos)) <= self.window:  # also true on NaN
+            raise OutOfWindow("atom positions must be finite and inside the window")
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -238,7 +235,7 @@ class DiscreteMeasure:
         return np.arange(len(self)) - k0
 
     def to_dict(self) -> dict:
-        out = {"atoms": [[float(x), float(m)] for x, m in zip(self.positions, self.masses)],
+        out = {"atoms": np.column_stack((self.positions, self.masses)).tolist(),
                "window": self.window}
         if self.tag is not None:
             out["tag"] = self.tag
@@ -271,8 +268,8 @@ class WeightTable:
         object.__setattr__(self, "values", vals)
         if bks.size < 2 or vals.size != bks.size - 1:
             raise TypelabError("need n+1 breakpoints for n values")
-        if np.any(np.diff(bks) <= 0):
-            raise TypelabError("breakpoints must be strictly increasing")
+        if not (np.isfinite(bks).all() and np.isfinite(vals).all() and (np.diff(bks) > 0).all()):
+            raise TypelabError("entries must be finite and breakpoints strictly increasing")
         if self.kind == MU_WEIGHT:
             if self.floor < 1.0:
                 raise TypelabError("mu-weight floor must be >= 1")
@@ -351,12 +348,17 @@ class SumVerdict:
         }
 
 
-def shell_index(location: float) -> int | None:
-    """Dyadic shell of a location; None for the inner region ``|x| < 1``."""
-    ax = abs(location)
-    if ax < 1.0:
-        return None
-    return int(math.floor(math.log2(ax)))
+def shell_index(magnitudes: np.ndarray) -> np.ndarray:
+    """Dyadic shell ``j`` (exactly ``2^j <= m < 2^(j+1)``) of each magnitude ``m >= 1``."""
+    return np.frexp(magnitudes)[1] - 1
+
+
+def map_libm(fn, xs: np.ndarray) -> np.ndarray:
+    """The :mod:`math` function ``fn`` at every entry of ``xs``.
+
+    numpy's own ``arctan`` and ``log1p`` differ from libm in the last ulp.
+    """
+    return np.fromiter(map(fn, xs.tolist()), dtype=float, count=xs.size)
 
 
 def shell_sum_verdict(locations, values, note: str | None = None) -> SumVerdict:
@@ -369,24 +371,23 @@ def shell_sum_verdict(locations, values, note: str | None = None) -> SumVerdict:
     divergent, otherwise inconclusive; fewer than four nonempty shells is
     always inconclusive.
     """
-    locations = np.asarray(list(locations), dtype=float)
-    values = np.asarray(list(values), dtype=float)
+    locations = np.asarray(locations, dtype=float)
+    values = np.asarray(values, dtype=float)
     if locations.shape != values.shape:
         raise TypelabError("locations and values must align")
     if np.any(values < 0):
         raise NegativeTerm("series terms must be nonnegative")
 
-    total = math.fsum(values)
-    shells: dict[int, list[float]] = {}
-    inner: list[float] = []
-    for loc, val in zip(locations, values):
-        j = shell_index(loc)
-        if j is None:
-            inner.append(val)
-        else:
-            shells.setdefault(j, []).append(val)
-    shell_sums = tuple(sorted((j, math.fsum(vs)) for j, vs in shells.items()))
-    inner_sum = math.fsum(inner)
+    total = math.fsum(values.tolist())
+    mags = np.abs(locations)
+    inner = mags < 1.0
+    shells = shell_index(mags[~inner])
+    order = np.argsort(shells, kind="stable")
+    js, starts = np.unique(shells[order], return_index=True)
+    # fsum is correctly rounded, so the grouping order cannot change a sum
+    groups = np.split(values[~inner][order], starts[1:])
+    shell_sums = tuple((j, math.fsum(g.tolist())) for j, g in zip(js.tolist(), groups))
+    inner_sum = math.fsum(values[inner].tolist())
 
     classification, ratio = _classify_shells(shell_sums)
     return SumVerdict(total, shell_sums, inner_sum, classification, ratio, note)
@@ -441,41 +442,52 @@ def poisson_tail_sum(terms) -> SumVerdict:
     locations and handed to the dyadic-shell classifier; an empty list
     yields value 0 and an inconclusive verdict.
     """
-    locs = [float(t[0]) for t in terms]
-    vals = [float(t[1]) for t in terms]
-    if any(v < 0 for v in vals):
+    locs, vals = np.asarray(terms, dtype=float).reshape(-1, 2).T
+    if np.any(vals < 0):
         raise NegativeTerm("poisson_tail_sum requires nonnegative values")
-    weighted = [v * poisson_weight(x) for x, v in zip(locs, vals)]
-    return shell_sum_verdict(locs, weighted)
+    return shell_sum_verdict(locs, vals * (1.0 / (1.0 + locs * locs)))
 
 
-def poisson_piece_contributions(pieces) -> list[tuple[float, float]]:
+def poisson_piece_contributions(pieces) -> np.ndarray:
     """Exact Poisson integrals of a step function, split at dyadic bounds.
 
-    ``pieces`` is an iterable of ``(left, right, value)``; each piece is cut
-    at the shell boundaries ``+-2^j`` so that every returned contribution
+    ``pieces`` holds rows ``(left, right, value)``; each piece is cut at the
+    shell boundaries ``+-2^j`` so that every returned row
     ``(location, integral)`` lies in a single shell.  The integral of
     ``value/(1+x^2)`` over ``[u, v]`` is ``value * (atan v - atan u)``.
     """
-    out: list[tuple[float, float]] = []
-    for left, right, value in pieces:
-        for u, v in split_at_shells(left, right):
-            contrib = value * (math.atan(v) - math.atan(u))
-            out.append((0.5 * (u + v), contrib))
-    return out
+    arr = np.asarray(pieces, dtype=float).reshape(-1, 3)
+    u, v, owner = split_pieces_at_shells(arr[:, 0], arr[:, 1])
+    contribs = arr[owner, 2] * (map_libm(math.atan, v) - map_libm(math.atan, u))
+    return np.column_stack((0.5 * (u + v), contribs))
+
+
+# 0 and every dyadic shell boundary +-2^j (j >= 0) below the largest double
+_SHELL_CUTS = np.concatenate([-np.ldexp(1.0, np.arange(1023, -1, -1)), [0.0],
+                              np.ldexp(1.0, np.arange(1024))])
+
+
+def split_pieces_at_shells(lefts, rights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut every ``[left, right]`` at 0 and at each ``+-2^j`` strictly inside it.
+
+    Returns ``(u, v, owner)``: the cut pieces ``[u, v]`` in input order,
+    each piece's own cuts ascending, and the input index each came from.
+    An input with ``right <= left`` yields no piece.
+    """
+    lefts = np.asarray(lefts, dtype=float)
+    rights = np.asarray(rights, dtype=float)
+    first = np.searchsorted(_SHELL_CUTS, lefts, side="right")
+    inside = np.searchsorted(_SHELL_CUTS, rights, side="left") - first
+    counts = np.where(rights > lefts, inside + 1, 0)
+    owner = np.repeat(np.arange(lefts.size), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cut = first[owner] + k
+    u = np.where(k == 0, lefts[owner], _SHELL_CUTS.take(cut - 1, mode="clip"))
+    v = np.where(k == inside[owner], rights[owner], _SHELL_CUTS.take(cut, mode="clip"))
+    return u, v, owner
 
 
 def split_at_shells(left: float, right: float) -> list[tuple[float, float]]:
     """Cut ``[left, right]`` at 0 and at every ``+-2^j`` inside it."""
-    cuts = {left, right}
-    if left < 0.0 < right:
-        cuts.add(0.0)
-    hi = max(abs(left), abs(right))
-    j = 0
-    while 2.0 ** j < hi:
-        for s in (2.0 ** j, -(2.0 ** j)):
-            if left < s < right:
-                cuts.add(s)
-        j += 1
-    seq = sorted(cuts)
-    return [(seq[i], seq[i + 1]) for i in range(len(seq) - 1) if seq[i + 1] > seq[i]]
+    u, v, _ = split_pieces_at_shells([left], [right])
+    return list(zip(u.tolist(), v.tolist()))

@@ -22,8 +22,9 @@ from .core import (
     RealSequence,
     SumVerdict,
     TypelabError,
+    map_libm,
     shell_sum_verdict,
-    split_at_shells,
+    split_pieces_at_shells,
 )
 from .partitions import InsufficientData, classify_family, find_short_partition
 from .uniformity import UniformityReport, check_d_uniform
@@ -67,21 +68,22 @@ class DensityEstimate:
         }
 
 
-def counting_function(seq: RealSequence, x: float) -> int:
+def counting_function(seq: RealSequence, x):
     """Step counting function, zero at the origin.
 
     Counts points in ``(0, x]`` for positive ``x`` and minus the count in
     ``(x, 0)`` for negative ``x``; jumps up by one at each point of the
-    sequence.
+    sequence.  ``x`` may be an array, giving an integer array.
     """
-    if abs(x) > seq.window:
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.abs(xs) <= seq.window):
         raise OutOfWindow(f"|{x}| exceeds the window {seq.window}")
     pts = seq.points
-    if x > 0:
-        return int(np.searchsorted(pts, x, side="right") - np.searchsorted(pts, 0.0, side="right"))
-    if x < 0:
-        return -int(np.searchsorted(pts, 0.0, side="left") - np.searchsorted(pts, x, side="right"))
-    return 0
+    # points in (-inf, x] minus those in (-inf, 0] for x >= 0, in (-inf, 0) for x < 0
+    zero_rank = np.where(xs < 0, np.searchsorted(pts, 0.0, side="left"),
+                         np.searchsorted(pts, 0.0, side="right"))
+    counts = np.searchsorted(pts, xs, side="right") - zero_rank
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def strong_regularity_defect(seq: RealSequence, a: float) -> SumVerdict:
@@ -95,32 +97,25 @@ def strong_regularity_defect(seq: RealSequence, a: float) -> SumVerdict:
     if a < 0:
         raise TypelabError("regularity parameter must be nonnegative")
     T = seq.window
-    pts = [x for x in seq.points.tolist() if -T < x < T]
-    cuts = [-T] + pts + [T]
-    locations: list[float] = []
-    contribs: list[float] = []
-    for left, right, c in _counting_pieces(seq, cuts):
-        for u, v in split_at_shells(left, right):
-            pieces = [(u, v)]
-            if a > 0 and u < c / a < v:
-                pieces = [(u, c / a), (c / a, v)]
-            for uu, vv in pieces:
-                locations.append(0.5 * (uu + vv))
-                contribs.append(abs(_defect_antideriv(vv, c, a) - _defect_antideriv(uu, c, a)))
-    return shell_sum_verdict(locations, contribs)
+    pts = seq.points
+    cuts = np.concatenate([[-T], pts[(pts > -T) & (pts < T)], [T]])
+    lefts, rights = cuts[:-1], cuts[1:]
+    counts = counting_function(seq, 0.5 * (lefts + rights))
+    u, v, owner = split_pieces_at_shells(lefts, rights)
+    c = counts[owner].astype(float)
+    # split where c - a x changes sign, at x = c / a
+    root = c / a if a > 0 else np.full_like(c, np.inf)
+    cross = (u < root) & (root < v)
+    u = np.concatenate([u, root[cross]])
+    v = np.concatenate([np.where(cross, root, v), v[cross]])
+    c = np.concatenate([c, c[cross]])
+    contribs = np.abs(_defect_antideriv(v, c, a) - _defect_antideriv(u, c, a))
+    return shell_sum_verdict(0.5 * (u + v), contribs)
 
 
-def _counting_pieces(seq: RealSequence, cuts: list[float]):
-    for left, right in zip(cuts, cuts[1:]):
-        if right <= left:
-            continue
-        mid = 0.5 * (left + right)
-        yield left, right, float(counting_function(seq, mid))
-
-
-def _defect_antideriv(x: float, c: float, a: float) -> float:
+def _defect_antideriv(x: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
     # integral of (c - a x) / (1 + x^2)
-    return c * math.atan(x) - 0.5 * a * math.log1p(x * x)
+    return c * map_libm(math.atan, x) - 0.5 * a * map_libm(math.log1p, x * x)
 
 
 def regularity_block_scan(seq: RealSequence, a: float,
@@ -136,17 +131,9 @@ def regularity_block_scan(seq: RealSequence, a: float,
     """
     if a < 0 or epsilon <= 0:
         raise TypelabError("need a >= 0 and epsilon > 0")
-    T = seq.window
-    bad: list[Interval] = []
-    j = 0
-    while 2.0 ** (j + 1) <= T:
-        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-        for iv in (Interval(lo, hi), Interval(-hi, -lo)):
-            count = seq.count_in(iv.left, iv.right)
-            tol = epsilon * max(a, 1.0) + 1.0 / iv.length
-            if abs(count / iv.length - a) > tol:
-                bad.append(iv)
-        j += 1
+    bad = [iv for iv in _dyadic_blocks(seq.window)
+           if abs(seq.count_in(iv.left, iv.right) / iv.length - a)
+           > epsilon * max(a, 1.0) + 1.0 / iv.length]
     if not bad:
         return SumVerdict(0.0, (), 0.0, "convergent", 0.0,
                           note="no violating blocks")
@@ -281,18 +268,21 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
 def _excess_blocks(seq: RealSequence, a: float) -> list[Interval]:
     """Dyadic blocks where the count exceeds the repairable target."""
     T = seq.window
-    out: list[Interval] = []
-    j = 0
-    while 2.0 ** (j + 1) <= T:
-        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-        for iv in (Interval(lo, hi), Interval(-hi, -lo)):
-            count = seq.count_in(iv.left, iv.right)
-            if count - a * iv.length > max(EXCESS_RTOL * a * iv.length, EXCESS_SLACK):
-                out.append(iv)
-        j += 1
+    out = [iv for iv in _dyadic_blocks(T)
+           if seq.count_in(iv.left, iv.right) - a * iv.length
+           > max(EXCESS_RTOL * a * iv.length, EXCESS_SLACK)]
     # the innermost block (-1, 1] is checked as a whole
     if T >= 1.0:
         count = seq.count_in(-1.0, 1.0)
         if count - 2 * a > max(2 * EXCESS_RTOL * a, EXCESS_SLACK):
             out.append(Interval(-1.0, 1.0))
+    return out
+
+
+def _dyadic_blocks(T: float) -> list[Interval]:
+    """Blocks ``(2^j, 2^(j+1)]`` and ``(-2^(j+1), -2^j]`` inside ``[-T, T]``, j = 0, 1, ..."""
+    out, lo = [], 1.0
+    while 2.0 * lo <= T:
+        out += [Interval(lo, 2.0 * lo), Interval(-2.0 * lo, -lo)]
+        lo *= 2.0
     return out

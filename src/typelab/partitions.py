@@ -69,7 +69,6 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
     bks: list[float] = []
     b = 0.0
     rank = 1
-    n = points.size
     while b < T:
         L = _min_length(rank, scale)
         xmin = b + L
@@ -77,17 +76,7 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
             break
         base = int(np.searchsorted(points, b, side="right"))
         cmin = int(np.searchsorted(points, xmin, side="right")) - base
-        nxt: float | None = None
-        if cmin >= d * L - 1e-9:
-            nxt = xmin
-        else:
-            k = int(np.searchsorted(points, xmin, side="left"))
-            while k < n and points[k] <= T:
-                count = k - base + 1
-                if count >= d * (points[k] - b) - 1e-9:
-                    nxt = float(points[k])
-                    break
-                k += 1
+        nxt = xmin if cmin >= d * L - 1e-9 else _first_reach(points, T, d, b, base, xmin)
         if nxt is None or nxt >= T:
             break
         bks.append(nxt)
@@ -100,6 +89,28 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
     elif b < T:
         bks.append(T)
     return bks
+
+
+def _first_reach(points: np.ndarray, T: float, d: float, b: float, base: int,
+                 xmin: float) -> float | None:
+    """First point ``p_k >= xmin`` (and ``<= T``) where the interval ``(b, p_k]``
+    holds at least ``d * (p_k - b)`` points, or None.
+
+    Tests galloping chunks of 64, 128, 256, ... points at a time, so the work
+    stays proportional to the distance to the hit.
+    """
+    k = int(np.searchsorted(points, xmin, side="left"))
+    stop = int(np.searchsorted(points, T, side="right"))
+    size = 64
+    while k < stop:
+        pk = points[k:min(k + size, stop)]
+        ks = np.arange(k, k + pk.size)
+        hits = np.flatnonzero(ks - base + 1 >= d * (pk - b) - 1e-9)
+        if hits.size:
+            return float(pk[hits[0]])
+        k += size
+        size *= 2
+    return None
 
 
 def find_short_partition(seq: RealSequence, d: float, min_length_scale: float = 1.0) -> Partition:

@@ -16,20 +16,21 @@ from .core import DiscreteMeasure, Interval, Partition, RealSequence, TypelabErr
 
 
 def format_float(x: float) -> str:
-    if x != x:
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if x == 0.0:
-        return "0"
-    if x == int(x) and abs(x) < 1e15:
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
-    return format(x, ".12g")
+    if math.isfinite(x):
+        return format(x, ".12g")
+    return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
 
 
 def canonical_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, fixed float format."""
-    pad = " " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(format_float, obj)) + "]"
+        return "[" + ", ".join(canonical_json(v, indent) for v in obj) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -40,11 +41,6 @@ def canonical_json(obj, indent: int = 0) -> str:
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        inner = ", ".join(canonical_json(v, indent) for v in obj)
-        return f"[{inner}]"
     if isinstance(obj, dict):
         items = []
         for k in sorted(obj):
@@ -96,9 +92,13 @@ def render_curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reject_constant(name: str):
+    raise TypelabError(f"non-finite JSON constant {name} is not accepted")
+
+
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def load_sequence(doc: dict | str) -> RealSequence:
@@ -117,10 +117,13 @@ def load_measure(doc: dict | str) -> DiscreteMeasure:
     if isinstance(doc, str):
         doc = load_document(doc)
     try:
-        atoms = sorted((float(x), float(m)) for x, m in doc["atoms"])
-        return DiscreteMeasure(np.array([a[0] for a in atoms]),
-                               np.array([a[1] for a in atoms]),
-                               float(doc["window"]), doc.get("tag"))
+        atoms = np.asarray(doc["atoms"], dtype=float)
+        if atoms.size == 0:
+            atoms = atoms.reshape(0, 2)  # DiscreteMeasure reports the empty input
+        elif atoms.ndim != 2 or atoms.shape[1] != 2:
+            raise TypelabError("atoms must be a list of [position, mass] pairs")
+        atoms = atoms[np.argsort(atoms[:, 0], kind="stable")]  # ties are duplicates, rejected below
+        return DiscreteMeasure(atoms[:, 0], atoms[:, 1], float(doc["window"]), doc.get("tag"))
     except KeyError as exc:
         raise TypelabError(f"measure document missing field {exc}") from exc
 

@@ -28,6 +28,7 @@ from .core import (
     SumVerdict,
     TypelabError,
     WeightTable,
+    map_libm,
     poisson_piece_contributions,
     poisson_tail_sum,
     shell_index,
@@ -163,13 +164,11 @@ def weight_filter_mask(measure: DiscreteMeasure, denominator: str = "index",
                        budget: float = WEIGHT_BUDGET) -> np.ndarray:
     """Atoms surviving the per-shell log-weight budget."""
     penalties, n = _log_weight_penalties(measure, denominator)
+    outer = np.abs(n) >= 1.0
+    shells, where = np.unique(shell_index(np.abs(n[outer])), return_inverse=True)
+    caps = np.array([budget * 2.0 ** (-1.5 * j) for j in shells.tolist()])
     keep = np.ones(len(measure), dtype=bool)
-    for i, (p, ni) in enumerate(zip(penalties, n)):
-        j = shell_index(ni)
-        if j is None:
-            continue
-        if p > budget * 2.0 ** (-1.5 * j):
-            keep[i] = False
+    keep[outer] = ~(penalties[outer] > caps[where])
     return keep
 
 
@@ -251,14 +250,9 @@ def _counting_growth_summable(measure: DiscreteMeasure) -> bool:
     # diagnostic for the two-sided regime: log(|n_B| + 1) integrable against
     # the Poisson measure over the window
     pos = measure.positions
-    pieces = []
-    idx = measure.centered_indices()
-    for i in range(len(pos) - 1):
-        pieces.append((pos[i], pos[i + 1], math.log(abs(float(idx[i])) + 1.0)))
-    verdict = shell_sum_verdict(
-        [0.5 * (l + r) for l, r, _ in pieces],
-        [v * (math.atan(r) - math.atan(l)) for l, r, v in pieces],
-    )
+    logs = map_libm(math.log, np.abs(measure.centered_indices()[:-1]) + 1.0)
+    atans = map_libm(math.atan, pos)
+    verdict = shell_sum_verdict(0.5 * (pos[:-1] + pos[1:]), logs * (atans[1:] - atans[:-1]))
     return verdict.classification != DIVERGENT
 
 
@@ -356,12 +350,10 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
     tail = np.concatenate([np.cumsum(pos_masses[::-1])[::-1], [0.0]])
     # M(x) = tail[k] on [b_{k-1}, b_k) with b_-1 = 0
     cuts = np.concatenate([[0.0], pos_atoms])
-    pieces = []
     zero_from = float(pos_atoms[-1]) if pos_atoms.size else 0.0
-    for k in range(len(cuts) - 1):
-        m = float(tail[k])
-        if m > 0:
-            pieces.append((float(cuts[k]), float(cuts[k + 1]), abs(math.log(m))))
+    held = tail[:-1] > 0
+    pieces = np.column_stack((cuts[:-1][held], cuts[1:][held],
+                              np.abs(map_libm(math.log, tail[:-1][held]))))
     thresholds = _levinson_thresholds(cuts, tail)
     evidence: dict = {"thresholds": thresholds.tolist()}
     if len(thresholds) >= 2:
@@ -372,16 +364,11 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
         evidence["zero_tail"] = [zero_from, T]
         evidence["poisson_log_tail"] = None
         return TheoremVerdict("tail-decay", True, Conclusion(MU_MUST_VANISH), evidence)
-    verdict = shell_sum_verdict(*_piece_arrays(pieces))
+    verdict = shell_sum_verdict(*poisson_piece_contributions(pieces).T)
     evidence["poisson_log_tail"] = verdict
     if verdict.classification == DIVERGENT:
         return TheoremVerdict("tail-decay", True, Conclusion(MU_MUST_VANISH), evidence)
     return TheoremVerdict("tail-decay", True, Conclusion(INCONCLUSIVE), evidence)
-
-
-def _piece_arrays(pieces):
-    contribs = poisson_piece_contributions(pieces)
-    return [c[0] for c in contribs], [c[1] for c in contribs]
 
 
 def _levinson_thresholds(cuts: np.ndarray, tail: np.ndarray, n_max: int = 64) -> np.ndarray:
@@ -448,7 +435,7 @@ def debranges_check(K: WeightTable, measure: DiscreteMeasure,
     mass_ok = mass_series.classification == CONVERGENT
 
     log_pieces = [(l, r, math.log(v)) for l, r, v in K.pieces]
-    poisson_logk = shell_sum_verdict(*_piece_arrays(log_pieces))
+    poisson_logk = shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
     unsummable = poisson_logk.classification == DIVERGENT
 
     applicable = continuity_ok and mass_ok and unsummable
@@ -475,7 +462,8 @@ def krein_lm_check(density_samples: WeightTable, monotone_flag: bool = True) -> 
     zero_pieces = [(l, r) for l, r, v in pieces if v <= 0.0 and r > l]
     pos_pieces = [(l, r, v) for l, r, v in pieces if v > 0.0]
     log_pieces = [(l, r, abs(math.log(v))) for l, r, v in pos_pieces]
-    overall = shell_sum_verdict(*_piece_arrays(log_pieces)) if log_pieces else None
+    overall = (shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
+               if log_pieces else None)
     evidence: dict = {"poisson_log_density": overall,
                       "zero_pieces": len(zero_pieces)}
     if not zero_pieces and overall is not None and overall.classification == CONVERGENT:
@@ -487,7 +475,8 @@ def krein_lm_check(density_samples: WeightTable, monotone_flag: bool = True) -> 
                        if (l >= 0 if side == "positive" else r <= 0)]
         side_zero = any((l >= 0 if side == "positive" else r <= 0) for l, r in zero_pieces)
         side_log = [(l, r, abs(math.log(v))) for l, r, v in side_pieces]
-        side_verdict = shell_sum_verdict(*_piece_arrays(side_log)) if side_log else None
+        side_verdict = (shell_sum_verdict(*poisson_piece_contributions(side_log).T)
+                        if side_log else None)
         diverges = side_zero or (side_verdict is not None
                                  and side_verdict.classification == DIVERGENT)
         vals = [v for _, _, v in side_pieces]

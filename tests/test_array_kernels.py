@@ -1,0 +1,343 @@
+"""Array kernels checked for bit-for-bit equality with the scalar loops they replaced.
+
+The ``ref_*`` functions are the former per-element implementations, kept
+here as oracles.  Reports are byte-identical only if every float the array
+code produces equals the one the loop produced, so the comparisons below
+use ``==``, never ``approx``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from typelab.core import (
+    DiscreteMeasure,
+    RealSequence,
+    poisson_piece_contributions,
+    shell_sum_verdict,
+    split_at_shells,
+    split_pieces_at_shells,
+)
+from typelab.density import counting_function, strong_regularity_defect
+from typelab.partitions import _grow_side, _min_length
+from typelab.serialize import canonical_json, format_float, load_measure
+from typelab.typeproblem import WEIGHT_BUDGET, _counting_growth_summable, weight_filter_mask
+
+# |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
+coords = st.floats(-1e300, 1e300, allow_nan=False)
+small_coords = st.floats(-5000.0, 5000.0, allow_nan=False)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def ref_split_at_shells(left, right):
+    cuts = {left, right}
+    if left < 0.0 < right:
+        cuts.add(0.0)
+    hi = max(abs(left), abs(right))
+    j = 0
+    while 2.0 ** j < hi:
+        for s in (2.0 ** j, -(2.0 ** j)):
+            if left < s < right:
+                cuts.add(s)
+        j += 1
+    seq = sorted(cuts)
+    return [(seq[i], seq[i + 1]) for i in range(len(seq) - 1) if seq[i + 1] > seq[i]]
+
+
+def ref_shell_bins(locations, values):
+    """Dict-based binning of the former shell_sum_verdict.
+
+    The shell is the exact binary exponent; see test_shell_index_below_power_of_two
+    for the values on which the former ``floor(log2 |x|)`` disagreed.
+    """
+    shells: dict[int, list[float]] = {}
+    inner: list[float] = []
+    for loc, val in zip(locations, values):
+        ax = abs(loc)
+        if ax < 1.0:
+            inner.append(val)
+        else:
+            shells.setdefault(math.frexp(ax)[1] - 1, []).append(val)
+    return (tuple(sorted((j, math.fsum(vs)) for j, vs in shells.items())),
+            math.fsum(inner), math.fsum(values))
+
+
+def ref_poisson_piece_contributions(pieces):
+    out = []
+    for left, right, value in pieces:
+        for u, v in ref_split_at_shells(left, right):
+            out.append((0.5 * (u + v), value * (math.atan(v) - math.atan(u))))
+    return out
+
+
+def ref_strong_regularity_defect(seq, a):
+    T = seq.window
+    pts = [x for x in seq.points.tolist() if -T < x < T]
+    cuts = [-T] + pts + [T]
+    locations, contribs = [], []
+
+    def antideriv(x, c):
+        return c * math.atan(x) - 0.5 * a * math.log1p(x * x)
+
+    for left, right in zip(cuts, cuts[1:]):
+        if right <= left:
+            continue
+        c = float(counting_function(seq, 0.5 * (left + right)))
+        for u, v in ref_split_at_shells(left, right):
+            pieces = [(u, v)]
+            if a > 0 and u < c / a < v:
+                pieces = [(u, c / a), (c / a, v)]
+            for uu, vv in pieces:
+                locations.append(0.5 * (uu + vv))
+                contribs.append(abs(antideriv(vv, c) - antideriv(uu, c)))
+    return shell_sum_verdict(locations, contribs)
+
+
+def ref_grow_side(points, T, d, scale):
+    bks = []
+    b = 0.0
+    rank = 1
+    n = points.size
+    while b < T:
+        L = _min_length(rank, scale)
+        xmin = b + L
+        if xmin >= T:
+            break
+        base = int(np.searchsorted(points, b, side="right"))
+        cmin = int(np.searchsorted(points, xmin, side="right")) - base
+        nxt = None
+        if cmin >= d * L - 1e-9:
+            nxt = xmin
+        else:
+            k = int(np.searchsorted(points, xmin, side="left"))
+            while k < n and points[k] <= T:
+                count = k - base + 1
+                if count >= d * (points[k] - b) - 1e-9:
+                    nxt = float(points[k])
+                    break
+                k += 1
+        if nxt is None or nxt >= T:
+            break
+        bks.append(nxt)
+        b = nxt
+        rank += 1
+    if bks and T - bks[-1] < 1.0:
+        bks[-1] = T
+    elif b < T:
+        bks.append(T)
+    return bks
+
+
+def ref_weight_filter_mask(measure, denominator, budget=WEIGHT_BUDGET):
+    pen = np.maximum(0.0, -np.log(measure.masses))
+    n = (measure.centered_indices().astype(float) if denominator == "index"
+         else measure.positions)
+    penalties = pen / (1.0 + n * n)
+    keep = np.ones(len(measure), dtype=bool)
+    for i, (p, ni) in enumerate(zip(penalties, n)):
+        ax = abs(ni)
+        if ax < 1.0:
+            continue
+        j = math.frexp(ax)[1] - 1
+        if p > budget * 2.0 ** (-1.5 * j):
+            keep[i] = False
+    return keep
+
+
+def ref_counting_growth_summable(measure):
+    pos = measure.positions
+    idx = measure.centered_indices()
+    pieces = [(pos[i], pos[i + 1], math.log(abs(float(idx[i])) + 1.0))
+              for i in range(len(pos) - 1)]
+    verdict = shell_sum_verdict([0.5 * (l + r) for l, r, _ in pieces],
+                                [v * (math.atan(r) - math.atan(l)) for l, r, v in pieces])
+    return verdict.classification != "divergent"
+
+
+def ref_format_float(x):
+    if x != x:
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if x == 0.0:
+        return "0"
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return format(x, ".12g")
+
+
+# ---------------------------------------------------------------- inputs
+
+
+@st.composite
+def ordered_pairs(draw, elements=coords):
+    a, b = draw(elements), draw(elements)
+    return (a, b) if a <= b else (b, a)
+
+
+@st.composite
+def sequences(draw):
+    """Strictly increasing points in [-T, T], some on the window edges."""
+    T = draw(st.floats(2.0, 3000.0))
+    xs = draw(st.lists(st.floats(-T, T), min_size=1, max_size=300))
+    if draw(st.booleans()):
+        xs += [-T, T]
+    return RealSequence(np.unique(np.asarray(xs, dtype=float)), T)
+
+
+@st.composite
+def measures(draw):
+    T = draw(st.floats(2.0, 2000.0))
+    xs = np.unique(np.asarray(draw(st.lists(st.floats(-T, T), min_size=1, max_size=200))))
+    logm = draw(st.lists(st.floats(-700.0, 5.0), min_size=xs.size, max_size=xs.size))
+    return DiscreteMeasure(xs, np.exp(np.asarray(logm)), T)
+
+
+@st.composite
+def grow_side_cases(draw):
+    """Positive points with sparse stretches and dense clusters, so that the
+    greedy scan sometimes walks hundreds of points before its hit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 3000))
+    gaps = rng.choice([0.05, 0.5, 1.0, 4.0], size=n, p=[0.3, 0.3, 0.3, 0.1])
+    gaps = gaps * rng.uniform(0.5, 1.5, size=n)
+    points = np.unique(np.cumsum(gaps))
+    T = draw(st.floats(2.0, float(points[-1]) + 10.0 if n else 50.0))
+    points = points[points <= T]
+    return points, T, draw(st.floats(0.05, 5.0)), draw(st.floats(0.25, 4.0))
+
+
+# ---------------------------------------------------------------- shells
+
+
+class TestShellSplit:
+    @given(st.lists(ordered_pairs(), max_size=30))
+    @settings(max_examples=300)
+    def test_array_splitter_matches_scalar_loop(self, pairs):
+        u, v, owner = split_pieces_at_shells([p[0] for p in pairs], [p[1] for p in pairs])
+        expected = [(i, piece) for i, (l, r) in enumerate(pairs)
+                    for piece in ref_split_at_shells(l, r)]
+        assert owner.tolist() == [i for i, _ in expected]
+        assert list(zip(u.tolist(), v.tolist())) == [piece for _, piece in expected]
+
+    @given(ordered_pairs())
+    @settings(max_examples=300)
+    def test_scalar_entry_point_matches(self, pair):
+        assert split_at_shells(*pair) == ref_split_at_shells(*pair)
+
+    @given(ordered_pairs(small_coords))
+    @settings(max_examples=300)
+    def test_split_at_shells_covers(self, pair):
+        left, right = pair
+        if not left < right:
+            return
+        pieces = split_at_shells(left, right)
+        assert pieces[0][0] == left and pieces[-1][1] == right
+        for (a, b), (c, _) in zip(pieces, pieces[1:]):
+            assert b == c
+        # no piece straddles a dyadic boundary or zero
+        for a, b in pieces:
+            assert (a >= 0) == (b > 0) or a == 0.0
+            assert not any(a < s < b for j in range(14) for s in (2.0 ** j, -(2.0 ** j)))
+
+    def test_empty_and_degenerate_pieces(self):
+        u, v, owner = split_pieces_at_shells([], [])
+        assert u.size == v.size == owner.size == 0
+        assert split_at_shells(3.0, 3.0) == []
+
+
+class TestShellBinning:
+    @given(st.lists(st.tuples(coords, st.floats(0.0, 1e6)), max_size=200))
+    @settings(max_examples=300)
+    def test_binning_matches_dict_loop(self, terms):
+        locs = [t[0] for t in terms]
+        vals = [t[1] for t in terms]
+        v = shell_sum_verdict(locs, vals)
+        assert (v.shell_sums, v.inner_sum, v.value_truncated) == ref_shell_bins(locs, vals)
+
+    def test_shell_index_below_power_of_two(self):
+        # floor(log2 x) rounds 8 - ulp up to 3; the shell of 8 - ulp is 2
+        x = math.nextafter(8.0, 0.0)
+        assert math.floor(math.log2(x)) == 3
+        assert shell_sum_verdict([x, 8.0], [1.0, 2.0]).shell_sums == ((2, 1.0), (3, 2.0))
+
+    @given(st.lists(st.tuples(small_coords, small_coords, st.floats(0.0, 50.0)), max_size=40))
+    @settings(max_examples=200)
+    def test_piece_contributions_match(self, raw):
+        pieces = [(min(a, b), max(a, b), c) for a, b, c in raw]
+        got = poisson_piece_contributions(pieces)
+        assert len(got) == len(ref_poisson_piece_contributions(pieces))
+        assert [tuple(row) for row in got.tolist()] == ref_poisson_piece_contributions(pieces)
+
+
+# ---------------------------------------------------------------- estimators
+
+
+class TestEstimatorKernels:
+    @given(sequences(), st.sampled_from([0.0, 0.5, 1.0, 1.7, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_regularity_defect_matches(self, seq, a):
+        assert strong_regularity_defect(seq, a) == ref_strong_regularity_defect(seq, a)
+
+    @given(grow_side_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_grow_side_matches_walk(self, case):
+        points, T, d, scale = case
+        assert _grow_side(points, T, d, scale) == ref_grow_side(points, T, d, scale)
+
+    @pytest.mark.parametrize("hit", [1, 2, 63, 64, 65, 191, 192, 193, 447, 448, 959, 960])
+    def test_grow_side_hit_at_chunk_edges(self, hit):
+        # points A + k/1000 with A chosen so that (0, p_k] first holds
+        # d * p_k points (d = 1) at k = hit; the scan tests chunks
+        # [0, 64), [64, 192), [192, 448), [448, 960), ...
+        points = 1.0 + 0.999 * hit - 4e-4 + 1e-3 * np.arange(hit + 300)
+        T = float(points[-1]) + 10.0
+        got = _grow_side(points, T, 1.0, 1.0)
+        assert got[0] == points[hit]
+        assert got == ref_grow_side(points, T, 1.0, 1.0)
+
+    @given(measures(), st.sampled_from(["index", "location"]),
+           st.sampled_from([WEIGHT_BUDGET, 0.01, 100.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_weight_filter_matches(self, measure, denominator, budget):
+        assert np.array_equal(weight_filter_mask(measure, denominator, budget),
+                              ref_weight_filter_mask(measure, denominator, budget))
+
+    @given(measures())
+    @settings(max_examples=100, deadline=None)
+    def test_counting_growth_matches(self, measure):
+        assert _counting_growth_summable(measure) == ref_counting_growth_summable(measure)
+
+
+# ---------------------------------------------------------------- serialize
+
+
+class TestBulkSerialize:
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(1e15)
+    @example(-1e15)
+    @example(math.nextafter(1e15, 0.0))
+    @example(-0.0)
+    @settings(max_examples=500)
+    def test_format_float_matches(self, x):
+        assert format_float(x) == ref_format_float(x)
+
+    @given(st.lists(st.floats()), st.lists(st.tuples(st.floats(), st.integers())))
+    def test_flat_list_rendering(self, flat, nested):
+        assert canonical_json(flat) == "[" + ", ".join(map(ref_format_float, flat)) + "]"
+        rows = ", ".join(f"[{ref_format_float(x)}, {n}]" for x, n in nested)
+        assert canonical_json(nested) == f"[{rows}]"
+        assert canonical_json(np.asarray(flat, dtype=float)) == canonical_json(flat)
+
+    @given(st.lists(st.tuples(st.integers(-50, 50).map(float), st.floats(0.01, 10.0)),
+                    min_size=1, max_size=60, unique_by=lambda t: t[0]))
+    def test_measure_loader_sorts_like_tuples(self, atoms):
+        measure = load_measure({"atoms": atoms, "window": 60.0})
+        ordered = sorted(atoms)
+        assert measure.positions.tolist() == [a[0] for a in ordered]
+        assert measure.masses.tolist() == [a[1] for a in ordered]

@@ -132,6 +132,91 @@ class TestExitCodes:
         assert main(["suite"]) == 1
 
 
+
+def exits_cleanly_with_2(argv, capsys):
+    """Exit 2 and a one-line error on stderr, not a traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("extra", [["--steps", "0"], ["--steps", "-3"],
+                                       ["--a-min", "5", "--a-max", "5"],
+                                       ["--a-min", "6", "--a-max", "5"],
+                                       ["--a-max", "inf"]])
+    def test_oracle_bad_steps_and_range(self, measure_file, extra, capsys):
+        argv = ["oracle", "--input", measure_file, "--a-max", "12.6"] + extra
+        assert exits_cleanly_with_2(argv, capsys)
+
+    @pytest.mark.parametrize("grid", ["0.2:1.4:0", "0.2:1.4:-0.1", "1.4:0.2:-0.1",
+                                      "0:inf:0.1", "nan:1:0.1", "0.5,nan", "0.5,inf",
+                                      "0.1:1"])
+    def test_bad_density_grid(self, seq_file, grid, capsys):
+        argv = ["density", "--input", seq_file, "--kind", "exterior", "--grid", grid]
+        assert exits_cleanly_with_2(argv, capsys)
+
+    def test_bad_type_grid(self, measure_file, capsys):
+        assert exits_cleanly_with_2(["type", "--input", measure_file,
+                                     "--grid", "0.1:1.0:0"], capsys)
+
+    @pytest.mark.parametrize("text", [
+        '{"points": [1, NaN, 3], "window": 10}',
+        '{"points": [1, 2, 3], "window": Infinity}',
+        '{"points": [-Infinity, 2, 3], "window": 10}',
+        '{"points": [1, 2, 3], "window": 1e400}',
+        '{"points": [1, 2, 1e400], "window": 10}',
+    ])
+    def test_non_finite_sequence(self, tmp_path, text, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(text)
+        assert exits_cleanly_with_2(["energy", "--input", str(path)], capsys)
+        assert exits_cleanly_with_2(["density", "--input", str(path), "--kind", "exterior",
+                                     "--grid", "0.5,1.0"], capsys)
+
+    @pytest.mark.parametrize("text", [
+        '{"atoms": [[0, 1], [NaN, 0.5]], "window": 10}',
+        '{"atoms": [[0, 1], [1, 0.5]], "window": Infinity}',
+        '{"atoms": [[0, 1], [1, 0.5]], "window": 1e400}',
+        '{"atoms": [[0, 1], [1, NaN]], "window": 10}',
+    ])
+    def test_non_finite_measure(self, tmp_path, text, capsys):
+        path = tmp_path / "measure.json"
+        path.write_text(text)
+        assert exits_cleanly_with_2(["type", "--input", str(path)], capsys)
+        assert exits_cleanly_with_2(["theorem", "levinson", "--input", str(path)], capsys)
+
+    @pytest.mark.parametrize("atoms", ["[[0, 1, 5], [2, 3, 7]]", "[0, 1, 2, 3]",
+                                       "[[[0, 1]], [[2, 3]]]", "[[0, 1], [2]]", "[]"])
+    def test_malformed_atoms(self, tmp_path, atoms, capsys):
+        path = tmp_path / "measure.json"
+        path.write_text('{"atoms": %s, "window": 10}' % atoms)
+        assert exits_cleanly_with_2(["type", "--input", str(path)], capsys)
+
+    def test_non_finite_weight_value(self, tmp_path, capsys):
+        path = tmp_path / "weight.json"
+        path.write_text('{"breakpoints": [-2, -1, 1, 2], "values": [1e400, 1, 1e400]}')
+        assert exits_cleanly_with_2(["theorem", "krein-lm", "--weight", str(path)], capsys)
+
+    def test_constructors_reject_non_finite(self):
+        from typelab.core import (DiscreteMeasure, Partition, RealSequence, TypelabError,
+                                  WeightTable)
+
+        nan, inf = float("nan"), float("inf")
+        bad = [lambda: RealSequence(np.array([1.0, nan, 3.0]), 10.0),
+               lambda: RealSequence(np.array([1.0, 2.0]), inf),
+               lambda: RealSequence(np.array([1.0, 2.0]), nan),
+               lambda: DiscreteMeasure(np.array([0.0, nan]), np.array([1.0, 1.0]), 10.0),
+               lambda: DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.0, 1.0]), inf),
+               lambda: Partition(np.array([-inf, 0.0, 1.0])),
+               lambda: Partition(np.array([-1.0, 0.0, nan])),
+               lambda: WeightTable(np.array([0.0, 1.0, 2.0]), np.array([1.0, nan])),
+               lambda: WeightTable(np.array([0.0, 1.0, 2.0]), np.array([inf, 1.0]),
+                                   kind="samples", floor=0.0)]
+        for make in bad:
+            with pytest.raises(TypelabError):
+                make()
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, measure_file, capsys):
         _, first = run_cli(["type", "--input", measure_file, "--separated",

@@ -64,6 +64,19 @@ class TestCountingFunction:
         with pytest.raises(OutOfWindow):
             counting_function(arithmetic(1.0, 10.0), 11.0)
 
+    def test_array_argument_matches_scalar(self):
+        seq = perturb_exponential(arithmetic(1.0, 100.0), 0.1, 3)
+        xs = np.array([-100.0, -7.0, -3.5, -1e-9, 0.0, 1e-9, 3.0, 5.5, 99.9, 100.0])
+        counts = counting_function(seq, xs)
+        assert counts.tolist() == [counting_function(seq, float(x)) for x in xs]
+
+    def test_out_of_window_array_and_nan(self):
+        seq = arithmetic(1.0, 10.0)
+        with pytest.raises(OutOfWindow):
+            counting_function(seq, np.array([0.0, -11.0]))
+        with pytest.raises(OutOfWindow):
+            counting_function(seq, float("nan"))
+
 
 class TestRegularityBlockScan:
     def test_agrees_with_integral_form_on_grids(self):
