@@ -59,6 +59,9 @@ from .typeproblem import (
 )
 from .uniformity import check_d_uniform
 
+# largest number of values a start:stop:step grid may expand to
+GRID_MAX_VALUES = 10_000
+
 
 def _emit(args, payload) -> None:
     if getattr(args, "format", "json") == "csv":
@@ -77,6 +80,8 @@ def _parse_grid(spec: str) -> list[float]:
     start, stop, step = values
     if not step > 0:
         raise TypelabError(f"grid {spec!r} needs a positive step")
+    if (stop - start) / step >= GRID_MAX_VALUES:
+        raise TypelabError(f"grid {spec!r} has more than {GRID_MAX_VALUES} values")
     out = []
     x = start
     while x <= stop + 1e-12:

@@ -61,6 +61,8 @@ class Interval:
     right: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.left) and math.isfinite(self.right)):
+            raise TypelabError(f"interval endpoints must be finite, got ({self.left}, {self.right}]")
         if not self.right > self.left:
             raise TypelabError(f"interval needs right > left, got ({self.left}, {self.right}]")
 
@@ -175,6 +177,14 @@ class Partition:
         bks = self.breakpoints
         return [Interval(bks[i], bks[i + 1]) for i in range(len(bks) - 1)]
 
+    def index(self, points: np.ndarray) -> "PartitionIndex":
+        """The intervals as arrays, with the slice of sorted ``points`` each holds."""
+        bks = self.breakpoints
+        at = np.searchsorted(points, bks, side="right")
+        lefts, rights = bks[:-1], bks[1:]
+        return PartitionIndex(lefts, rights, rights - lefts, dist0(lefts, rights),
+                              at[:-1], at[1:])
+
     @property
     def span(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
@@ -184,6 +194,27 @@ class Partition:
 
     def to_dict(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist()}
+
+
+@dataclass(frozen=True)
+class PartitionIndex:
+    """Interval ``i`` is ``(lefts[i], rights[i]]`` and holds ``points[lo[i]:hi[i]]``."""
+
+    lefts: np.ndarray
+    rights: np.ndarray
+    lengths: np.ndarray
+    dist0: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.hi - self.lo
+
+
+def dist0(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """:meth:`Interval.dist0` of every ``(lefts[i], rights[i]]``."""
+    return np.where(lefts > 0.0, lefts, np.where(rights < 0.0, -rights, 0.0))
 
 
 @dataclass(frozen=True)

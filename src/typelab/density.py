@@ -148,39 +148,62 @@ def spread_selection(seq: RealSequence, partition: Partition, d: float) -> RealS
 
     Uses the deterministic farthest-point rule: start from the interval's
     extreme points and repeatedly add the point with the largest distance
-    to the current selection (earliest index on ties).  Intervals holding
-    fewer points than the target keep everything they have.
+    to the current selection (earliest index on ties); a target of one
+    keeps the point nearest the midpoint of the extremes.  Intervals
+    holding fewer points than the target keep everything they have.
     """
     pts = seq.points
-    chosen: list[np.ndarray] = []
-    for iv in partition.intervals:
-        lo = int(np.searchsorted(pts, iv.left, side="right"))
-        hi = int(np.searchsorted(pts, iv.right, side="right"))
-        inside = pts[lo:hi]
-        k = int(math.floor(d * iv.length + 1e-9))
-        if k >= inside.size:
-            if inside.size:
-                chosen.append(inside)
-            continue
-        if k <= 0:
-            continue
-        chosen.append(_farthest_points(inside, k))
-    if not chosen:
+    idx = partition.index(pts)
+    m = idx.counts
+    k = np.floor(d * idx.lengths + 1e-9)
+    keep = np.zeros(pts.size, dtype=bool)
+    # the intervals are contiguous: they hold points lo[0] .. hi[-1] - 1 in turn
+    keep[idx.lo[0]:idx.hi[-1]] = np.repeat(k >= m, m)
+    some = np.flatnonzero((k >= 1) & (k < m))
+    _farthest_points(pts, idx.lo[some], m[some], k[some].astype(int), keep)
+    if not keep.any():
         return RealSequence(np.zeros(0), seq.window, "selection(empty)")
-    return RealSequence(np.concatenate(chosen), seq.window, "selection")
+    return RealSequence(pts[keep], seq.window, "selection")
 
 
-def _farthest_points(inside: np.ndarray, k: int) -> np.ndarray:
-    if k == 1:
-        mid = 0.5 * (inside[0] + inside[-1])
-        return inside[[int(np.argmin(np.abs(inside - mid)))]]
-    sel = [0, inside.size - 1]
-    dist = np.minimum(np.abs(inside - inside[0]), np.abs(inside - inside[-1]))
-    while len(sel) < k:
-        nxt = int(np.argmax(dist))
-        sel.append(nxt)
-        dist = np.minimum(dist, np.abs(inside - inside[nxt]))
-    return np.sort(inside[np.array(sel)])
+def _farthest_points(pts: np.ndarray, lo: np.ndarray, m: np.ndarray, k: np.ndarray,
+                     keep: np.ndarray) -> None:
+    """Mark in ``keep`` the farthest-point selection of ``k[i]`` of ``pts[lo[i]:lo[i] + m[i]]``.
+
+    Runs the rule in lockstep over all rows: rows are bucketed by point
+    count in powers of two and padded, padding at distance -inf, so each
+    round is one ``argmax`` and one ``minimum`` over the rows still
+    choosing (rows sorted by target, largest first, so those are a
+    prefix).  The per-entry arithmetic is that of one interval at a time.
+    """
+    width = np.left_shift(1, np.frexp(m - 1)[1])
+    for w in np.unique(width).tolist():
+        rows = np.flatnonzero(width == w)
+        rows = rows[np.argsort(-k[rows], kind="stable")]
+        lo_r, m_r, k_r = lo[rows], m[rows], k[rows]
+        cols = np.arange(w)
+        pad = cols >= m_r[:, None]
+        # padding repeats the row's last point, so every entry stays finite
+        P = pts[lo_r[:, None] + np.minimum(cols, m_r[:, None] - 1)]
+        last = pts[lo_r + m_r - 1]
+        one = k_r == 1
+        mid = 0.5 * (P[one, 0] + last[one])
+        near = np.where(pad[one], np.inf, np.abs(P[one] - mid[:, None]))
+        keep[lo_r[one] + near.argmin(axis=1)] = True
+        many = ~one
+        keep[lo_r[many]] = keep[lo_r[many] + m_r[many] - 1] = True
+        P, pad, lo_r, k_r = P[many], pad[many], lo_r[many], k_r[many]
+        dist = np.minimum(np.abs(P - P[:, :1]), np.abs(P - last[many, None]))
+        dist[pad] = -np.inf
+        diff = np.empty_like(P)
+        # rows still choosing in round t: those with k >= t + 3
+        active = np.searchsorted(-k_r, -np.arange(3, k_r.max(initial=2) + 1), side="right")
+        for n in active.tolist():
+            nxt = dist[:n].argmax(axis=1)
+            keep[lo_r[:n] + nxt] = True
+            np.subtract(P[:n], P[np.arange(n), nxt][:, None], out=diff[:n])
+            np.abs(diff[:n], out=diff[:n])
+            np.minimum(dist[:n], diff[:n], out=dist[:n])
 
 
 def interior_density(seq: RealSequence, d_grid) -> DensityEstimate:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Interval, RealSequence, TypelabError
+from .core import Interval, RealSequence, TypelabError, map_libm
 
 # below this separation a pair is treated as coincident rather than
 # silently contributing -inf
@@ -23,6 +23,8 @@ DEGENERATE_DISTANCE = 1e-300
 # configurations up to this size use one full pairwise matrix
 _MATRIX_LIMIT = 512
 _BLOCK = 256
+# pair terms per np.log call of interval_energies (2 MB of float64)
+_BATCH_TERMS = 1 << 18
 
 
 class TooFewPoints(TypelabError):
@@ -133,3 +135,52 @@ def energy_report(config, interval: Interval) -> EnergyReport:
     energy = coulomb_energy(inside) if delta >= 2 else 0.0
     deficit = delta * delta * math.log(interval.length) - energy
     return EnergyReport(delta, energy, deficit, interval)
+
+
+def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+    """Deficit of ``points[lo[i]:hi[i]]`` in an interval of length ``lengths[i]``, for every i.
+
+    ``points`` are sorted.  Gives the values :func:`energy_report` gives
+    interval by interval, and raises its error for the first interval that
+    has one: :class:`IntervalTooShort` below length 1,
+    :class:`DegenerateDistance` for two points closer than 1e-300.
+    """
+    delta = hi - lo
+    # close[t]: gaps below the limit among the first t gaps
+    close = np.concatenate([[0], np.cumsum(np.diff(points) < DEGENERATE_DISTANCE)])
+    two = delta >= 2
+    degenerate = np.zeros(delta.size, dtype=bool)
+    degenerate[two] = close[hi[two] - 1] > close[lo[two]]
+    bad = np.flatnonzero((lengths < 1.0) | degenerate)
+    if bad.size:
+        first = bad[0]
+        if lengths[first] < 1.0:
+            raise IntervalTooShort(f"interval length {lengths[first]} < 1")
+        raise DegenerateDistance("two points closer than 1e-300")
+    return delta * delta * map_libm(math.log, lengths) - interval_energies(points, lo, hi)
+
+
+def interval_energies(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`coulomb_energy` of every ``points[lo[i]:hi[i]]`` (0 below two points).
+
+    ``points`` are sorted and their gaps already checked.  Up to 512
+    points, the pair logarithms of all intervals of one size come from one
+    ``np.log`` call, and each interval's row is summed on its own, as
+    the single-interval path sums it (a reduction over ``axis=1`` is free
+    to take another order).  Larger intervals take the row-blocked path
+    of :func:`coulomb_energy`.
+    """
+    sizes = hi - lo
+    out = np.zeros(sizes.size)
+    for n in np.unique(sizes[(sizes >= 2) & (sizes <= _MATRIX_LIMIT)]).tolist():
+        rows, cols = np.triu_indices(n, k=1)
+        which = np.flatnonzero(sizes == n)
+        step = max(1, _BATCH_TERMS // rows.size)
+        for part in np.split(which, np.arange(step, which.size, step)):
+            at = lo[part, None]
+            logs = np.log(points[at + cols] - points[at + rows])
+            out[part] = [2.0 * float(row.sum()) for row in logs]
+    for i in np.flatnonzero(sizes > _MATRIX_LIMIT).tolist():
+        out[i] = coulomb_energy(points[lo[i]:hi[i]])
+    return out

@@ -18,6 +18,7 @@ from .core import (
     RealSequence,
     SumVerdict,
     TypelabError,
+    dist0,
     poisson_tail_sum,
 )
 
@@ -44,14 +45,27 @@ def classify_family(intervals) -> SumVerdict:
     """Short/long verdict for a disjoint interval family.
 
     Feeds ``(dist(0, I_n), |I_n|^2)`` to the Poisson tail classifier:
-    convergent means short, divergent means long.
+    convergent means short, divergent means long.  A length whose square
+    is not finite raises :class:`TypelabError`.
     """
-    ivs = sorted(_as_intervals(intervals), key=lambda i: i.left)
-    for prev, cur in zip(ivs, ivs[1:]):
-        if cur.left < prev.right:
-            raise OverlappingIntervals(
-                f"({prev.left}, {prev.right}] overlaps ({cur.left}, {cur.right}]")
-    return poisson_tail_sum([(iv.dist0(), iv.length ** 2) for iv in ivs])
+    if isinstance(intervals, Partition):
+        bks = intervals.breakpoints
+        locations, lengths = dist0(bks[:-1], bks[1:]), np.diff(bks).tolist()
+    else:
+        ivs = sorted(intervals, key=lambda i: i.left)
+        for prev, cur in zip(ivs, ivs[1:]):
+            if cur.left < prev.right:
+                raise OverlappingIntervals(
+                    f"({prev.left}, {prev.right}] overlaps ({cur.left}, {cur.right}]")
+        locations, lengths = [iv.dist0() for iv in ivs], [iv.length for iv in ivs]
+    try:
+        # libm pow: it differs from x * x in the last bit
+        squares = [x ** 2 for x in lengths]
+    except OverflowError:
+        squares = [math.inf]
+    if not all(map(math.isfinite, squares)):
+        raise TypelabError("an interval is too long for its squared length to be finite")
+    return poisson_tail_sum(list(zip(locations, squares)))
 
 
 def _min_length(rank: int, scale: float) -> float:

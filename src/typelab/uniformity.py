@@ -17,12 +17,13 @@ import numpy as np
 from .core import (
     CONVERGENT,
     Partition,
+    PartitionIndex,
     RealSequence,
     SumVerdict,
     TypelabError,
     poisson_tail_sum,
 )
-from .energy import energy_report
+from .energy import interval_deficits
 from .partitions import InsufficientData, classify_family, find_short_partition
 
 # density condition tolerance: per-interval ratios must satisfy
@@ -117,65 +118,58 @@ def check_density(seq: RealSequence, partition: Partition, d: float,
     only the outer half of the intervals (largest distance from 0) must
     comply; the inner half is finite-scale noise.
     """
+    return _density_leg(_covering_index(seq, partition), d, tolerance_factor)
+
+
+def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
     span = partition.span
     if span.left > -seq.window or span.right < seq.window:
         raise WindowMismatch("partition does not cover the sequence window")
-    ivs = partition.intervals
-    ratios = []
-    sides: dict[str, list[tuple[float, float, float]]] = {"left": [], "right": []}
-    for iv in ivs:
-        count = seq.count_in(iv.left, iv.right)
-        ratio = count / iv.length
-        ratios.append(ratio)
-        tol = max(DENSITY_RTOL * d, DENSITY_SLACK / iv.length) * tolerance_factor
-        row = (iv.dist0(), abs(ratio - d), abs(ratio - d) - tol)
-        # judged per side so that a one-sided defect cannot hide in the
-        # other side's inner region
-        if iv.right <= 0.0:
-            sides["left"].append(row)
-        elif iv.left >= 0.0:
-            sides["right"].append(row)
+    return partition.index(seq.points)
+
+
+def _density_leg(idx: PartitionIndex, d: float, tolerance_factor: float) -> DensityCheck:
+    ratios = idx.counts / idx.lengths
+    tol = np.maximum(DENSITY_RTOL * d, DENSITY_SLACK / idx.lengths) * tolerance_factor
+    dev = np.abs(ratios - d)
     max_dev = 0.0
     passed = True
-    for rows in sides.values():
-        rows.sort(key=lambda t: t[0])
-        outer = rows[len(rows) // 2:]
-        max_dev = max(max_dev, max((t[1] for t in outer), default=0.0))
-        passed = passed and all(t[2] <= 0.0 for t in outer)
-    return DensityCheck(passed, max_dev, d, tuple(ratios))
+    # judged per side so that a one-sided defect cannot hide in the other
+    # side's inner region
+    for side in (idx.rights <= 0.0, (idx.rights > 0.0) & (idx.lefts >= 0.0)):
+        rows = np.flatnonzero(side)
+        outer = rows[np.argsort(idx.dist0[rows], kind="stable")][rows.size // 2:]
+        if outer.size:
+            max_dev = max(max_dev, float(np.max(dev[outer])))
+            passed = passed and bool(np.all(dev[outer] - tol[outer] <= 0.0))
+    return DensityCheck(passed, max_dev, d, tuple(ratios.tolist()))
 
 
 def check_energy(seq: RealSequence, partition: Partition) -> SumVerdict:
     """Energy condition: Poisson tail of per-interval Coulomb deficits."""
-    terms = []
-    for iv in partition.intervals:
-        rep = energy_report(seq, iv)
-        terms.append((iv.dist0(), max(rep.deficit, 0.0)))
-    return poisson_tail_sum(terms)
+    return _energy_leg(seq, partition.index(seq.points))[0]
+
+
+def _energy_leg(seq: RealSequence, idx: PartitionIndex) -> tuple[SumVerdict, np.ndarray]:
+    deficits = interval_deficits(seq.points, idx.lo, idx.hi, idx.lengths)
+    return poisson_tail_sum(np.column_stack((idx.dist0, np.maximum(deficits, 0.0)))), deficits
 
 
 def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
               skip_energy: bool, tolerance_factor: float) -> UniformityReport:
     partition = merge_short_intervals(partition)
-    short_v = classify_family(partition.intervals)
-    density = check_density(seq, partition, d, tolerance_factor)
-    rows = []
+    short_v = classify_family(partition)
+    idx = _covering_index(seq, partition)
+    density = _density_leg(idx, d, tolerance_factor)
     if skip_energy:
-        energy_v = None
-        for iv in partition.intervals:
-            c = seq.count_in(iv.left, iv.right)
-            rows.append((c, iv.length, c / iv.length, None))
+        energy_v, deficits = None, [None] * len(partition)
     else:
-        terms = []
-        for iv in partition.intervals:
-            rep = energy_report(seq, iv)
-            rows.append((rep.delta, iv.length, rep.delta / iv.length, rep.deficit))
-            terms.append((iv.dist0(), max(rep.deficit, 0.0)))
-        energy_v = poisson_tail_sum(terms)
-    ok = density.passed and short_v.classification == CONVERGENT
-    if not skip_energy:
-        ok = ok and energy_v.classification == CONVERGENT
-    return UniformityReport(d, partition, tuple(rows), density, energy_v, short_v,
+        energy_v, deficits = _energy_leg(seq, idx)
+        deficits = deficits.tolist()
+    rows = tuple(zip(idx.counts.tolist(), idx.lengths.tolist(), density.ratios, deficits))
+    ok = (density.passed and short_v.classification == CONVERGENT
+          and (skip_energy or energy_v.classification == CONVERGENT))
+    return UniformityReport(d, partition, rows, density, energy_v, short_v,
                             ok, source, skip_energy)
 
 

@@ -15,16 +15,31 @@ from hypothesis import strategies as st
 
 from typelab.core import (
     DiscreteMeasure,
+    Partition,
     RealSequence,
+    poisson_tail_sum,
     poisson_piece_contributions,
     shell_sum_verdict,
     split_at_shells,
     split_pieces_at_shells,
 )
-from typelab.density import counting_function, strong_regularity_defect
-from typelab.partitions import _grow_side, _min_length
+from typelab.density import (
+    _farthest_points,
+    counting_function,
+    spread_selection,
+    strong_regularity_defect,
+)
+from typelab.energy import (
+    DegenerateDistance,
+    IntervalTooShort,
+    coulomb_energy,
+    energy_report,
+    interval_energies,
+)
+from typelab.partitions import _grow_side, _min_length, classify_family
 from typelab.serialize import canonical_json, format_float, load_measure
 from typelab.typeproblem import WEIGHT_BUDGET, _counting_growth_summable, weight_filter_mask
+from typelab.uniformity import check_d_uniform, check_density, check_energy
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
 coords = st.floats(-1e300, 1e300, allow_nan=False)
@@ -174,6 +189,84 @@ def ref_format_float(x):
 # ---------------------------------------------------------------- inputs
 
 
+def ref_farthest_points(inside, k):
+    if k == 1:
+        mid = 0.5 * (inside[0] + inside[-1])
+        return inside[[int(np.argmin(np.abs(inside - mid)))]]
+    sel = [0, inside.size - 1]
+    dist = np.minimum(np.abs(inside - inside[0]), np.abs(inside - inside[-1]))
+    while len(sel) < k:
+        nxt = int(np.argmax(dist))
+        sel.append(nxt)
+        dist = np.minimum(dist, np.abs(inside - inside[nxt]))
+    return np.sort(inside[np.array(sel)])
+
+
+def ref_spread_selection(seq, partition, d):
+    pts = seq.points
+    chosen = []
+    for iv in partition.intervals:
+        lo = int(np.searchsorted(pts, iv.left, side="right"))
+        hi = int(np.searchsorted(pts, iv.right, side="right"))
+        inside = pts[lo:hi]
+        k = int(math.floor(d * iv.length + 1e-9))
+        if k >= inside.size:
+            if inside.size:
+                chosen.append(inside)
+            continue
+        if k <= 0:
+            continue
+        chosen.append(ref_farthest_points(inside, k))
+    if not chosen:
+        return RealSequence(np.zeros(0), seq.window, "selection(empty)")
+    return RealSequence(np.concatenate(chosen), seq.window, "selection")
+
+
+def ref_energy_leg(seq, partition):
+    """The per-interval energy_report loop of the former check_energy and _evaluate."""
+    deficits, terms = [], []
+    for iv in partition.intervals:
+        rep = energy_report(seq, iv)
+        deficits.append(rep.deficit)
+        terms.append((iv.dist0(), max(rep.deficit, 0.0)))
+    return deficits, poisson_tail_sum(terms)
+
+
+def ref_check_density(seq, partition, d, tolerance_factor=1.0):
+    ratios = []
+    sides = {"left": [], "right": []}
+    for iv in partition.intervals:
+        count = seq.count_in(iv.left, iv.right)
+        ratio = count / iv.length
+        ratios.append(ratio)
+        tol = max(0.05 * d, 2.0 / iv.length) * tolerance_factor
+        row = (iv.dist0(), abs(ratio - d), abs(ratio - d) - tol)
+        if iv.right <= 0.0:
+            sides["left"].append(row)
+        elif iv.left >= 0.0:
+            sides["right"].append(row)
+    max_dev, passed = 0.0, True
+    for rows in sides.values():
+        rows.sort(key=lambda t: t[0])
+        outer = rows[len(rows) // 2:]
+        max_dev = max(max_dev, max((t[1] for t in outer), default=0.0))
+        passed = passed and all(t[2] <= 0.0 for t in outer)
+    return passed, max_dev, ratios
+
+
+def ref_classify_family(intervals):
+    ivs = sorted(intervals, key=lambda i: i.left)
+    return poisson_tail_sum([(iv.dist0(), iv.length ** 2) for iv in ivs])
+
+
+def outcome(fn, *args):
+    """Result of ``fn``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (IntervalTooShort, DegenerateDistance) as exc:
+        return type(exc), str(exc)
+
+
 @st.composite
 def ordered_pairs(draw, elements=coords):
     a, b = draw(elements), draw(elements)
@@ -210,6 +303,25 @@ def grow_side_cases(draw):
     T = draw(st.floats(2.0, float(points[-1]) + 10.0 if n else 50.0))
     points = points[points <= T]
     return points, T, draw(st.floats(0.05, 5.0)), draw(st.floats(0.25, 4.0))
+
+
+@st.composite
+def gridded_cases(draw, breaks_step=0.25):
+    """Points on the quarter grid of ``(-T, T]``, so that distances tie, and a
+    partition of ``[-T, T]`` with breakpoints on a ``breaks_step`` grid.
+
+    Point densities from sparse to four per unit and a few breakpoints give
+    intervals from empty to hundreds of points, across several buckets.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = float(draw(st.sampled_from([4, 16, 64, 300])))
+    grid = np.arange(-4 * T + 1, 4 * T + 1) / 4.0
+    n = int(draw(st.sampled_from([0.1, 0.5, 1.0, 0.9])) * grid.size)
+    pts = np.sort(rng.choice(grid, size=n, replace=False)) if n else np.zeros(0)
+    marks = np.arange(-T / breaks_step + 1, T / breaks_step) * breaks_step
+    bks = rng.choice(marks, size=draw(st.integers(0, 12)))
+    bks = np.unique(np.concatenate([bks, [-T, 0.0, T]]))
+    return RealSequence(pts, T), Partition(bks)
 
 
 # ---------------------------------------------------------------- shells
@@ -312,6 +424,120 @@ class TestEstimatorKernels:
     @settings(max_examples=100, deadline=None)
     def test_counting_growth_matches(self, measure):
         assert _counting_growth_summable(measure) == ref_counting_growth_summable(measure)
+
+
+# ---------------------------------------------------------------- uniformity
+
+
+def farthest_rows(pts, lo, m, k):
+    keep = np.zeros(pts.size, dtype=bool)
+    _farthest_points(pts, np.asarray(lo), np.asarray(m), np.asarray(k), keep)
+    return keep
+
+
+class TestPartitionKernels:
+    @given(gridded_cases(), st.floats(0.01, 5.0))
+    @example((RealSequence(np.zeros(0), 4.0), Partition(np.array([-4.0, 0.0, 4.0]))), 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_spread_selection_matches_loop(self, case, d):
+        seq, part = case
+        got, want = spread_selection(seq, part, d), ref_spread_selection(seq, part, d)
+        assert np.array_equal(got.points, want.points)
+        assert got.generator_tag == want.generator_tag
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lockstep_rows_match_loop(self, data):
+        # rows of 2..1100 points on a quarter grid, each with its own target
+        # from 1 to m - 1, bucketed together; boundary targets drawn often
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        sizes = data.draw(st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 31, 64, 65, 600, 1100]),
+                                   min_size=1, max_size=8))
+        pts, lo, k = [], [], []
+        for m in sizes:
+            lo.append(sum(map(len, pts)))
+            base = 2000.0 * len(pts)
+            pts.append(base + np.sort(rng.choice(4 * m, size=m, replace=False)) / 4.0)
+            k.append(data.draw(st.one_of(st.sampled_from([1, m - 1, min(2, m - 1)]),
+                                         st.integers(1, m - 1))))
+        pts = np.concatenate(pts)
+        keep = farthest_rows(pts, lo, sizes, k)
+        want = np.zeros(pts.size, dtype=bool)
+        for start, m, kk in zip(lo, sizes, k):
+            chosen = ref_farthest_points(pts[start:start + m], kk)
+            want[start + np.searchsorted(pts[start:start + m], chosen)] = True
+        assert np.array_equal(keep, want)
+
+    def test_lockstep_ties_and_no_rows(self):
+        # equally spaced points: every round ties, the earliest index wins
+        pts = np.arange(17.0)
+        for k in range(1, 17):
+            keep = farthest_rows(pts, [0], [17], [k])
+            assert np.array_equal(pts[keep], ref_farthest_points(pts, k))
+        assert not farthest_rows(pts, [], [], []).any()
+
+    @given(gridded_cases(breaks_step=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_energy_leg_matches_loop(self, case):
+        seq, part = case
+        deficits, verdict = ref_energy_leg(seq, part)
+        assert check_energy(seq, part) == verdict
+        # intervals are at least 1 long, so _evaluate merges none of them
+        assert [row[3] for row in check_d_uniform(seq, 1.0, part).per_interval] == deficits
+
+    @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 700])
+    def test_interval_energies_at_matrix_limit(self, n):
+        rng = np.random.default_rng(n)
+        pts = np.sort(rng.choice(8 * n, size=3 * n, replace=False) / 4.0)
+        lo = np.array([0, n, n, 2 * n])
+        hi = np.array([n, n, 2 * n, 3 * n])
+        got = interval_energies(pts, lo, hi)
+        want = [coulomb_energy(pts[a:b]) if b - a >= 2 else 0.0 for a, b in zip(lo, hi)]
+        assert got.tolist() == want
+
+    @given(gridded_cases(), st.sampled_from([(), (1e-310, 2e-310), (-2e-310, -1e-310),
+                                             (-1e-310, 1e-310, 2e-310, 3e-310)]))
+    @settings(max_examples=300, deadline=None)
+    def test_energy_errors_match_loop(self, case, close_pair):
+        # quarter-grid breakpoints make some intervals shorter than 1; a pair
+        # of points closer than 1e-300 on either side of 0 is degenerate
+        seq, part = case
+        pts = np.union1d(seq.points, close_pair)
+        seq = RealSequence(pts, seq.window)
+        got = outcome(check_energy, seq, part)
+        want = outcome(lambda s, p: ref_energy_leg(s, p)[1], seq, part)
+        assert got == want
+
+    @given(gridded_cases(breaks_step=1.0), st.floats(0.05, 5.0), st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_density_leg_matches_loop(self, case, d, factor):
+        seq, part = case
+        got = check_density(seq, part, d, factor)
+        passed, max_dev, ratios = ref_check_density(seq, part, d, factor)
+        assert (got.passed, got.max_outer_deviation, list(got.ratios)) == (passed, max_dev, ratios)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 40, 100, 513]), min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_interval_energies_match_per_interval(self, seed, sizes):
+        # many intervals of one size share an np.log call; their row sums
+        # must still be those of one interval at a time
+        rng = np.random.default_rng(seed)
+        pts = np.cumsum(rng.uniform(0.01, 3.0, size=sum(sizes)))
+        hi = np.cumsum(sizes)
+        lo = hi - np.asarray(sizes)
+        want = [coulomb_energy(pts[a:b]) if b - a >= 2 else 0.0 for a, b in zip(lo, hi)]
+        assert interval_energies(pts, lo, hi).tolist() == want
+
+    @given(st.lists(st.floats(0.01, 1e6), min_size=1, max_size=40), st.integers(0, 40))
+    @example([36.17805559993731], 1)  # its pow(x, 2) is not x * x
+    @settings(max_examples=200, deadline=None)
+    def test_classify_partition_matches_scalar_loop(self, gaps, split):
+        cuts = np.cumsum(gaps)
+        bks = np.unique(np.concatenate([-cuts[:split][::-1], [0.0], cuts[split:]]))
+        part = Partition(bks)
+        assert classify_family(part) == ref_classify_family(part.intervals)
+        assert classify_family(part.intervals) == ref_classify_family(part.intervals)
 
 
 # ---------------------------------------------------------------- serialize

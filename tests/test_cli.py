@@ -151,7 +151,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("grid", ["0.2:1.4:0", "0.2:1.4:-0.1", "1.4:0.2:-0.1",
                                       "0:inf:0.1", "nan:1:0.1", "0.5,nan", "0.5,inf",
-                                      "0.1:1"])
+                                      "0.1:1", "0:1e9:1e-9"])
     def test_bad_density_grid(self, seq_file, grid, capsys):
         argv = ["density", "--input", seq_file, "--kind", "exterior", "--grid", grid]
         assert exits_cleanly_with_2(argv, capsys)
@@ -193,14 +193,22 @@ class TestInputValidation:
         path.write_text('{"atoms": %s, "window": 10}' % atoms)
         assert exits_cleanly_with_2(["type", "--input", str(path)], capsys)
 
+    @pytest.mark.parametrize("intervals", ["[[1, 2], [3, 1e308]]", "[[0, 1e400]]"])
+    def test_huge_or_infinite_interval(self, tmp_path, intervals, capsys):
+        path = tmp_path / "intervals.json"
+        path.write_text('{"intervals": %s}' % intervals)
+        assert main(["classify", "--intervals", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_non_finite_weight_value(self, tmp_path, capsys):
         path = tmp_path / "weight.json"
         path.write_text('{"breakpoints": [-2, -1, 1, 2], "values": [1e400, 1, 1e400]}')
         assert exits_cleanly_with_2(["theorem", "krein-lm", "--weight", str(path)], capsys)
 
     def test_constructors_reject_non_finite(self):
-        from typelab.core import (DiscreteMeasure, Partition, RealSequence, TypelabError,
-                                  WeightTable)
+        from typelab.core import (DiscreteMeasure, Interval, Partition, RealSequence,
+                                  TypelabError, WeightTable)
 
         nan, inf = float("nan"), float("inf")
         bad = [lambda: RealSequence(np.array([1.0, nan, 3.0]), 10.0),
@@ -208,6 +216,8 @@ class TestInputValidation:
                lambda: RealSequence(np.array([1.0, 2.0]), nan),
                lambda: DiscreteMeasure(np.array([0.0, nan]), np.array([1.0, 1.0]), 10.0),
                lambda: DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.0, 1.0]), inf),
+               lambda: Interval(0.0, inf),
+               lambda: Interval(-inf, 0.0),
                lambda: Partition(np.array([-inf, 0.0, 1.0])),
                lambda: Partition(np.array([-1.0, 0.0, nan])),
                lambda: WeightTable(np.array([0.0, 1.0, 2.0]), np.array([1.0, nan])),
