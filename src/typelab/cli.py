@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("energy", help="Coulomb energy or per-interval report")
     p.add_argument("--input", required=True, help="sequence JSON document")
@@ -382,10 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq-density", type=float, default=8.0)
     p.add_argument("--extended-precision", action="store_true")
     p.add_argument("--csv", help="write the residual curve CSV here")
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("suite", help="bundled acceptance battery")
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_suite)
 
@@ -400,7 +401,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (TypelabError, FileNotFoundError, ValueError, TypeError, KeyError) as exc:
+    except (TypelabError, FileNotFoundError, ValueError, TypeError, KeyError,
+            OverflowError) as exc:  # OverflowError: an integer beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,14 +103,7 @@ class AuxiliaryFamily:
     fill_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "a_sequence": self.a_sequence.to_dict(),
-            "c_sequence": self.c_sequence.to_dict(),
-            "b_matched": self.b_matched.to_dict(),
-            "max_gap": self.max_gap,
-            "max_pair_width": self.max_pair_width,
-            "fill_count": self.fill_count,
-        }
+        return {k: v for k, v in vars(self).items() if k != "pair_widths"}
 
 
 def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
@@ -183,13 +176,6 @@ class BenedicksFamily:
     sequence: RealSequence
     blocks: Partition
     block_counts: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence.to_dict(),
-            "blocks": self.blocks.to_dict(),
-            "block_counts": list(self.block_counts),
-        }
 
 
 def default_block_growth(n: int) -> int:

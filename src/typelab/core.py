@@ -88,9 +88,6 @@ class Interval:
         half = 0.5 * factor * self.length
         return Interval(self.midpoint - half, self.midpoint + half)
 
-    def to_dict(self) -> dict:
-        return {"left": self.left, "right": self.right}
-
 
 @dataclass(frozen=True)
 class RealSequence:
@@ -191,9 +188,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.breakpoints) - 1
-
-    def to_dict(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist()}
 
 
 @dataclass(frozen=True)
@@ -367,16 +361,6 @@ class SumVerdict:
     @property
     def divergent(self) -> bool:
         return self.classification == DIVERGENT
-
-    def to_dict(self) -> dict:
-        return {
-            "value_truncated": self.value_truncated,
-            "shell_sums": [[j, s] for j, s in self.shell_sums],
-            "inner_sum": self.inner_sum,
-            "classification": self.classification,
-            "fit_ratio": self.fit_ratio,
-            "note": self.note,
-        }
 
 
 def shell_index(magnitudes: np.ndarray) -> np.ndarray:

@@ -44,13 +44,6 @@ class InteriorCertificate:
     partition: Partition
     report: UniformityReport
 
-    def to_dict(self) -> dict:
-        return {
-            "subsequence": self.subsequence.to_dict(),
-            "partition": self.partition.to_dict(),
-            "report": self.report.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
@@ -58,14 +51,6 @@ class DensityEstimate:
     kind: str
     certificate: InteriorCertificate | None
     diagnostics: tuple[tuple[float, bool, str], ...]  # (grid value, passed, detail)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "kind": self.kind,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "diagnostics": [[g, p, det] for g, p, det in self.diagnostics],
-        }
 
 
 def counting_function(seq: RealSequence, x):
@@ -216,6 +201,8 @@ def interior_density(seq: RealSequence, d_grid) -> DensityEstimate:
     certificate; 0 when every candidate fails.
     """
     d_grid = sorted(float(d) for d in d_grid)
+    if not d_grid:
+        raise TypelabError("density grid is empty")
     if any(d <= 0 for d in d_grid):
         raise TypelabError("density grid values must be positive")
     if len(seq) == 0:
@@ -264,16 +251,19 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
     A target ``a`` is feasible when the dyadic blocks whose point count
     irreparably exceeds ``a * length`` form at most a short family: deficits
     can always be repaired by adding points, excesses cannot be removed.
-    Reports the smallest feasible grid value (+inf when none is).
+    Reports the smallest feasible grid value; raises :class:`TypelabError`
+    when none is, since the grid then bounds nothing.
     """
     a_grid = sorted(float(a) for a in a_grid)
+    if not a_grid:
+        raise TypelabError("density grid is empty")
     if any(a <= 0 for a in a_grid):
         raise TypelabError("density grid values must be positive")
     if len(seq) == 0:
         return DensityEstimate(a_grid[0], EXTERIOR, None,
                                tuple((a, True, "empty sequence") for a in a_grid))
     diagnostics: list[tuple[float, bool, str]] = []
-    value = math.inf
+    value = None
     for a in a_grid:
         excess = _excess_blocks(seq, a)
         if len(excess) == 0:
@@ -283,8 +273,11 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
             feasible = verdict.classification != DIVERGENT
             note = f"excess family {verdict.classification} ({len(excess)} blocks)"
         diagnostics.append((a, feasible, note))
-        if feasible and value == math.inf:
+        if feasible and value is None:
             value = a
+    if value is None:
+        raise TypelabError(f"no grid value up to {a_grid[-1]:g} is a feasible exterior "
+                           f"density ({note}); extend the grid")
     return DensityEstimate(value, EXTERIOR, None, tuple(diagnostics))
 
 

@@ -48,14 +48,6 @@ class EnergyReport:
     deficit: float
     interval: Interval
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "energy": self.energy,
-            "deficit": self.deficit,
-            "interval": self.interval.to_dict(),
-        }
-
 
 def _as_points(config) -> np.ndarray:
     if isinstance(config, RealSequence):

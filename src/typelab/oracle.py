@@ -53,17 +53,6 @@ class ResidualCurve:
     max_curvature: float
     extended_used: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "a_values": self.a_values.tolist(),
-            "sigma_min": self.sigma_min.tolist(),
-            "sigma_max": self.sigma_max.tolist(),
-            "knee": self.knee,
-            "conditioning": self.conditioning.tolist(),
-            "max_curvature": self.max_curvature,
-            "extended_used": self.extended_used,
-        }
-
 
 @dataclass(frozen=True)
 class AnnihilatorReport:

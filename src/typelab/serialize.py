@@ -7,6 +7,7 @@ without locale- or hash-order-dependent state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,16 @@ def format_float(x: float) -> str:
     if math.isfinite(x):
         return format(x, ".12g")
     return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
+
+
+def _document(obj):
+    """The document of a report: its own ``to_dict()`` if it has one, else
+    ``{field name: value}`` over the fields of a dataclass instance."""
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -46,15 +57,15 @@ def canonical_json(obj, indent: int = 0) -> str:
         for k in sorted(obj):
             items.append(f"{json.dumps(str(k))}: {canonical_json(obj[k], indent)}")
         return "{" + ", ".join(items) + "}"
-    if hasattr(obj, "to_dict"):
-        return canonical_json(obj.to_dict(), indent)
+    doc = _document(obj)
+    if doc is not obj:
+        return canonical_json(doc, indent)
     raise TypelabError(f"cannot serialize {type(obj)!r}")
 
 
 def flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
     """Dotted-path key/value rows, sorted, for the CSV output mode."""
-    if hasattr(obj, "to_dict"):
-        obj = obj.to_dict()
+    obj = _document(obj)
     rows: list[tuple[str, str]] = []
     if isinstance(obj, dict):
         for k in sorted(obj):

@@ -86,9 +86,6 @@ class Conclusion:
     kind: str
     value: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
 
 @dataclass(frozen=True)
 class TheoremVerdict:
@@ -101,34 +98,12 @@ class TheoremVerdict:
         if self.conclusion.kind != INCONCLUSIVE and not self.applicable:
             raise TypelabError("a definite conclusion requires applicable hypotheses")
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "applicable": self.applicable,
-            "conclusion": self.conclusion.to_dict(),
-            "evidence": _evidence_dict(self.evidence),
-        }
-
-
-def _evidence_dict(ev: dict) -> dict:
-    out = {}
-    for k, v in ev.items():
-        out[k] = v.to_dict() if hasattr(v, "to_dict") else v
-    return out
-
 
 @dataclass(frozen=True)
 class TypeCertificate:
     subsequence: RealSequence
     weight_verdict: SumVerdict
     uniformity: UniformityReport
-
-    def to_dict(self) -> dict:
-        return {
-            "subsequence": self.subsequence.to_dict(),
-            "weight_verdict": self.weight_verdict.to_dict(),
-            "uniformity": self.uniformity.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -138,15 +113,6 @@ class TypeEstimate:
     method: str
     two_sided: bool = False
     diagnostics: tuple[tuple[float, bool, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "lower_bound_type": self.lower_bound_type,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "method": self.method,
-            "two_sided": self.two_sided,
-            "diagnostics": [[d, p, note] for d, p, note in self.diagnostics],
-        }
 
 
 def _log_weight_penalties(measure: DiscreteMeasure, denominator: str) -> np.ndarray:
@@ -197,6 +163,8 @@ def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, budget: float
         raise InsufficientData("need at least 2 atoms")
     grid = sorted(float(d) for d in (d_grid if d_grid is not None
                                      else _default_d_grid(measure)))
+    if not grid:
+        raise TypelabError("density grid is empty")
     mask = weight_filter_mask(measure, denominator, budget)
     if not np.any(mask):
         return TypeEstimate(0.0, None, method, two_sided,

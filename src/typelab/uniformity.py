@@ -44,14 +44,6 @@ class DensityCheck:
     target: float
     ratios: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_outer_deviation": self.max_outer_deviation,
-            "target": self.target,
-            "ratios": list(self.ratios),
-        }
-
 
 @dataclass(frozen=True)
 class UniformityReport:
@@ -67,20 +59,6 @@ class UniformityReport:
     partition_source: str
     energy_skipped: bool = False
     reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "partition": self.partition.to_dict() if self.partition else None,
-            "per_interval": [list(row) for row in self.per_interval],
-            "density": self.density.to_dict() if self.density else None,
-            "energy_verdict": self.energy_verdict.to_dict() if self.energy_verdict else None,
-            "short_verdict": self.short_verdict.to_dict() if self.short_verdict else None,
-            "overall": self.overall,
-            "partition_source": self.partition_source,
-            "energy_skipped": self.energy_skipped,
-            "reason": self.reason,
-        }
 
 
 def merge_short_intervals(partition: Partition, min_length: float = 1.0) -> Partition:

@@ -131,6 +131,19 @@ class TestExitCodes:
         ])
         assert main(["suite"]) == 1
 
+    def test_threads_only_where_read(self, measure_file, capsys, monkeypatch):
+        import typelab.cli as cli
+
+        assert main(["type", "--input", measure_file, "--threads", "2"]) == 2
+        assert main(["energy", "--input", measure_file, "--threads", "2"]) == 2
+        code, out = run_cli(["oracle", "--input", measure_file, "--a-max", "6",
+                             "--steps", "8", "--threads", "2"], capsys)
+        assert code == 0 and "knee" in json.loads(out)
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda threads: seen.append(threads) or [
+            {"check": "x", "status": "pass", "detail": ""}])
+        assert main(["suite", "--threads", "2"]) == 0
+        assert seen == [2]
 
 
 def exits_cleanly_with_2(argv, capsys):
@@ -159,6 +172,40 @@ class TestInputValidation:
     def test_bad_type_grid(self, measure_file, capsys):
         assert exits_cleanly_with_2(["type", "--input", measure_file,
                                      "--grid", "0.1:1.0:0"], capsys)
+
+    # start > stop with a positive step expands to an empty grid
+    @pytest.mark.parametrize("kind", ["interior", "exterior"])
+    def test_empty_density_grid(self, seq_file, kind, capsys):
+        assert exits_cleanly_with_2(["density", "--input", seq_file, "--kind", kind,
+                                     "--grid", "1:0:0.1"], capsys)
+
+    @pytest.mark.parametrize("separated", [[], ["--separated"]])
+    def test_empty_type_grid(self, measure_file, separated, capsys):
+        assert exits_cleanly_with_2(["type", "--input", measure_file,
+                                     "--grid", "1:0:0.1"] + separated, capsys)
+
+    def test_infeasible_exterior_grid(self, tmp_path, capsys):
+        # every grid value is below the density of a long unit-spaced sequence
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"points": list(range(-1000, 1001)), "window": 1000}))
+        assert exits_cleanly_with_2(["density", "--input", str(path), "--kind", "exterior",
+                                     "--grid", "0.1,0.5"], capsys)
+
+    def test_empty_grid_library_calls(self):
+        from typelab.catalog import koosis_measure
+        from typelab.core import RealSequence, TypelabError
+        from typelab.density import exterior_density, interior_density
+        from typelab.typeproblem import type_discrete, type_separated
+
+        seq = RealSequence(np.arange(-5.0, 6.0), 10.0)
+        empty = RealSequence(np.zeros(0), 10.0)
+        measure = koosis_measure(20.0)
+        calls = [lambda: interior_density(seq, []), lambda: exterior_density(seq, []),
+                 lambda: interior_density(empty, []), lambda: exterior_density(empty, []),
+                 lambda: type_discrete(measure, []), lambda: type_separated(measure, [])]
+        for call in calls:
+            with pytest.raises(TypelabError, match="density grid is empty"):
+                call()
 
     @pytest.mark.parametrize("text", [
         '{"points": [1, NaN, 3], "window": 10}',
@@ -200,6 +247,17 @@ class TestInputValidation:
         assert main(["classify", "--intervals", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        docs = {"energy": '{"points": [1, 2, %s], "window": 10}' % huge,
+                "type": '{"atoms": [[0, 1], [1, 0.5]], "window": %s}' % huge,
+                "classify": '{"intervals": [[0, %s]]}' % huge}
+        for command, text in docs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(text)
+            flag = "--intervals" if command == "classify" else "--input"
+            assert exits_cleanly_with_2([command, flag, str(path)], capsys)
 
     def test_non_finite_weight_value(self, tmp_path, capsys):
         path = tmp_path / "weight.json"

@@ -1,0 +1,137 @@
+"""Fuzz gate for the document loaders and the grid argument.
+
+Malformed JSON documents (wrong shapes, missing or extra keys, strings,
+bools, nulls and huge or tiny numbers in place of values) go through
+``cli.main`` to each of the five loaders.  Every run must end in exit 0
+with a finite canonical JSON report, or exit 2 with a one-line error:
+never an exception, and never ``"nan"`` or ``"inf"`` on stdout.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from typelab.cli import main
+from typelab.constructions import arithmetic, perturb_exponential
+from typelab.serialize import canonical_json
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+EXTREMES = [10 ** 400, -10 ** 400, 2 ** 64, 1e308, -1e308, 1e-300, 5e-324, -0.0, 0]
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+                    st.sampled_from(EXTREMES),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.text(max_size=4))
+values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                      max_leaves=8)
+numbers = st.one_of(st.integers(-30, 30), st.floats(-30, 30), st.sampled_from(EXTREMES))
+number_lists = st.one_of(st.lists(numbers, max_size=8),
+                         st.lists(numbers, unique=True, max_size=8).map(sorted))
+pairs = st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=6)
+
+
+@st.composite
+def malformed(draw, fields):
+    """A document over ``fields``: each key plausible, arbitrary or missing, plus extras."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(values)
+    doc = {}
+    for key, plausible in fields.items():
+        choice = draw(st.integers(0, 5))
+        if choice < 4:
+            doc[key] = draw(plausible)
+        elif choice == 4:
+            doc[key] = draw(values)
+    doc.update(draw(st.dictionaries(st.text(max_size=4), values, max_size=2)))
+    return doc
+
+
+SEQUENCE = {"points": number_lists, "window": numbers, "generator": st.text(max_size=4)}
+MEASURE = {"atoms": pairs, "window": numbers, "tag": st.text(max_size=4)}
+INTERVALS = {"intervals": pairs}
+PARTITION = {"breakpoints": number_lists.map(lambda bks: bks + [0])}
+WEIGHT = {"breakpoints": number_lists, "values": number_lists,
+          "kind": st.sampled_from(["mu-weight", "samples", "other"]), "floor": numbers}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    # long enough for a divergent excess family: the exterior density has no
+    # feasible value below about 0.75
+    seq = perturb_exponential(arithmetic(1.0, 200.0), 1.0, 3)
+    (root / "seq.json").write_text(canonical_json(seq))
+    return root
+
+
+def run(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        text = out.getvalue()
+        json.loads(text)
+        for bad in ('"nan"', '"inf"', '"-inf"'):
+            assert bad not in text, (argv, text)
+    else:
+        assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue()
+
+
+def run_with_document(workdir, doc, argv) -> None:
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(doc))
+    run([str(path) if a == "DOC" else a for a in argv])
+
+
+@FUZZ
+@given(doc=malformed(SEQUENCE))
+def test_sequence_loader(workdir, doc):
+    run_with_document(workdir, doc, ["energy", "--input", "DOC"])
+
+
+@FUZZ
+@given(doc=malformed(MEASURE))
+def test_measure_loader(workdir, doc):
+    run_with_document(workdir, doc, ["type", "--input", "DOC", "--grid", "0.5"])
+
+
+@FUZZ
+@given(doc=malformed(INTERVALS))
+def test_intervals_loader(workdir, doc):
+    run_with_document(workdir, doc, ["classify", "--intervals", "DOC"])
+
+
+@FUZZ
+@given(doc=malformed(PARTITION))
+def test_partition_loader(workdir, doc):
+    run_with_document(workdir, doc, ["uniform", "--input", str(workdir / "seq.json"),
+                                     "--d", "1.0", "--partition", "DOC"])
+
+
+@FUZZ
+@given(doc=malformed(WEIGHT))
+def test_weight_table_loader(workdir, doc):
+    run_with_document(workdir, doc, ["theorem", "krein-lm", "--weight", "DOC"])
+
+
+grid_numbers = st.one_of(st.integers(-5, 60).map(str),
+                         st.floats(-5, 60).map(repr),
+                         st.sampled_from(["1e308", "1e-300", "5e-324", "-0", "inf", "nan", ""]))
+grids = st.one_of(
+    st.lists(grid_numbers, min_size=1, max_size=4).map(",".join),
+    st.lists(grid_numbers, min_size=3, max_size=3).map(":".join),
+    st.text(alphabet="0123456789.:,-e", max_size=10))
+
+
+@FUZZ
+@given(grid=grids, kind=st.sampled_from(["interior", "exterior"]))
+def test_density_grid(workdir, grid, kind):
+    run(["density", "--input", str(workdir / "seq.json"), "--kind", kind, "--grid", grid])

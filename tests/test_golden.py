@@ -1,18 +1,25 @@
-"""Golden bytes: the canonical stdout of the estimator commands on fixed inputs.
+"""Golden bytes: the canonical stdout of the report commands on fixed inputs.
 
-The sha256 digests were taken from the scalar implementation of the shell,
-regularity, partition and weight-filter layers; the array implementation
-must print exactly the same bytes.  A changed digest means a changed
-report, not a formatting detail.
+The estimator digests were taken from the scalar implementation of the
+shell, regularity, partition and weight-filter layers; the array
+implementation must print exactly the same bytes.  The digests of the
+other reports (uniformity, energy, partition, interval-family, theorem and
+construction reports, and the CSV mode) were taken while every report
+class still wrote its own ``to_dict``; the serializer, which now derives
+a report's document from its dataclass fields, must print the same bytes.
+A changed digest means a changed report, not a formatting detail.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from typelab import catalog
 from typelab.cli import main
-from typelab.constructions import arithmetic, perturb_exponential
+from typelab.constructions import alternating_partition, arithmetic, perturb_exponential
+from typelab.core import WeightTable
+from typelab.partitions import find_short_partition
 from typelab.serialize import canonical_json
 
 T = 2000.0
@@ -33,14 +40,54 @@ GOLDEN = {
                               "9d9f2ec1b0694977ae8d6345ee75f6c8f435cb0f55291431ae0dfa7743e7ea53"),
     "theorem-levinson": (["theorem", "levinson", "--input", "koosis"],
                          "786748d63f25ada176ce6ef87164011990099e6bd4449e9b1ec53a6620a91fe0"),
+    "uniform": (["uniform", "--input", "pert", "--d", "1.0"],
+                "df12aa915bad36e79689a3ecfe132b1fa9a8f6f1d429e5f9a9a00f59953c8488"),
+    "uniform-partition": (["uniform", "--input", "pert", "--d", "1.0",
+                           "--partition", "short-partition"],
+                          "6596a29b53cadb78bda3fd45ab1efff791fa34d6d43716e9ca9c31c06a3226e2"),
+    "energy-interval": (["energy", "--input", "pert", "--interval", "10,40"],
+                        "64d8a35a4735308c3e2a72a75246002074b341c5f3e0e979bc2d91da18e7a1e7"),
+    "partition": (["partition", "--input", "pert", "--d", "1.0"],
+                  "39d684a9fa4eddd4a8062848dea81229116c7be33bfe76034852ffbd48a1100d"),
+    "classify": (["classify", "--intervals", "intervals"],
+                 "825e562cb479746b4f5b6a9bbd814bc34e43bf47c3546e54a32fbd4b3a0c6506"),
+    "short2i": (["short2i", "--intervals", "intervals", "--C", "8"],
+                "f5b53f7c438a0e9d7b4f2367fe502064465b9ba38c87dbe3f5fd1ad2751b4785"),
+    "theorem-beurling-gap": (["theorem", "beurling-gap", "--intervals", "intervals"],
+                             "d03768392f57fa25fea647ba5d8b3fd6da12167582c683c3ab44c69da7315707"),
+    "theorem-krein-lm": (["theorem", "krein-lm", "--weight", "samples"],
+                         "1ee9eb18d09177dc3f639d08d5606fcd1e7f5716fddad0935f21b21becf6689a"),
+    "theorem-benedicks": (["theorem", "benedicks", "--partition", "alternating"],
+                          "0f625ffffbd045742721dfe3f455f8f722791e554028f68d9efef3a91f75fc32"),
+    "theorem-suffgen": (["theorem", "suffgen", "--input", "koosis", "--sequence", "arith",
+                         "--d", "1.0"],
+                        "c9d4bd3c7b6550486d49c32f8a3b61ad77ccc0d384b1c28a5b8ebc969b7b9c66"),
+    "construct-benedicks": (["construct", "benedicks", "--param", "T=400"],
+                            "249254426250d5340c1f38122c50538dedcc9c13820f18f7a2df212420620fe7"),
+    "type-csv": (["type", "--input", "koosis", "--format", "csv"],
+                 "1fc203b55be891bf36809c414c08c28b823dbd156593178e77a47a87711c8e11"),
+    "uniform-csv": (["uniform", "--input", "pert", "--d", "1.0", "--format", "csv"],
+                    "1216807d812b47c76a731a321457eb3309b26db17e9144920ecb0c0b04e76347"),
 }
+
+
+def _samples_table() -> WeightTable:
+    """Density samples ``exp(-sqrt|x + 10|)`` on 200 pieces of ``[-T, T]``."""
+    bks = np.linspace(-T, T, 201)
+    return WeightTable(bks, np.exp(-np.sqrt(np.abs(bks[:-1] + 10.0))), "samples")
 
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    docs = {"koosis": catalog.koosis_measure(T), "arith": arithmetic(1.0, T),
-            "pert": perturb_exponential(arithmetic(1.0, T), 1.0, 3)}
+    arith = arithmetic(1.0, T)
+    docs = {"koosis": catalog.koosis_measure(T), "arith": arith,
+            "pert": perturb_exponential(arithmetic(1.0, T), 1.0, 3),
+            "short-partition": find_short_partition(arith, 1.0),
+            "alternating": alternating_partition(1.0, 2.0, 400.0),
+            "intervals": {"intervals": sorted([s * k * k, s * k * k + 1.0]
+                                              for k in range(1, 41) for s in (-1, 1))},
+            "samples": _samples_table()}
     paths = {}
     for name, obj in docs.items():
         path = root / f"{name}.json"
