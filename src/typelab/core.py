@@ -108,7 +108,7 @@ class RealSequence:
         if not 0 < self.window < math.inf:  # also false on NaN
             raise TypelabError("window must be positive and finite")
         if pts.size:
-            if np.any(np.diff(pts) <= 0):
+            if np.any(pts[1:] <= pts[:-1]):
                 raise DuplicatePoint("points must be strictly increasing")
             if not np.max(np.abs(pts)) <= self.window:
                 raise OutOfWindow("points must be finite and lie in [-T, T]")
@@ -146,7 +146,7 @@ def validate_sequence(points, window: float, generator_tag: str | None = None) -
     if arr.size == 0:
         raise EmptyInput("at least one point is required")
     arr = np.sort(arr)
-    if np.any(np.diff(arr) == 0):
+    if np.any(arr[1:] == arr[:-1]):
         raise DuplicatePoint("duplicate points in input")
     if np.max(np.abs(arr)) > window:
         raise OutOfWindow(f"point outside [-{window}, {window}]")
@@ -164,7 +164,7 @@ class Partition:
         object.__setattr__(self, "breakpoints", bks)
         if bks.size < 2:
             raise TypelabError("a partition needs at least two breakpoints")
-        if not (np.isfinite(bks).all() and (np.diff(bks) > 0).all()):
+        if not (np.isfinite(bks).all() and (bks[1:] > bks[:-1]).all()):
             raise TypelabError("breakpoints must be finite and strictly increasing")
         if not np.any(bks == 0.0):
             raise TypelabError("partition must contain 0 as a breakpoint")
@@ -231,7 +231,7 @@ class DiscreteMeasure:
             raise TypelabError("positions and masses must align")
         if not 0 < self.window < math.inf:
             raise TypelabError("window must be positive and finite")
-        if np.any(np.diff(pos) <= 0):
+        if np.any(pos[1:] <= pos[:-1]):
             raise DuplicatePoint("atom positions must be strictly increasing")
         if np.any(mas <= 0) or not np.all(np.isfinite(mas)):
             raise TypelabError("masses must be positive and finite")
@@ -293,7 +293,8 @@ class WeightTable:
         object.__setattr__(self, "values", vals)
         if bks.size < 2 or vals.size != bks.size - 1:
             raise TypelabError("need n+1 breakpoints for n values")
-        if not (np.isfinite(bks).all() and np.isfinite(vals).all() and (np.diff(bks) > 0).all()):
+        if not (np.isfinite(bks).all() and np.isfinite(vals).all()
+                and (bks[1:] > bks[:-1]).all()):
             raise TypelabError("entries must be finite and breakpoints strictly increasing")
         if self.kind == MU_WEIGHT:
             if self.floor < 1.0:

@@ -191,6 +191,17 @@ def _farthest_points(pts: np.ndarray, lo: np.ndarray, m: np.ndarray, k: np.ndarr
             np.minimum(dist[:n], diff[:n], out=dist[:n])
 
 
+def density_grid(values) -> list[float]:
+    """The grid values in increasing order; raises :class:`TypelabError`
+    unless there is at least one and all are positive."""
+    grid = sorted(float(v) for v in values)
+    if not grid:
+        raise TypelabError("density grid is empty")
+    if not all(v > 0 for v in grid):  # also false on NaN
+        raise TypelabError("density grid values must be positive")
+    return grid
+
+
 def interior_density(seq: RealSequence, d_grid) -> DensityEstimate:
     """Certified lower bound for the interior Beurling-Malliavin density.
 
@@ -200,11 +211,7 @@ def interior_density(seq: RealSequence, d_grid) -> DensityEstimate:
     The first (largest) passing ``d`` is reported together with its
     certificate; 0 when every candidate fails.
     """
-    d_grid = sorted(float(d) for d in d_grid)
-    if not d_grid:
-        raise TypelabError("density grid is empty")
-    if any(d <= 0 for d in d_grid):
-        raise TypelabError("density grid values must be positive")
+    d_grid = density_grid(d_grid)
     if len(seq) == 0:
         raise InsufficientData("cannot estimate the density of an empty sequence")
     diagnostics: list[tuple[float, bool, str]] = []
@@ -254,11 +261,7 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
     Reports the smallest feasible grid value; raises :class:`TypelabError`
     when none is, since the grid then bounds nothing.
     """
-    a_grid = sorted(float(a) for a in a_grid)
-    if not a_grid:
-        raise TypelabError("density grid is empty")
-    if any(a <= 0 for a in a_grid):
-        raise TypelabError("density grid values must be positive")
+    a_grid = density_grid(a_grid)
     if len(seq) == 0:
         return DensityEstimate(a_grid[0], EXTERIOR, None,
                                tuple((a, True, "empty sequence") for a in a_grid))

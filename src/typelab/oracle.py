@@ -22,8 +22,9 @@ ladder is for.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,8 @@ SVD_CUTOFF = 1e-12           # relative floor below which values are clipped for
 REFUSAL_RATIO = 1e-14        # below this min sigma_min/sigma_max a hidden knee is refused
 KNEE_THRESHOLD = 2.0         # natural-log units of curvature required to call a knee
 DEFAULT_FREQ_DENSITY = 8.0
+# environment variables that set the BLAS threads of a process, in the order read
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class DegenerateGrid(TypelabError):
@@ -104,6 +107,27 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     return np.sqrt(q)[:, None] * phases * np.sqrt(measure.masses)[None, :]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` SVDs: at most ``threads`` and ``tasks``,
+    and no more than fit on the usable CPUs beside each worker's BLAS threads.
+
+    Each worker inherits the BLAS thread count, the first positive integer
+    among :data:`BLAS_THREAD_VARS`, else one thread per CPU (the OpenBLAS
+    and MKL default).  More threads than CPUs make every BLAS call wait on
+    the scheduler, which turns a gain into a loss.
+    """
+    cpus = _usable_cpus()
+    blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+                 if v and v.isdigit() and int(v) > 0), cpus)
+    return min(threads, tasks, max(1, cpus // blas))
+
+
 def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> tuple[float, float]:
     A = annihilation_matrix(measure, a, default_freq_count(measure, a, freq_density))
     try:
@@ -127,14 +151,26 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
     :class:`IllConditioned` unless extended precision is enabled, in which
     case the collapsed values are recomputed from the exact
     frequency-integrated Gram matrix at ``dps`` digits.
+
+    ``threads`` is the largest number of worker processes that compute the
+    singular values (see :func:`_worker_count`); with one, they are computed
+    in this process.
     """
     grid = [float(a) for a in a_grid]
     if not grid or any(a <= 0 for a in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DegenerateGrid("a-grid must be positive and strictly increasing")
+    if threads < 1:
+        raise TypelabError(f"threads must be at least 1, got {threads}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda a: _sigma_extremes(measure, a, freq_density), grid))
+    # numpy.linalg.svd holds the GIL, so the SVDs run in worker processes;
+    # map keeps grid order, so the curve does not depend on the worker count
+    workers = _worker_count(threads, len(grid))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pairs = list(pool.map(partial(_sigma_extremes, measure, freq_density=freq_density),
+                                  grid))
     else:
         pairs = [_sigma_extremes(measure, a, freq_density) for a in grid]
     sig = np.array([p[0] for p in pairs])

@@ -140,9 +140,12 @@ def find_short_partition(seq: RealSequence, d: float, min_length_scale: float = 
         raise TypelabError("target density d must be positive")
     T = seq.window
     pts = seq.points
-    right = _grow_side(pts[pts > 0.0], T, d, min_length_scale)
-    mirrored = np.sort(-pts[pts < 0.0])
-    left = [-x for x in _grow_side(mirrored, T, d, min_length_scale)]
+    # _first_reach's target count d * (p - b) may overflow to inf, which no
+    # interval reaches: the right verdict, so the overflow needs no warning
+    with np.errstate(over="ignore"):
+        right = _grow_side(pts[pts > 0.0], T, d, min_length_scale)
+        mirrored = np.sort(-pts[pts < 0.0])
+        left = [-x for x in _grow_side(mirrored, T, d, min_length_scale)]
     breakpoints = sorted(left) + [0.0] + right
     if len(breakpoints) - 1 < 4:
         raise InsufficientData(

@@ -202,9 +202,9 @@ def _constructions() -> dict:
 
 
 def run_suite(threads: int = 1) -> list[dict]:
-    # threading only enters through the oracle scans, which collect their
-    # per-frequency results in grid order, so any thread count produces the
-    # same bytes
+    # worker processes only enter through the oracle scans, which collect
+    # their per-frequency results in grid order, so any --threads produces
+    # the same bytes
     curves = _bundle_curves(threads)
     return [
         _energy_closed_form(),

@@ -34,7 +34,7 @@ from .core import (
     shell_index,
     shell_sum_verdict,
 )
-from .density import spread_selection
+from .density import density_grid, spread_selection
 from .partitions import (
     InsufficientData,
     OverlappingIntervals,
@@ -161,10 +161,7 @@ def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, budget: float
                skip_energy: bool, method: str, two_sided: bool) -> TypeEstimate:
     if len(measure) < 2:
         raise InsufficientData("need at least 2 atoms")
-    grid = sorted(float(d) for d in (d_grid if d_grid is not None
-                                     else _default_d_grid(measure)))
-    if not grid:
-        raise TypelabError("density grid is empty")
+    grid = density_grid(d_grid if d_grid is not None else _default_d_grid(measure))
     mask = weight_filter_mask(measure, denominator, budget)
     if not np.any(mask):
         return TypeEstimate(0.0, None, method, two_sided,

@@ -173,6 +173,30 @@ class TestInputValidation:
         assert exits_cleanly_with_2(["type", "--input", measure_file,
                                      "--grid", "0.1:1.0:0"], capsys)
 
+    @pytest.mark.parametrize("separated", [[], ["--separated"]])
+    @pytest.mark.parametrize("grid", ["0:1.2:0.2", "-0.5,1.0"])
+    def test_non_positive_type_grid(self, measure_file, separated, grid, capsys):
+        assert exits_cleanly_with_2(["type", "--input", measure_file,
+                                     f"--grid={grid}"] + separated, capsys)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, measure_file, threads, capsys):
+        assert exits_cleanly_with_2(["oracle", "--input", measure_file, "--a-max", "6",
+                                     "--steps", "8", "--threads", threads], capsys)
+        assert exits_cleanly_with_2(["suite", "--threads", threads], capsys)
+
+    # a comparison that overflows to inf writes a numpy RuntimeWarning to
+    # stderr; the "error" filter turns one into a failure here
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points, grid", [(list(range(-100, 101)), "1e308"),
+                                              ([-1e308, 1e308], "0.5")])
+    def test_extreme_values_write_nothing_to_stderr(self, tmp_path, points, grid, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"points": points, "window": max(points)}))
+        assert main(["density", "--input", str(path), "--kind", "interior",
+                     "--grid", grid]) == 0
+        assert capsys.readouterr().err == ""
+
     # start > stop with a positive step expands to an empty grid
     @pytest.mark.parametrize("kind", ["interior", "exterior"])
     def test_empty_density_grid(self, seq_file, kind, capsys):
@@ -304,6 +328,16 @@ class TestDeterminism:
 
 
 class TestModuleEntry:
+    def test_import_starts_no_pool_machinery(self):
+        # the oracle imports its process pool only when it starts one
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, typelab.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_python_dash_m(self, measure_file):
         proc = subprocess.run(
             [sys.executable, "-m", "typelab", "--version"],

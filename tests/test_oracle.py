@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from typelab import catalog
-from typelab.core import DiscreteMeasure
+from typelab import catalog, oracle
+from typelab.core import DiscreteMeasure, TypelabError
 from typelab.oracle import (
     DegenerateGrid,
     IllConditioned,
@@ -119,13 +124,75 @@ class TestResidualScan:
         curve = residual_scan(m, grid)
         assert curve.knee is None
 
+    @staticmethod
+    def assert_same_curve(one, other):
+        for field in ("a_values", "sigma_min", "sigma_max", "conditioning"):
+            assert getattr(one, field).tobytes() == getattr(other, field).tobytes(), field
+        assert (one.knee, one.max_curvature, one.extended_used) == (
+            other.knee, other.max_curvature, other.extended_used)
+
     def test_threads_identical(self):
         m = catalog.koosis_measure(40.0)
         grid = np.linspace(0, 9.0, 25)[1:].tolist()
         one = residual_scan(m, grid, threads=1)
-        many = residual_scan(m, grid, threads=8)
-        assert np.array_equal(one.sigma_min, many.sigma_min)
-        assert one.knee == many.knee
+        assert one.knee is not None
+        for threads in (2, 8):
+            self.assert_same_curve(one, residual_scan(m, grid, threads=threads))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_refused(self, threads):
+        m = catalog.koosis_measure(10.0)
+        with pytest.raises(TypelabError):
+            residual_scan(m, [1.0, 2.0], threads=threads)
+
+    def test_worker_count_capped(self, monkeypatch):
+        # a recording stand-in for the pool: no process is started
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        m = DiscreteMeasure(np.array([0.0]), np.array([1.0]), 1.0)
+        grid = np.linspace(0, 4.0, 9)[1:].tolist()
+
+        def workers(threads, cpus, blas):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            for var in oracle.BLAS_THREAD_VARS:
+                monkeypatch.delenv(var, raising=False)
+            if blas is not None:
+                monkeypatch.setenv("OMP_NUM_THREADS", blas)
+            started.clear()
+            residual_scan(m, grid, threads=threads)
+            return started[0] if started else 1
+
+        assert workers(10 ** 6, 64, "1") == len(grid)
+        assert workers(3, 64, "1") == 3
+        assert workers(10 ** 6, 2, "1") == 2
+        assert workers(10 ** 6, 64, "16") == 4
+        assert workers(10 ** 6, 64, None) == 1     # BLAS takes every CPU
+        assert workers(10 ** 6, 64, "0") == 1      # not a thread count: as if unset
+        assert workers(1, 64, "1") == 1
+
+    @pytest.mark.skipif(oracle._usable_cpus() < 2, reason="one usable CPU runs no pool")
+    def test_worker_processes_identical(self):
+        # one BLAS thread per process, so that the cap admits worker processes
+        env = dict(os.environ, **{var: "1" for var in oracle.BLAS_THREAD_VARS})
+        proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
     def test_frequency_refinement_consistency(self):
         # above the floor, doubling the quadrature rows must not move the
@@ -179,3 +246,45 @@ class TestAnnihilatorExtract:
         assert np.array_equal(r1.coefficients, r2.coefficients)
         k = int(np.argmax(np.abs(r1.coefficients)))
         assert abs(np.imag(r1.coefficients[k])) <= 1e-12
+
+
+def check_worker_processes(tmp):
+    """Curves and ``oracle`` stdout at 1, 2 and 8 workers agree bit for bit.
+
+    Run as a script (``python tests/test_oracle.py``) with one BLAS thread
+    per process, the setting in which the scan starts worker processes.
+    """
+    from typelab.cli import main
+    from typelab.serialize import canonical_json
+
+    assert oracle._worker_count(8, 64) >= 2
+    m = catalog.koosis_measure(40.0)
+    grid = np.linspace(0, 9.0, 25)[1:].tolist()
+    one = residual_scan(m, grid, threads=1)
+    for threads in (2, 8):
+        TestResidualScan.assert_same_curve(one, residual_scan(m, grid, threads=threads))
+    small = catalog.koosis_measure(10.0)
+    grid = np.linspace(0, 4.0, 5)[1:].tolist()
+    one = residual_scan(small, grid, extended_precision=True, threads=1)
+    assert one.extended_used
+    TestResidualScan.assert_same_curve(
+        one, residual_scan(small, grid, extended_precision=True, threads=2))
+
+    path = os.path.join(tmp, "measure.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(catalog.koosis_measure(30.0)))
+    outs = []
+    for threads in ("1", "2"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["oracle", "--input", path, "--a-max", "12.6", "--steps", "32",
+                         "--threads", threads]) == 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1] and '"knee": null' not in outs[0]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        check_worker_processes(tmp)
