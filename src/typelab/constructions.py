@@ -22,6 +22,10 @@ from .core import (
     WeightTable,
 )
 
+# most intervals alternating_partition tiles, and most points benedicks_sequence places
+CONSTRUCTION_MAX_SIZE = 100_000
+
+
 class WeightUnbounded(TypelabError):
     pass
 
@@ -70,10 +74,15 @@ def alternating_partition(even_len: float, odd_len: float, T: float) -> Partitio
 
     Index parity is anchored at the breakpoint 0: the interval just right
     of 0 has even index (length ``even_len``), the one just left of 0 has
-    odd index (length ``odd_len``).
+    odd index (length ``odd_len``).  The lengths and ``T`` must be finite
+    and positive, and the tiling of ``[-T, T]``, about ``4 T / (even_len +
+    odd_len)`` intervals, at most :data:`CONSTRUCTION_MAX_SIZE` of them.
     """
-    if even_len <= 0 or odd_len <= 0:
-        raise TypelabError("interval lengths must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (even_len, odd_len, T)):
+        raise TypelabError("interval lengths and T must be finite and positive")
+    if T / (even_len + odd_len) > CONSTRUCTION_MAX_SIZE / 4:
+        raise TypelabError(f"tiling of [-{T:g}, {T:g}] would have more than "
+                           f"{CONSTRUCTION_MAX_SIZE} intervals")
     right = [0.0]
     while True:
         for step in (even_len, odd_len):
@@ -193,18 +202,24 @@ def benedicks_sequence(partition: Partition, C: float,
     so that the margins and all inner gaps carry equal measure of that
     union.  Fails with :class:`ConditionsFailed` when the alternating
     partition does not satisfy the admissibility conditions at
-    ``(c1, c2, c3)``.
+    ``(c1, c2, c3)``.  ``C`` must be finite and positive, and the
+    sequence, about ``C`` times the partition's span, at most
+    :data:`CONSTRUCTION_MAX_SIZE` points.
     """
     from .typeproblem import benedicks_conditions  # deferred: avoids import cycle
 
+    bks = partition.breakpoints
+    if not (math.isfinite(C) and C > 0):
+        raise TypelabError("point density C must be finite and positive")
+    if C * (float(bks[-1]) - float(bks[0])) > CONSTRUCTION_MAX_SIZE:
+        raise TypelabError(f"a Benedicks sequence of density {C:g} would have more than "
+                           f"{CONSTRUCTION_MAX_SIZE} points")
     verdict = benedicks_conditions(partition, c1, c2, c3)
     if not verdict.applicable:
-        raise ConditionsFailed(str(verdict.evidence.get("failures", "conditions not met")))
-    if C <= 0:
-        raise TypelabError("point density C must be positive")
+        series = verdict.evidence["odd_length_series"].classification
+        raise ConditionsFailed(str(verdict.evidence["failures"] or [f"odd-length series {series}"]))
     growth = block_growth or default_block_growth
 
-    bks = partition.breakpoints
     i0 = int(np.flatnonzero(bks == 0.0)[0])
     n_min = -i0
     n_max = len(bks) - 1 - i0

@@ -60,13 +60,17 @@ def coulomb_energy(config, exact: bool = False) -> float:
 
     Points must be pairwise distinct; a gap below 1e-300 raises
     :class:`DegenerateDistance` instead of poisoning downstream deficits
-    with -inf.  ``exact=True`` switches to exactly rounded summation over
-    every pair (O(n^2) python loop, intended for small test configurations).
+    with -inf, and points spanning more than the float range raise
+    :class:`TypelabError` instead of overflowing.  ``exact=True`` switches
+    to exactly rounded summation over every pair (O(n^2) python loop,
+    intended for small test configurations).
     """
     pts = np.sort(_as_points(config))
     n = pts.size
     if n < 2:
         raise TooFewPoints("coulomb energy needs at least 2 points")
+    if not math.isfinite(float(pts[-1]) - float(pts[0])):
+        raise TypelabError("points span more than the float range")
     gaps = np.diff(pts)
     if np.min(gaps) < DEGENERATE_DISTANCE:
         raise DegenerateDistance("two points closer than 1e-300")

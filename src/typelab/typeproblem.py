@@ -53,6 +53,9 @@ WEIGHT_BUDGET = 8.0
 # desk-scale stand-in for "separated by some c > 0"
 SEPARATION_GAP = 1e-6
 
+# breakpoint pairs compared per block in benedicks_conditions (2 MB of float64)
+_PAIR_BATCH = 1 << 18
+
 TYPE_ZERO = "type_zero"
 TYPE_AT_LEAST = "type_at_least"
 TYPE_INFINITE = "type_infinite"
@@ -531,72 +534,62 @@ def benedicks_conditions(partition, C1: float, C2: float, C3: float) -> TheoremV
     consecutive odd breakpoints; the pointwise lower bound
     ``|I_odd| > C3 max(|I_even|, 1)``; and summability of the weighted
     odd-length series.  All four passing makes the partition usable by the
-    block construction (the quantitative bound is delegated to it).
+    block construction (the quantitative bound is delegated to it).  The
+    constants must be finite and positive, and the squared odd lengths
+    finite.  Each failing condition names its first failing index.
     """
+    if not all(math.isfinite(c) and c > 0 for c in (C1, C2, C3)):
+        raise TypelabError(f"C1, C2 and C3 must be finite and positive, got {C1}, {C2}, {C3}")
     bks = partition.breakpoints if isinstance(partition, Partition) else _tiling_breakpoints(partition)
     zero_idx = np.flatnonzero(np.abs(bks) < 1e-12)
     if zero_idx.size != 1:
         raise BadAlternation("alternating partition needs 0 as a breakpoint")
     i0 = int(zero_idx[0])
-    n_lo, n_hi = -i0, len(bks) - 1 - i0
-
-    def a(n: int) -> float:
-        return float(bks[i0 + n])
-
-    odd_ns = [n for n in range(n_lo, n_hi) if n % 2 != 0]  # interval I_n exists for n < n_hi
-    odd_bk_ns = [n for n in range(n_lo, n_hi + 1) if n % 2 != 0]
+    # index n is position i0 + n; I_n = (a_n, a_{n+1}] has length lengths[i0 + n].
+    # Only a_0 lies within 1e-12 of 0, so no odd |a_n| below is 0.
+    lengths = np.diff(bks)
+    odd_bk = np.arange((i0 + 1) % 2, bks.size, 2)
+    odd = odd_bk[odd_bk < lengths.size]
+    mags, odd_len = np.abs(bks[odd]), lengths[odd]
     failures: list[str] = []
 
-    # 1: odd lengths comparable whenever odd breakpoints are C1-comparable
-    cond1 = True
-    for n in odd_ns:
-        for k in odd_ns:
-            an, ak = abs(a(n)), abs(a(k))
-            if an == 0 or ak == 0:
-                continue
-            if an / C1 < ak < an * C1:
-                ln = a(n + 1) - a(n)
-                lk = a(k + 1) - a(k)
-                if not (ln / C2 < lk < ln * C2):
-                    cond1 = False
-                    failures.append(f"condition 1 at ({n}, {k})")
-                    break
-        if not cond1:
-            break
-
-    # 2: consecutive odd breakpoints C1-comparable in absolute value
-    cond2 = True
-    odd_bk_set = set(odd_bk_ns)
-    for n in odd_bk_ns:
-        if n - 2 not in odd_bk_set:
-            continue
-        small, large = sorted((abs(a(n)), abs(a(n - 2))))
-        if small <= 0 or large / small >= C1:
-            cond2 = False
-            failures.append(f"condition 2 at n={n}")
-            break
-
-    # 3: odd intervals dominate their even neighbour
-    cond3 = True
-    for n in range(n_lo, n_hi - 1):
-        if n % 2 == 0:
-            even_len = a(n + 1) - a(n)
-            odd_len = a(n + 2) - a(n + 1)
-            if not odd_len > C3 * max(even_len, 1.0):
-                cond3 = False
-                failures.append(f"condition 3 at even index {n}")
+    with np.errstate(over="ignore"):  # an infinite bound compares correctly
+        # 1: odd lengths comparable whenever odd breakpoints are C1-comparable;
+        # rows in blocks of _PAIR_BATCH comparisons, first failure in row-major order
+        step = max(1, _PAIR_BATCH // max(1, odd.size))
+        for start in range(0, odd.size, step):
+            an, ln = mags[start:start + step, None], odd_len[start:start + step, None]
+            bad = ((an / C1 < mags) & (mags < an * C1)
+                   & ~((ln / C2 < odd_len) & (odd_len < ln * C2)))
+            if bad.any():
+                row, col = divmod(int(bad.argmax()), odd.size)
+                failures.append(f"condition 1 at ({odd[start + row] - i0}, {odd[col] - i0})")
                 break
+        cond1 = not failures
 
-    # 4: weighted odd-length series summable
-    terms = []
-    for n in odd_ns:
-        ln = a(n + 1) - a(n)
-        prev_even = a(n) - a(n - 1) if n - 1 >= n_lo else None
-        bracket = 1.0
-        if prev_even and prev_even > 0:
-            bracket = max(0.0, math.log(ln / prev_even)) + 1.0
-        terms.append((a(n), ln * ln * bracket))
-    series = poisson_tail_sum(terms)
+        # 2: consecutive odd breakpoints C1-comparable in absolute value
+        pair = np.abs(np.stack((bks[odd_bk[:-1]], bks[odd_bk[1:]])))
+        bad2 = np.flatnonzero(pair.max(axis=0) / pair.min(axis=0) >= C1)
+        if bad2.size:
+            failures.append(f"condition 2 at n={odd_bk[bad2[0] + 1] - i0}")
+        cond2 = not bad2.size
+
+        # 3: odd intervals dominate their even neighbour
+        even = np.arange(i0 % 2, lengths.size - 1, 2)
+        bad3 = np.flatnonzero(~(lengths[even + 1] > C3 * np.maximum(lengths[even], 1.0)))
+        if bad3.size:
+            failures.append(f"condition 3 at even index {even[bad3[0]] - i0}")
+        cond3 = not bad3.size
+
+        # 4: weighted odd-length series summable
+        bracket = np.ones(odd.size)
+        prev_even = np.where(odd > 0, lengths[odd - 1], 0.0)
+        grow = prev_even > 0
+        bracket[grow] = np.maximum(0.0, map_libm(math.log, odd_len[grow] / prev_even[grow])) + 1.0
+        terms = odd_len * odd_len * bracket
+        if not np.isfinite(terms).all():
+            raise TypelabError("odd intervals too long for their squared length to be finite")
+        series = poisson_tail_sum(np.column_stack((bks[odd], terms)))
     cond4 = series.classification == CONVERGENT
 
     applicable = cond1 and cond2 and cond3 and cond4

@@ -7,6 +7,7 @@ use ``==``, never ``approx``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,18 @@ from typelab.energy import (
 )
 from typelab.partitions import _grow_side, _min_length, classify_family
 from typelab.serialize import canonical_json, format_float, load_measure
-from typelab.typeproblem import WEIGHT_BUDGET, _counting_growth_summable, weight_filter_mask
+from typelab import typeproblem
+from typelab.core import CONVERGENT
+from typelab.typeproblem import (
+    INCONCLUSIVE,
+    WEIGHT_BUDGET,
+    BadAlternation,
+    Conclusion,
+    TheoremVerdict,
+    _counting_growth_summable,
+    benedicks_conditions,
+    weight_filter_mask,
+)
 from typelab.uniformity import check_d_uniform, check_density, check_energy
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
@@ -259,6 +271,76 @@ def ref_classify_family(intervals):
     return poisson_tail_sum([(iv.dist0(), iv.length ** 2) for iv in ivs])
 
 
+def ref_benedicks_conditions(partition, C1, C2, C3):
+    bks = partition.breakpoints
+    zero_idx = np.flatnonzero(np.abs(bks) < 1e-12)
+    if zero_idx.size != 1:
+        raise BadAlternation("alternating partition needs 0 as a breakpoint")
+    i0 = int(zero_idx[0])
+    n_lo, n_hi = -i0, len(bks) - 1 - i0
+
+    def a(n: int) -> float:
+        return float(bks[i0 + n])
+
+    odd_ns = [n for n in range(n_lo, n_hi) if n % 2 != 0]
+    odd_bk_ns = [n for n in range(n_lo, n_hi + 1) if n % 2 != 0]
+    failures: list[str] = []
+
+    cond1 = True
+    for n in odd_ns:
+        for k in odd_ns:
+            an, ak = abs(a(n)), abs(a(k))
+            if an == 0 or ak == 0:
+                continue
+            if an / C1 < ak < an * C1:
+                ln = a(n + 1) - a(n)
+                lk = a(k + 1) - a(k)
+                if not (ln / C2 < lk < ln * C2):
+                    cond1 = False
+                    failures.append(f"condition 1 at ({n}, {k})")
+                    break
+        if not cond1:
+            break
+
+    cond2 = True
+    odd_bk_set = set(odd_bk_ns)
+    for n in odd_bk_ns:
+        if n - 2 not in odd_bk_set:
+            continue
+        small, large = sorted((abs(a(n)), abs(a(n - 2))))
+        if small <= 0 or large / small >= C1:
+            cond2 = False
+            failures.append(f"condition 2 at n={n}")
+            break
+
+    cond3 = True
+    for n in range(n_lo, n_hi - 1):
+        if n % 2 == 0:
+            even_len = a(n + 1) - a(n)
+            odd_len = a(n + 2) - a(n + 1)
+            if not odd_len > C3 * max(even_len, 1.0):
+                cond3 = False
+                failures.append(f"condition 3 at even index {n}")
+                break
+
+    terms = []
+    for n in odd_ns:
+        ln = a(n + 1) - a(n)
+        prev_even = a(n) - a(n - 1) if n - 1 >= n_lo else None
+        bracket = 1.0
+        if prev_even and prev_even > 0:
+            bracket = max(0.0, math.log(ln / prev_even)) + 1.0
+        terms.append((a(n), ln * ln * bracket))
+    series = poisson_tail_sum(terms)
+    cond4 = series.classification == CONVERGENT
+
+    applicable = cond1 and cond2 and cond3 and cond4
+    evidence = {"condition1": cond1, "condition2": cond2, "condition3": cond3,
+                "odd_length_series": series, "failures": failures}
+    return TheoremVerdict("alternating-partition-admissibility", applicable,
+                          Conclusion(INCONCLUSIVE), evidence)
+
+
 def outcome(fn, *args):
     """Result of ``fn``, or the type and message of the error it raises."""
     try:
@@ -322,6 +404,40 @@ def gridded_cases(draw, breaks_step=0.25):
     bks = rng.choice(marks, size=draw(st.integers(0, 12)))
     bks = np.unique(np.concatenate([bks, [-T, 0.0, T]]))
     return RealSequence(pts, T), Partition(bks)
+
+
+@st.composite
+def alternating_cases(draw):
+    """An alternating partition with jittered lengths and unequal sides, and C1, C2, C3.
+
+    Some odd intervals are stretched, so that condition 1 fails at varied
+    pairs; on integer lengths and constants the comparisons tie at their
+    bounds.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_left, n_right = draw(st.integers(0, 120)), draw(st.integers(0, 120))
+    if n_left + n_right == 0:
+        n_right = 1
+    even, odd = draw(st.floats(0.2, 4.0)), draw(st.floats(0.2, 6.0))
+    if draw(st.booleans()):
+        even, odd = float(round(even)) or 1.0, float(round(odd)) or 1.0
+    right = np.where(np.arange(n_right) % 2 == 0, even, odd)
+    left = np.where(np.arange(n_left) % 2 == 0, odd, even)
+    jitter = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    right = right * rng.uniform(1 - jitter, 1 + jitter, right.size)
+    left = left * rng.uniform(1 - jitter, 1 + jitter, left.size)
+    for side, first_odd in ((right, 1), (left, 0)):
+        stretched = rng.choice(np.arange(first_odd, side.size, 2), size=min(
+            draw(st.integers(0, 3)), side[first_odd::2].size), replace=False)
+        side[stretched] *= draw(st.floats(2.0, 100.0))
+    bks = np.concatenate([-np.cumsum(left)[::-1], [0.0], np.cumsum(right)])
+    consts = draw(st.one_of(
+        st.tuples(st.floats(1.0, 50.0, exclude_min=True, exclude_max=True),
+                  st.floats(1.0, 50.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.1, 3.0, exclude_min=True, exclude_max=True)),
+        st.tuples(st.sampled_from([2.0, 3.0, 8.0]), st.sampled_from([2.0, 3.0, 8.0]),
+                  st.sampled_from([0.5, 1.0, 2.0]))))
+    return (Partition(bks),) + consts
 
 
 # ---------------------------------------------------------------- shells
@@ -538,6 +654,38 @@ class TestPartitionKernels:
         part = Partition(bks)
         assert classify_family(part) == ref_classify_family(part.intervals)
         assert classify_family(part.intervals) == ref_classify_family(part.intervals)
+
+
+class TestBenedicksKernel:
+    @given(alternating_cases(), st.sampled_from([1 << 18, 1, 7]))
+    @example((Partition(np.array([0.0, 1.0])), 2.0, 2.0, 0.5), 1 << 18)
+    @example((Partition(np.array([-2.0, 0.0])), 2.0, 2.0, 0.5), 1 << 18)
+    @example((Partition(np.array([-3.0, -1.0, 0.0, 1.0, 3.0, 4.0, 24.0, 25.0])),
+              8.0, 8.0, 0.4), 1 << 18)
+    @example((Partition(np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])),
+              2.0, 2.0, 1.0), 7)
+    # ties at the bounds: |a_3| = C1 |a_1|, |I_3| = C2 |I_1|, |a_3| / |a_1| = C1
+    @example((Partition(np.array([0.0, 2.0, 2.5, 4.0, 5.0])), 2.0, 1.5, 0.5), 1 << 18)
+    @example((Partition(np.array([0.0, 1.0, 2.0, 3.0, 5.0])), 8.0, 2.0, 0.5), 1 << 18)
+    @example((Partition(np.array([0.0, 1.0, 2.0, 3.0, 4.0])), 3.0, 2.0, 0.5), 1 << 18)
+    @settings(max_examples=300, deadline=None)
+    def test_conditions_match_loop(self, case, batch):
+        with mock.patch.object(typeproblem, "_PAIR_BATCH", batch):
+            got = benedicks_conditions(*case)
+        assert canonical_json(got) == canonical_json(ref_benedicks_conditions(*case))
+
+    def test_condition1_failures_vary(self):
+        """The strategy reaches condition 1 failures at many different pairs."""
+        seen = set()
+
+        @given(alternating_cases())
+        @settings(max_examples=300, deadline=None, database=None)
+        def collect(case):
+            seen.update(f for f in benedicks_conditions(*case).evidence["failures"]
+                        if f.startswith("condition 1"))
+
+        collect()
+        assert len(seen) >= 20
 
 
 # ---------------------------------------------------------------- serialize

@@ -283,6 +283,30 @@ class TestInputValidation:
             flag = "--intervals" if command == "classify" else "--input"
             assert exits_cleanly_with_2([command, flag, str(path)], capsys)
 
+    @pytest.mark.parametrize("const", ["--c1=0", "--c2=0", "--c1=nan", "--c2=inf", "--c3=-1"])
+    def test_bad_benedicks_constant(self, tmp_path, const, capsys):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps({"breakpoints": [-3, -1, 0, 1, 3, 4]}))
+        assert exits_cleanly_with_2(["theorem", "benedicks", "--partition", str(path), const],
+                                    capsys)
+
+    def test_benedicks_odd_length_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps({"breakpoints": [-1e308, -1, 0, 1, 1e300, 1e308]}))
+        assert exits_cleanly_with_2(["theorem", "benedicks", "--partition", str(path)], capsys)
+
+    @pytest.mark.parametrize("family, param", [
+        (family, param) for family in ("alternating-partition", "benedicks")
+        for param in ("T=nan", "T=inf", "T=1e308", "T=-5", "T=1e6", "even=0", "odd=nan")
+    ] + [("benedicks", "C=nan"), ("benedicks", "C=0"), ("benedicks", "C=1e9")])
+    def test_bad_tiling_params(self, family, param, capsys):
+        assert exits_cleanly_with_2(["construct", family, "--param", param], capsys)
+
+    def test_energy_span_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"points": [-1e308, 1e308], "window": 1e308}))
+        assert exits_cleanly_with_2(["energy", "--input", str(path)], capsys)
+
     def test_non_finite_weight_value(self, tmp_path, capsys):
         path = tmp_path / "weight.json"
         path.write_text('{"breakpoints": [-2, -1, 1, 2], "values": [1e400, 1, 1e400]}')

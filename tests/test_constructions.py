@@ -1,9 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from typelab import catalog
+from typelab import catalog, constructions
 from typelab.constructions import (
     BadL,
     ConditionsFailed,
@@ -16,7 +17,7 @@ from typelab.constructions import (
     perturb_exponential,
     weight_families,
 )
-from typelab.core import RealSequence, WeightTable
+from typelab.core import RealSequence, TypelabError, WeightTable
 from typelab.density import interior_density
 from typelab.uniformity import check_d_uniform
 
@@ -157,6 +158,16 @@ class TestBenedicksSequence:
         with pytest.raises(ConditionsFailed):
             benedicks_sequence(part, 0.5, c3=3.0)
 
+    def test_series_failure_named(self):
+        # conditions 1-3 hold on a two-cell tiling, but its series is inconclusive
+        with pytest.raises(ConditionsFailed, match="odd-length series inconclusive"):
+            benedicks_sequence(alternating_partition(1.0, 2.0, 0.1), 0.5)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan, math.inf, 1e308, 1e9])
+    def test_bad_density(self, C):
+        with pytest.raises(TypelabError, match="density"):
+            benedicks_sequence(catalog.benedicks_partition(60.0), C)
+
 
 class TestWeightFamilies:
     def test_polynomial(self):
@@ -185,6 +196,22 @@ class TestAlternatingPartition:
         i0 = int(np.flatnonzero(bks == 0.0)[0])
         assert bks[i0 + 1] - bks[i0] == 1.0   # even interval right of zero
         assert bks[i0] - bks[i0 - 1] == 2.0   # odd interval left of zero
+
+    @pytest.mark.parametrize("args", [(0.0, 2.0, 30.0), (1.0, -2.0, 30.0), (1.0, 2.0, 0.0),
+                                      (math.nan, 2.0, 30.0), (1.0, math.inf, 30.0),
+                                      (1.0, 2.0, math.nan), (1.0, 2.0, math.inf)])
+    def test_bad_lengths_or_T(self, args):
+        with pytest.raises(TypelabError, match="finite and positive"):
+            alternating_partition(*args)
+
+    def test_tiling_cap(self):
+        with mock.patch.object(constructions, "CONSTRUCTION_MAX_SIZE", 40):
+            assert len(alternating_partition(1.0, 1.0, 20.0)) == 40
+            with pytest.raises(TypelabError, match="more than 40 intervals"):
+                alternating_partition(1.0, 1.0, 20.5)
+        # refused from the count, before any breakpoint is built
+        with pytest.raises(TypelabError, match="more than 100000 intervals"):
+            alternating_partition(1.0, 2.0, 1e308)
 
     def test_block_growth_default(self):
         assert default_block_growth(0) == 1

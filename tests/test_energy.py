@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from typelab.core import Interval
+from typelab.core import Interval, TypelabError
 from typelab.energy import (
     DegenerateDistance,
     IntervalTooShort,
@@ -39,6 +39,13 @@ class TestCoulombEnergy:
     def test_degenerate_distance(self):
         with pytest.raises(DegenerateDistance):
             coulomb_energy([0.0, 1e-320, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_float_range(self):
+        with pytest.raises(TypelabError, match="float range"):
+            coulomb_energy([-1e308, 1e308])
+        # the largest finite span is still accepted
+        assert coulomb_energy([-8e307, 8e307]) == 2.0 * math.log(1.6e308)
 
     def test_summation_paths_agree(self):
         rng = np.random.default_rng(7)

@@ -1,22 +1,27 @@
-"""Fuzz gate for the document loaders and the grid argument.
+"""Fuzz gate for the document loaders and the numeric arguments.
 
 Malformed JSON documents (wrong shapes, missing or extra keys, strings,
 bools, nulls and huge or tiny numbers in place of values) go through
-``cli.main`` to each of the five loaders.  Every run must end in exit 0
-with a finite canonical JSON report, or exit 2 with a one-line error:
-never an exception, and never ``"nan"`` or ``"inf"`` on stdout.
+``cli.main`` to each of the five loaders; so do density grids, the
+Benedicks constants, the ``construct`` parameters of the alternating
+tilings, and energy configurations near the float range.  Every run must
+end in exit 0 with a finite canonical JSON report, or exit 2 with a
+one-line error: never an exception, and never ``"nan"`` or ``"inf"`` on
+stdout.
 """
 
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from typelab import constructions
 from typelab.cli import main
-from typelab.constructions import arithmetic, perturb_exponential
+from typelab.constructions import alternating_partition, arithmetic, perturb_exponential
 from typelab.serialize import canonical_json
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
@@ -67,6 +72,7 @@ def workdir(tmp_path_factory):
     # feasible value below about 0.75
     seq = perturb_exponential(arithmetic(1.0, 200.0), 1.0, 3)
     (root / "seq.json").write_text(canonical_json(seq))
+    (root / "partition.json").write_text(canonical_json(alternating_partition(1.0, 2.0, 60.0)))
     return root
 
 
@@ -117,6 +123,12 @@ def test_partition_loader(workdir, doc):
 
 
 @FUZZ
+@given(doc=malformed(PARTITION))
+def test_benedicks_partition(workdir, doc):
+    run_with_document(workdir, doc, ["theorem", "benedicks", "--partition", "DOC"])
+
+
+@FUZZ
 @given(doc=malformed(WEIGHT))
 def test_weight_table_loader(workdir, doc):
     run_with_document(workdir, doc, ["theorem", "krein-lm", "--weight", "DOC"])
@@ -135,3 +147,40 @@ grids = st.one_of(
 @given(grid=grids, kind=st.sampled_from(["interior", "exterior"]))
 def test_density_grid(workdir, grid, kind):
     run(["density", "--input", str(workdir / "seq.json"), "--kind", kind, "--grid", grid])
+
+
+arg_numbers = st.one_of(st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e308",
+                                         "-1e308", "5e-324"]),
+                        st.floats(-60, 60).map(repr), st.floats(0.1, 60).map(repr))
+
+
+@FUZZ
+@given(consts=st.dictionaries(st.sampled_from(["c1", "c2", "c3"]), arg_numbers))
+def test_benedicks_constants(workdir, consts):
+    run(["theorem", "benedicks", "--partition", str(workdir / "partition.json")]
+        + [f"--{k}={v}" for k, v in consts.items()])
+
+
+@settings(FUZZ, max_examples=150)
+@given(family=st.sampled_from(["alternating-partition", "benedicks"]),
+       # tilted towards valid values, so that some runs build a tiling
+       params=st.dictionaries(st.sampled_from(["T", "even", "odd", "C"]),
+                              st.floats(0.1, 60).map(repr) | arg_numbers))
+def test_construct_tiling_params(family, params):
+    # a small cap, so that no accepted parameter set builds a large tiling
+    with mock.patch.object(constructions, "CONSTRUCTION_MAX_SIZE", 2000):
+        run(["construct", family] + [f"--param={k}={v}" for k, v in params.items()])
+
+
+near_float_range = st.one_of(
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     8.9e307, -8.9e307, 1e307, -1e307, 0.0]),
+    st.floats(-1.7976931348623157e308, 1.7976931348623157e308),
+    st.floats(-30, 30))
+
+
+@FUZZ
+@given(points=st.lists(near_float_range, min_size=2, max_size=6, unique=True).map(sorted),
+       window=st.sampled_from([1e308, 1.7976931348623157e308, 1e307]))
+def test_energy_near_float_range(workdir, points, window):
+    run_with_document(workdir, {"points": points, "window": window}, ["energy", "--input", "DOC"])

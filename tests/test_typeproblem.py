@@ -5,7 +5,7 @@ import pytest
 
 from typelab import catalog
 from typelab.constructions import arithmetic, measure_from_weights
-from typelab.core import DiscreteMeasure, Interval, Partition, WeightTable
+from typelab.core import DiscreteMeasure, Interval, Partition, TypelabError, WeightTable
 from typelab.partitions import OverlappingIntervals
 from typelab.typeproblem import (
     TWO_PI,
@@ -381,3 +381,17 @@ class TestBenedicksConditions:
         v = benedicks_conditions(part, 8.0, 8.0, 3.0)  # odd length 2 < 3*1
         assert not v.applicable
         assert any("condition 3" in f for f in v.evidence["failures"])
+
+    def test_c1_violation_reported(self):
+        # odd intervals I_-1 = (-1, 0], I_1 = (1, 3], I_3 = (4, 24]: |a_3| = 4 is
+        # 8-comparable to |a_-1| = 1, but the lengths 1 and 20 are not
+        part = Partition(np.array([-3.0, -1.0, 0.0, 1.0, 3.0, 4.0, 24.0, 25.0]))
+        v = benedicks_conditions(part, 8.0, 8.0, 0.4)
+        assert not v.applicable and not v.evidence["condition1"]
+        assert v.evidence["failures"][0] == "condition 1 at (-1, 3)"
+
+    @pytest.mark.parametrize("consts", [(0.0, 8.0, 0.4), (8.0, -1.0, 0.4),
+                                        (8.0, 8.0, math.nan), (math.inf, 8.0, 0.4)])
+    def test_constants_finite_positive(self, consts):
+        with pytest.raises(TypelabError, match="finite and positive"):
+            benedicks_conditions(catalog.benedicks_partition(60.0), *consts)
