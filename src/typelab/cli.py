@@ -22,7 +22,7 @@ from .constructions import (
     measure_from_weights,
     perturb_exponential,
 )
-from .core import Interval, TypelabError
+from .core import Interval, TypelabError, WeightTable
 from .density import (
     exterior_density,
     interior_density,
@@ -195,41 +195,29 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    params = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        params[key] = value
-    family = args.family
-    if family == "arithmetic":
-        obj = arithmetic(float(params.get("d", 1.0)), float(params.get("T", 100.0)))
-    elif family == "perturbed":
-        base = arithmetic(float(params.get("d", 1.0)), float(params.get("T", 100.0)))
-        obj = perturb_exponential(base, float(params.get("c", 1.0)),
-                                  int(params.get("seed", 0)))
-    elif family == "alternating-partition":
-        obj = alternating_partition(float(params.get("even", 1.0)),
-                                    float(params.get("odd", 2.0)),
-                                    float(params.get("T", 100.0)))
-    elif family == "benedicks":
-        partition = alternating_partition(float(params.get("even", 1.0)),
-                                          float(params.get("odd", 2.0)),
-                                          float(params.get("T", 900.0)))
-        obj = benedicks_sequence(partition, float(params.get("C", 0.5)))
-    elif family == "auxiliary":
-        base = arithmetic(float(params.get("d", 1.0)), float(params.get("T", 400.0)))
-        from .core import WeightTable
+    params = dict(item.partition("=")[::2] for item in args.param or [])
 
-        w = WeightTable(np.array([-base.window, base.window]),
-                        np.array([float(params.get("w", 1.0))]))
-        obj = auxiliary_sequence(base, w, float(params.get("epsilon", 0.05)),
-                                 float(params.get("L", 20.0)))
-    elif family == "weighted-measure":
-        base = arithmetic(float(params.get("d", 1.0)), float(params.get("T", 100.0)))
-        obj = measure_from_weights(base, params.get("weights", "polynomial"),
-                                   {k: float(v) for k, v in params.items()
-                                    if k in ("beta", "c")})
+    def num(key: str, default: float) -> float:
+        return float(params.get(key, default))
+
+    family = args.family
+    if family in ("alternating-partition", "benedicks"):
+        obj = alternating_partition(num("even", 1.0), num("odd", 2.0),
+                                    num("T", 900.0 if family == "benedicks" else 100.0))
+        if family == "benedicks":
+            obj = benedicks_sequence(obj, num("C", 0.5))
     else:
-        raise TypelabError(f"unknown construction family {family!r}")
+        # the other families build on an arithmetic progression
+        obj = base = arithmetic(num("d", 1.0), num("T", 400.0 if family == "auxiliary" else 100.0))
+        if family == "perturbed":
+            obj = perturb_exponential(base, num("c", 1.0), int(params.get("seed", 0)))
+        elif family == "auxiliary":
+            w = WeightTable(np.array([-base.window, base.window]), np.array([num("w", 1.0)]))
+            obj = auxiliary_sequence(base, w, num("epsilon", 0.05), num("L", 20.0))
+        elif family == "weighted-measure":
+            obj = measure_from_weights(base, params.get("weights", "polynomial"),
+                                       {k: float(v) for k, v in params.items()
+                                        if k in ("beta", "c")})
     text = canonical_json(obj) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -281,63 +269,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"typelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("energy", help="Coulomb energy or per-interval report")
+    p = command("energy", _cmd_energy, "Coulomb energy or per-interval report")
     p.add_argument("--input", required=True, help="sequence JSON document")
     p.add_argument("--interval", help="a,b for a per-interval report")
-    common(p)
-    p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser("partition", help="greedy short partition adapted to a sequence")
+    p = command("partition", _cmd_partition, "greedy short partition adapted to a sequence")
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_partition)
 
-    p = sub.add_parser("classify", help="long/short verdict for an interval family")
+    p = command("classify", _cmd_classify, "long/short verdict for an interval family")
     p.add_argument("--intervals", required=True, help="intervals JSON document")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("short2i", help="overlap-length diagnostic of a short family")
+    p = command("short2i", _cmd_short2i, "overlap-length diagnostic of a short family")
     p.add_argument("--intervals", required=True)
     p.add_argument("--C", type=float, default=2.0)
-    common(p)
-    p.set_defaults(func=_cmd_short2i)
 
-    p = sub.add_parser("density", help="interior/exterior density estimate")
+    p = command("density", _cmd_density, "interior/exterior density estimate")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("interior", "exterior"), default="interior")
     p.add_argument("--grid", required=True, help="start:stop:step or comma list")
-    common(p)
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("regularity", help="regularity defect of a sequence at rate a")
+    p = command("regularity", _cmd_regularity, "regularity defect of a sequence at rate a")
     p.add_argument("--input", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--scan", choices=("integral", "families"), default="integral")
     p.add_argument("--epsilon", type=float, default=0.05)
-    common(p)
-    p.set_defaults(func=_cmd_regularity)
 
-    p = sub.add_parser("uniform", help="d-uniformity verdict")
+    p = command("uniform", _cmd_uniform, "d-uniformity verdict")
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--partition", help="optional partition JSON document")
-    common(p)
-    p.set_defaults(func=_cmd_uniform)
 
-    p = sub.add_parser("type", help="type estimate for a discrete measure")
+    p = command("type", _cmd_type, "type estimate for a discrete measure")
     p.add_argument("--input", required=True, help="measure JSON document")
     p.add_argument("--separated", action="store_true")
     p.add_argument("--grid", help="density grid, start:stop:step or comma list")
     p.add_argument("--denominator", choices=("index", "location"), default="index")
-    common(p)
-    p.set_defaults(func=_cmd_type)
 
-    p = sub.add_parser("theorem", help="classical checker verdicts")
+    p = command("theorem", _cmd_theorem, "classical checker verdicts")
     p.add_argument("name", choices=tuple(_THEOREMS))
     p.add_argument("--input", help="measure or sequence JSON document")
     p.add_argument("--intervals")
@@ -356,24 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=8.0)
     p.add_argument("--c3", type=float, default=0.4)
     p.add_argument("--d", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=_cmd_theorem)
 
-    p = sub.add_parser("rescale", help="divide masses by 1+|x|^alpha (type-invariant)")
+    p = command("rescale", _cmd_rescale, "divide masses by 1+|x|^alpha (type-invariant)")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_rescale)
 
-    p = sub.add_parser("construct", help="generate bundled families")
+    p = command("construct", _cmd_construct, "generate bundled families")
     p.add_argument("family", choices=("arithmetic", "perturbed", "alternating-partition",
                                       "benedicks", "auxiliary", "weighted-measure"))
     p.add_argument("--param", action="append", help="key=value, repeatable")
     p.add_argument("--out", help="write the JSON document here")
-    common(p)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("oracle", help="completeness probe: residual curve and knee")
+    p = command("oracle", _cmd_oracle, "completeness probe: residual curve and knee")
     p.add_argument("--input", required=True)
     p.add_argument("--a-min", type=float, default=0.0)
     p.add_argument("--a-max", type=float, required=True)
@@ -382,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extended-precision", action="store_true")
     p.add_argument("--csv", help="write the residual curve CSV here")
     p.add_argument("--threads", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("suite", help="bundled acceptance battery")
+    p = command("suite", _cmd_suite, "bundled acceptance battery")
     p.add_argument("--threads", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_suite)
+
+    # every command reports in JSON or CSV; added last, so it ends each --help
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 

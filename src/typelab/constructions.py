@@ -24,6 +24,8 @@ from .core import (
 
 # most intervals alternating_partition tiles, and most points benedicks_sequence places
 CONSTRUCTION_MAX_SIZE = 100_000
+# most points arithmetic builds
+ARITHMETIC_MAX_POINTS = 1_000_000
 
 
 class WeightUnbounded(TypelabError):
@@ -43,9 +45,16 @@ class ConditionsFailed(TypelabError):
 
 
 def arithmetic(d: float, T: float) -> RealSequence:
-    """Arithmetic progression of density ``d``: points ``k/d`` with ``|k/d| <= T``."""
-    if d <= 0 or T <= 0:
-        raise TypelabError("d and T must be positive")
+    """Arithmetic progression of density ``d``: points ``k/d`` with ``|k/d| <= T``.
+
+    ``d`` and ``T`` must be finite and positive, and the progression, about
+    ``2 d T`` points, at most :data:`ARITHMETIC_MAX_POINTS` of them.
+    """
+    if not all(math.isfinite(v) and v > 0 for v in (d, T)):
+        raise TypelabError("d and T must be finite and positive")
+    if 2.0 * d * T + 1.0 > ARITHMETIC_MAX_POINTS:
+        raise TypelabError(f"arithmetic progression of density {d:g} on [-{T:g}, {T:g}] "
+                           f"would have more than {ARITHMETIC_MAX_POINTS} points")
     kmax = int(math.floor(d * T + 1e-9))
     pts = np.arange(-kmax, kmax + 1, dtype=float) / d
     return RealSequence(pts, T, f"arithmetic(d={d:g})")

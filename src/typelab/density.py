@@ -2,15 +2,17 @@
 
 The interior estimator is a certified lower bound: it exhibits a
 subsequence and a partition passing the d-uniformity verdict at the
-reported density.  The exterior estimator is an upper bound: it finds the
-smallest target density for which no long family of dyadic blocks carries
-an irreparable count excess (points can always be added, never removed).
+reported density, found by :func:`downward_scan`, the one downward grid
+search (the type estimators run it too).  The exterior estimator is an
+upper bound: it finds the smallest target density for which no long
+family of dyadic blocks carries an irreparable count excess (points can
+always be added, never removed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,12 +122,8 @@ def regularity_block_scan(seq: RealSequence, a: float,
            if abs(seq.count_in(iv.left, iv.right) / iv.length - a)
            > epsilon * max(a, 1.0) + 1.0 / iv.length]
     if not bad:
-        return SumVerdict(0.0, (), 0.0, "convergent", 0.0,
-                          note="no violating blocks")
-    verdict = classify_family(bad)
-    return SumVerdict(verdict.value_truncated, verdict.shell_sums,
-                      verdict.inner_sum, verdict.classification,
-                      verdict.fit_ratio, note=f"{len(bad)} violating blocks")
+        return SumVerdict(0.0, (), 0.0, "convergent", 0.0, note="no violating blocks")
+    return replace(classify_family(bad), note=f"{len(bad)} violating blocks")
 
 
 def spread_selection(seq: RealSequence, partition: Partition, d: float) -> RealSequence:
@@ -202,39 +200,52 @@ def density_grid(values) -> list[float]:
     return grid
 
 
+def downward_scan(support: RealSequence, grid: list[float], skip_energy: bool,
+                  judge) -> tuple[tuple, float, InteriorCertificate | None]:
+    """Scan the increasing ``grid`` downward for the first ``d`` that ``judge`` passes.
+
+    For each candidate ``d`` a greedy short partition of ``support`` is
+    built, a spread-out subsequence of target density is selected inside
+    each interval, and ``judge(selected, report)`` of its d-uniformity
+    report gives ``(passed, note)``.  Returns the diagnostics in
+    increasing ``d``, the passing ``d`` and its certificate (0 and None
+    when every candidate fails).
+    """
+    diagnostics: list[tuple[float, bool, str]] = []
+    value, certificate = 0.0, None
+    for d in reversed(grid):
+        try:
+            partition = find_short_partition(support, d)
+        except InsufficientData as exc:
+            diagnostics.append((d, False, f"partition: {exc}"))
+            continue
+        selected = spread_selection(support, partition, d)
+        if len(selected) == 0:
+            diagnostics.append((d, False, "selection empty"))
+            continue
+        report = check_d_uniform(selected, d, partition, skip_energy=skip_energy)
+        passed, note = judge(selected, report)
+        diagnostics.append((d, passed, note))
+        if passed:
+            value, certificate = d, InteriorCertificate(selected, partition, report)
+            break
+    diagnostics.sort(key=lambda t: t[0])
+    return tuple(diagnostics), value, certificate
+
+
 def interior_density(seq: RealSequence, d_grid) -> DensityEstimate:
     """Certified lower bound for the interior Beurling-Malliavin density.
 
-    Scans the grid downward; for each candidate ``d`` a greedy short
-    partition is built, a spread-out subsequence of target density is
-    selected inside each interval, and the d-uniformity verdict must pass.
-    The first (largest) passing ``d`` is reported together with its
-    certificate; 0 when every candidate fails.
+    The largest grid value whose selection passes the d-uniformity
+    verdict in :func:`downward_scan`, with its certificate; 0 when every
+    candidate fails.
     """
     d_grid = density_grid(d_grid)
     if len(seq) == 0:
         raise InsufficientData("cannot estimate the density of an empty sequence")
-    diagnostics: list[tuple[float, bool, str]] = []
-    best: tuple[float, InteriorCertificate] | None = None
-    for d in reversed(d_grid):
-        try:
-            partition = find_short_partition(seq, d)
-        except InsufficientData as exc:
-            diagnostics.append((d, False, f"partition: {exc}"))
-            continue
-        subseq = spread_selection(seq, partition, d)
-        if len(subseq) == 0:
-            diagnostics.append((d, False, "selection empty"))
-            continue
-        report = check_d_uniform(subseq, d, partition)
-        diagnostics.append((d, report.overall, _verdict_note(report)))
-        if report.overall:
-            best = (d, InteriorCertificate(subseq, partition, report))
-            break
-    diagnostics.sort(key=lambda t: t[0])
-    if best is None:
-        return DensityEstimate(0.0, INTERIOR, None, tuple(diagnostics))
-    return DensityEstimate(best[0], INTERIOR, best[1], tuple(diagnostics))
+    diagnostics, value, certificate = downward_scan(
+        seq, d_grid, False, lambda selected, report: (report.overall, _verdict_note(report)))
+    return DensityEstimate(value, INTERIOR, certificate, diagnostics)
 
 
 def _verdict_note(report: UniformityReport) -> str:

@@ -118,9 +118,13 @@ def energy_report(config, interval: Interval) -> EnergyReport:
     """Count, energy and deficit of ``config`` restricted to ``interval``.
 
     Requires ``|interval| >= 1`` so that the deficit is guaranteed
-    nonnegative.  With at most one point inside, the energy is 0 and the
-    deficit reduces to ``delta^2 log|I|``.
+    nonnegative, and a length within the float range.  With at most one
+    point inside, the energy is 0 and the deficit reduces to
+    ``delta^2 log|I|``.
     """
+    if not math.isfinite(interval.length):
+        raise TypelabError(f"interval ({interval.left:g}, {interval.right:g}] "
+                           "is longer than the float range")
     if interval.length < 1.0:
         raise IntervalTooShort(f"interval length {interval.length} < 1")
     pts = _as_points(config)

@@ -34,14 +34,14 @@ def _document(obj):
     return obj
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float format."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(format_float, obj)) + "]"
-        return "[" + ", ".join(canonical_json(v, indent) for v in obj) + "]"
+        return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -55,11 +55,11 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         items = []
         for k in sorted(obj):
-            items.append(f"{json.dumps(str(k))}: {canonical_json(obj[k], indent)}")
+            items.append(f"{json.dumps(str(k))}: {canonical_json(obj[k])}")
         return "{" + ", ".join(items) + "}"
     doc = _document(obj)
     if doc is not obj:
-        return canonical_json(doc, indent)
+        return canonical_json(doc)
     raise TypelabError(f"cannot serialize {type(obj)!r}")
 
 

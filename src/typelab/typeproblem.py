@@ -6,15 +6,16 @@ sequence of density d certifies type ``2 pi d``.
 
 The discrete estimator is a certified lower bound.  Atoms whose log-weight
 penalty exceeds a per-shell budget are dropped so that the retained
-penalty series is summable by construction; a spread-out subsequence of
-the surviving support is then tested for d-uniformity, scanning the
-density grid downward.
+penalty series is summable by construction; the surviving support then
+goes through ``density.downward_scan``, the one downward grid search the
+interior density runs too, where a candidate passes when its spread-out
+subsequence is d-uniform and its retained log-weight series converges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,12 +35,11 @@ from .core import (
     shell_index,
     shell_sum_verdict,
 )
-from .density import density_grid, spread_selection
+from .density import density_grid, downward_scan
 from .partitions import (
     InsufficientData,
     OverlappingIntervals,
     classify_family,
-    find_short_partition,
 )
 from .uniformity import UniformityReport, check_d_uniform
 
@@ -170,30 +170,18 @@ def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, budget: float
         return TypeEstimate(0.0, None, method, two_sided,
                             ((grid[0], False, "weight filter removed every atom"),))
     support = RealSequence(measure.positions[mask], measure.window, "weight-filtered")
-    diagnostics: list[tuple[float, bool, str]] = []
-    for d in reversed(grid):
-        try:
-            partition = find_short_partition(support, d)
-        except InsufficientData as exc:
-            diagnostics.append((d, False, f"partition: {exc}"))
-            continue
-        selected = spread_selection(support, partition, d)
-        if len(selected) == 0:
-            diagnostics.append((d, False, "selection empty"))
-            continue
-        report = check_d_uniform(selected, d, partition, skip_energy=skip_energy)
+    weights: list[SumVerdict] = []
+
+    def judge(selected: RealSequence, report: UniformityReport) -> tuple[bool, str]:
         if not report.overall:
-            diagnostics.append((d, False, "uniformity fail"))
-            continue
-        wv = weight_sum_verdict(measure, selected.points, denominator)
-        if wv.classification != CONVERGENT:
-            diagnostics.append((d, False, f"weight sum {wv.classification}"))
-            continue
-        diagnostics.append((d, True, "pass"))
-        cert = TypeCertificate(selected, wv, report)
-        return TypeEstimate(TWO_PI * d, cert, method, two_sided,
-                            tuple(sorted(diagnostics)))
-    return TypeEstimate(0.0, None, method, two_sided, tuple(sorted(diagnostics)))
+            return False, "uniformity fail"
+        weights.append(weight_sum_verdict(measure, selected.points, denominator))
+        cls = weights[-1].classification
+        return cls == CONVERGENT, "pass" if cls == CONVERGENT else f"weight sum {cls}"
+
+    diagnostics, d, hit = downward_scan(support, grid, skip_energy, judge)
+    cert = None if hit is None else TypeCertificate(hit.subsequence, weights[-1], hit.report)
+    return TypeEstimate(TWO_PI * d, cert, method, two_sided, diagnostics)
 
 
 def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "index",
@@ -207,11 +195,8 @@ def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "ind
     """
     est = _scan_type(measure, d_grid, denominator, budget,
                      skip_energy=False, method="discrete-scan", two_sided=False)
-    growth = _counting_growth_summable(measure)
-    return TypeEstimate(est.lower_bound_type, est.certificate, est.method,
-                        two_sided=False,
-                        diagnostics=est.diagnostics + (
-                            (0.0, growth, "log-counting-function Poisson-summable"),))
+    growth = (0.0, _counting_growth_summable(measure), "log-counting-function Poisson-summable")
+    return replace(est, diagnostics=est.diagnostics + (growth,))
 
 
 def _counting_growth_summable(measure: DiscreteMeasure) -> bool:
@@ -334,9 +319,8 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
         return TheoremVerdict("tail-decay", True, Conclusion(MU_MUST_VANISH), evidence)
     verdict = shell_sum_verdict(*poisson_piece_contributions(pieces).T)
     evidence["poisson_log_tail"] = verdict
-    if verdict.classification == DIVERGENT:
-        return TheoremVerdict("tail-decay", True, Conclusion(MU_MUST_VANISH), evidence)
-    return TheoremVerdict("tail-decay", True, Conclusion(INCONCLUSIVE), evidence)
+    kind = MU_MUST_VANISH if verdict.classification == DIVERGENT else INCONCLUSIVE
+    return TheoremVerdict("tail-decay", True, Conclusion(kind), evidence)
 
 
 def _levinson_thresholds(cuts: np.ndarray, tail: np.ndarray, n_max: int = 64) -> np.ndarray:
@@ -375,11 +359,8 @@ def hybrid_check(measure: DiscreteMeasure, intervals) -> TheoremVerdict:
             val = min(iv.length, max(0.0, math.log(1.0 / mass)))
         terms.append((iv.dist0(), iv.length * val))
     verdict = poisson_tail_sum(terms)
-    if verdict.classification == DIVERGENT:
-        return TheoremVerdict("sparse-mass", True, Conclusion(MU_MUST_VANISH),
-                              {"series": verdict})
-    return TheoremVerdict("sparse-mass", True, Conclusion(INCONCLUSIVE),
-                          {"series": verdict})
+    kind = MU_MUST_VANISH if verdict.classification == DIVERGENT else INCONCLUSIVE
+    return TheoremVerdict("sparse-mass", True, Conclusion(kind), {"series": verdict})
 
 
 def debranges_check(K: WeightTable, measure: DiscreteMeasure,

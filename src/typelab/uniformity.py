@@ -87,16 +87,15 @@ def merge_short_intervals(partition: Partition, min_length: float = 1.0) -> Part
     return Partition(np.asarray(out))
 
 
-def check_density(seq: RealSequence, partition: Partition, d: float,
-                  tolerance_factor: float = 1.0) -> DensityCheck:
+def check_density(seq: RealSequence, partition: Partition, d: float) -> DensityCheck:
     """Density condition: counts per interval close to ``d * length``.
 
     The deviation ``|count/length - d|`` is compared against
-    ``max(0.05 d, 2/length) * tolerance_factor`` interval by interval, and
+    ``max(0.05 d, 2/length)`` interval by interval, and
     only the outer half of the intervals (largest distance from 0) must
     comply; the inner half is finite-scale noise.
     """
-    return _density_leg(_covering_index(seq, partition), d, tolerance_factor)
+    return _density_leg(_covering_index(seq, partition), d)
 
 
 def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
@@ -106,9 +105,9 @@ def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
     return partition.index(seq.points)
 
 
-def _density_leg(idx: PartitionIndex, d: float, tolerance_factor: float) -> DensityCheck:
+def _density_leg(idx: PartitionIndex, d: float) -> DensityCheck:
     ratios = idx.counts / idx.lengths
-    tol = np.maximum(DENSITY_RTOL * d, DENSITY_SLACK / idx.lengths) * tolerance_factor
+    tol = np.maximum(DENSITY_RTOL * d, DENSITY_SLACK / idx.lengths)
     dev = np.abs(ratios - d)
     max_dev = 0.0
     passed = True
@@ -134,11 +133,11 @@ def _energy_leg(seq: RealSequence, idx: PartitionIndex) -> tuple[SumVerdict, np.
 
 
 def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
-              skip_energy: bool, tolerance_factor: float) -> UniformityReport:
+              skip_energy: bool) -> UniformityReport:
     partition = merge_short_intervals(partition)
     short_v = classify_family(partition)
     idx = _covering_index(seq, partition)
-    density = _density_leg(idx, d, tolerance_factor)
+    density = _density_leg(idx, d)
     if skip_energy:
         energy_v, deficits = None, [None] * len(partition)
     else:
@@ -152,8 +151,7 @@ def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
 
 
 def check_d_uniform(seq: RealSequence, d: float, partition: Partition | None = None,
-                    skip_energy: bool = False,
-                    tolerance_factor: float = 1.0) -> UniformityReport:
+                    skip_energy: bool = False) -> UniformityReport:
     """Full d-uniformity verdict for ``seq`` at density ``d``.
 
     With no partition supplied, the greedy candidate is tried first and, on
@@ -166,7 +164,7 @@ def check_d_uniform(seq: RealSequence, d: float, partition: Partition | None = N
     if d <= 0:
         raise TypelabError("d must be positive")
     if partition is not None:
-        return _evaluate(seq, d, partition, "given", skip_energy, tolerance_factor)
+        return _evaluate(seq, d, partition, "given", skip_energy)
 
     candidates = (("greedy", 1.0), ("greedy-doubled", 2.0))
     last: UniformityReport | None = None
@@ -175,7 +173,7 @@ def check_d_uniform(seq: RealSequence, d: float, partition: Partition | None = N
             cand = find_short_partition(seq, d, min_length_scale=scale)
         except InsufficientData:
             continue
-        report = _evaluate(seq, d, cand, source, skip_energy, tolerance_factor)
+        report = _evaluate(seq, d, cand, source, skip_energy)
         if report.overall:
             return report
         last = report

@@ -244,14 +244,14 @@ def ref_energy_leg(seq, partition):
     return deficits, poisson_tail_sum(terms)
 
 
-def ref_check_density(seq, partition, d, tolerance_factor=1.0):
+def ref_check_density(seq, partition, d):
     ratios = []
     sides = {"left": [], "right": []}
     for iv in partition.intervals:
         count = seq.count_in(iv.left, iv.right)
         ratio = count / iv.length
         ratios.append(ratio)
-        tol = max(0.05 * d, 2.0 / iv.length) * tolerance_factor
+        tol = max(0.05 * d, 2.0 / iv.length)
         row = (iv.dist0(), abs(ratio - d), abs(ratio - d) - tol)
         if iv.right <= 0.0:
             sides["left"].append(row)
@@ -624,12 +624,12 @@ class TestPartitionKernels:
         want = outcome(lambda s, p: ref_energy_leg(s, p)[1], seq, part)
         assert got == want
 
-    @given(gridded_cases(breaks_step=1.0), st.floats(0.05, 5.0), st.sampled_from([1.0, 2.0]))
+    @given(gridded_cases(breaks_step=1.0), st.floats(0.05, 5.0))
     @settings(max_examples=200, deadline=None)
-    def test_density_leg_matches_loop(self, case, d, factor):
+    def test_density_leg_matches_loop(self, case, d):
         seq, part = case
-        got = check_density(seq, part, d, factor)
-        passed, max_dev, ratios = ref_check_density(seq, part, d, factor)
+        got = check_density(seq, part, d)
+        passed, max_dev, ratios = ref_check_density(seq, part, d)
         assert (got.passed, got.max_outer_deviation, list(got.ratios)) == (passed, max_dev, ratios)
 
     @given(st.integers(0, 2 ** 32 - 1),

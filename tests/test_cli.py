@@ -302,6 +302,19 @@ class TestInputValidation:
     def test_bad_tiling_params(self, family, param, capsys):
         assert exits_cleanly_with_2(["construct", family, "--param", param], capsys)
 
+    @pytest.mark.parametrize("family", ["arithmetic", "perturbed", "auxiliary",
+                                        "weighted-measure"])
+    @pytest.mark.parametrize("param", ["d=1e15", "T=1e308", "d=nan", "T=inf", "d=0"])
+    def test_bad_arithmetic_params(self, family, param, capsys):
+        # every family built on an arithmetic progression refuses it before allocating
+        assert exits_cleanly_with_2(["construct", family, "--param", param], capsys)
+
+    def test_energy_interval_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"points": [-1e307, 0, 1e307], "window": 1e308}))
+        assert exits_cleanly_with_2(["energy", "--input", str(path),
+                                     "--interval=-1e308,1e308"], capsys)
+
     def test_energy_span_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"points": [-1e308, 1e308], "window": 1e308}))

@@ -4,10 +4,10 @@ Malformed JSON documents (wrong shapes, missing or extra keys, strings,
 bools, nulls and huge or tiny numbers in place of values) go through
 ``cli.main`` to each of the five loaders; so do density grids, the
 Benedicks constants, the ``construct`` parameters of the alternating
-tilings, and energy configurations near the float range.  Every run must
-end in exit 0 with a finite canonical JSON report, or exit 2 with a
-one-line error: never an exception, and never ``"nan"`` or ``"inf"`` on
-stdout.
+tilings and of the arithmetic progressions, and energy configurations
+and intervals near the float range.  Every run must end in exit 0 with a
+finite canonical JSON report, or exit 2 with a one-line error: never an
+exception, and never ``"nan"`` or ``"inf"`` on stdout.
 """
 
 import contextlib
@@ -172,6 +172,17 @@ def test_construct_tiling_params(family, params):
         run(["construct", family] + [f"--param={k}={v}" for k, v in params.items()])
 
 
+@settings(FUZZ, max_examples=150)
+@given(family=st.sampled_from(["arithmetic", "perturbed"]),
+       params=st.dictionaries(st.sampled_from(["d", "T", "c", "seed"]),
+                              st.floats(0.1, 60).map(repr) | st.integers(0, 99).map(str)
+                              | arg_numbers))
+def test_construct_arithmetic_params(family, params):
+    # a small cap, so that no accepted parameter set builds a long progression
+    with mock.patch.object(constructions, "ARITHMETIC_MAX_POINTS", 2000):
+        run(["construct", family] + [f"--param={k}={v}" for k, v in params.items()])
+
+
 near_float_range = st.one_of(
     st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
                      8.9e307, -8.9e307, 1e307, -1e307, 0.0]),
@@ -179,8 +190,13 @@ near_float_range = st.one_of(
     st.floats(-30, 30))
 
 
-@FUZZ
+@settings(FUZZ, max_examples=150)
 @given(points=st.lists(near_float_range, min_size=2, max_size=6, unique=True).map(sorted),
-       window=st.sampled_from([1e308, 1.7976931348623157e308, 1e307]))
-def test_energy_near_float_range(workdir, points, window):
-    run_with_document(workdir, {"points": points, "window": window}, ["energy", "--input", "DOC"])
+       window=st.sampled_from([1e308, 1.7976931348623157e308, 1e307]),
+       interval=st.none() | st.lists(near_float_range, min_size=2, max_size=2,
+                                     unique=True).map(sorted))
+def test_energy_near_float_range(workdir, points, window, interval):
+    argv = ["energy", "--input", "DOC"]
+    if interval is not None:
+        argv.append("--interval={!r},{!r}".format(*interval))
+    run_with_document(workdir, {"points": points, "window": window}, argv)

@@ -7,6 +7,8 @@ other reports (uniformity, energy, partition, interval-family, theorem and
 construction reports, and the CSV mode) were taken while every report
 class still wrote its own ``to_dict``; the serializer, which now derives
 a report's document from its dataclass fields, must print the same bytes.
+The ``type-selection-empty`` digest was taken while the interior density
+and the type estimators still ran separate copies of the downward scan.
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -17,7 +19,12 @@ import pytest
 
 from typelab import catalog
 from typelab.cli import main
-from typelab.constructions import alternating_partition, arithmetic, perturb_exponential
+from typelab.constructions import (
+    alternating_partition,
+    arithmetic,
+    measure_from_weights,
+    perturb_exponential,
+)
 from typelab.core import WeightTable
 from typelab.partitions import find_short_partition
 from typelab.serialize import canonical_json
@@ -28,6 +35,8 @@ GRID = ["--grid", "0.1:2.0:0.1"]
 GOLDEN = {
     "type": (["type", "--input", "koosis"],
              "7b0e8accea16774e4a436fa52db8c8736a383c63cebf12a72c3e73d4d06ad89e"),
+    "type-selection-empty": (["type", "--input", "super-exp", "--grid", "0.05:1.3:0.05"],
+                             "19eb4018e77cca55881c2aa381f57e753ccaa8003efa36a3783517f15d0766a6"),
     "type-separated": (["type", "--input", "koosis", "--separated"],
                        "89952c54d0a5730530e7e07bdc2f5a99429314b307ce046a63b1354ac8c968e9"),
     "regularity": (["regularity", "--input", "pert", "--a", "1"],
@@ -84,6 +93,9 @@ def documents(tmp_path_factory):
     docs = {"koosis": catalog.koosis_measure(T), "arith": arith,
             "pert": perturb_exponential(arithmetic(1.0, T), 1.0, 3),
             "short-partition": find_short_partition(arith, 1.0),
+            # the weight filter keeps |x| <= 7, whose partition intervals are too
+            # short to select a point at d <= 0.4: the "selection empty" note
+            "super-exp": measure_from_weights(arithmetic(1.0, 26.0), "super-exponential"),
             "alternating": alternating_partition(1.0, 2.0, 400.0),
             "intervals": {"intervals": sorted([s * k * k, s * k * k + 1.0]
                                               for k in range(1, 41) for s in (-1, 1))},
