@@ -9,7 +9,6 @@ from .core import (
     TypelabError,
     WeightTable,
     poisson_tail_sum,
-    validate_sequence,
 )
 from .energy import EnergyReport, coulomb_energy, energy_report, grid_energy_closed_form
 from .partitions import classify_family, find_short_partition, short2I_diagnostic

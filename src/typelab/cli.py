@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .constructions import (
+    BENEDICKS_CONSTANTS,
     alternating_partition,
     arithmetic,
     auxiliary_sequence,
@@ -195,10 +196,14 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    unpaired = [item for item in args.param or [] if "=" not in item]
+    if unpaired:
+        raise TypelabError(f"--param {unpaired[0]!r} is not key=value")
     params = dict(item.partition("=")[::2] for item in args.param or [])
 
+    # each read pops its key, so that what is left over is what the family ignores
     def num(key: str, default: float) -> float:
-        return float(params.get(key, default))
+        return float(params.pop(key, default))
 
     family = args.family
     if family in ("alternating-partition", "benedicks"):
@@ -210,14 +215,15 @@ def _cmd_construct(args) -> int:
         # the other families build on an arithmetic progression
         obj = base = arithmetic(num("d", 1.0), num("T", 400.0 if family == "auxiliary" else 100.0))
         if family == "perturbed":
-            obj = perturb_exponential(base, num("c", 1.0), int(params.get("seed", 0)))
+            obj = perturb_exponential(base, num("c", 1.0), int(params.pop("seed", 0)))
         elif family == "auxiliary":
             w = WeightTable(np.array([-base.window, base.window]), np.array([num("w", 1.0)]))
             obj = auxiliary_sequence(base, w, num("epsilon", 0.05), num("L", 20.0))
         elif family == "weighted-measure":
-            obj = measure_from_weights(base, params.get("weights", "polynomial"),
-                                       {k: float(v) for k, v in params.items()
-                                        if k in ("beta", "c")})
+            obj = measure_from_weights(base, params.pop("weights", "polynomial"),
+                                       {k: float(params.pop(k)) for k in ("beta", "c") if k in params})
+    if params:
+        raise TypelabError(f"construct {family} does not read --param {sorted(params)[0]}")
     text = canonical_json(obj) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -326,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=float, default=1.0)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--c1", type=float, default=8.0)
-    p.add_argument("--c2", type=float, default=8.0)
-    p.add_argument("--c3", type=float, default=0.4)
+    for name, default in zip(("--c1", "--c2", "--c3"), BENEDICKS_CONSTANTS):
+        p.add_argument(name, type=float, default=default)
     p.add_argument("--d", type=float, default=1.0)
 
     p = command("rescale", _cmd_rescale, "divide masses by 1+|x|^alpha (type-invariant)")
@@ -368,6 +373,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TypelabError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (TypelabError, FileNotFoundError, ValueError, TypeError, KeyError,
             OverflowError) as exc:  # OverflowError: an integer beyond the float range

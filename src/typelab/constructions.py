@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,6 +25,8 @@ from .core import (
 CONSTRUCTION_MAX_SIZE = 100_000
 # most points arithmetic builds
 ARITHMETIC_MAX_POINTS = 1_000_000
+# (C1, C2, C3) of the admissibility conditions benedicks_sequence requires
+BENEDICKS_CONSTANTS = (8.0, 8.0, 0.4)
 
 
 class WeightUnbounded(TypelabError):
@@ -200,9 +201,7 @@ def default_block_growth(n: int) -> int:
     return max(1, math.ceil(math.log(2 + abs(n))))
 
 
-def benedicks_sequence(partition: Partition, C: float,
-                       c1: float = 8.0, c2: float = 8.0, c3: float = 0.4,
-                       block_growth: Callable[[int], int] | None = None) -> BenedicksFamily:
+def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     """Place points at equal measure inside the even intervals of blocks.
 
     The alternating partition is regrouped into blocks spanning a slowly
@@ -211,7 +210,7 @@ def benedicks_sequence(partition: Partition, C: float,
     so that the margins and all inner gaps carry equal measure of that
     union.  Fails with :class:`ConditionsFailed` when the alternating
     partition does not satisfy the admissibility conditions at
-    ``(c1, c2, c3)``.  ``C`` must be finite and positive, and the
+    :data:`BENEDICKS_CONSTANTS`.  ``C`` must be finite and positive, and the
     sequence, about ``C`` times the partition's span, at most
     :data:`CONSTRUCTION_MAX_SIZE` points.
     """
@@ -223,11 +222,10 @@ def benedicks_sequence(partition: Partition, C: float,
     if C * (float(bks[-1]) - float(bks[0])) > CONSTRUCTION_MAX_SIZE:
         raise TypelabError(f"a Benedicks sequence of density {C:g} would have more than "
                            f"{CONSTRUCTION_MAX_SIZE} points")
-    verdict = benedicks_conditions(partition, c1, c2, c3)
+    verdict = benedicks_conditions(partition, *BENEDICKS_CONSTANTS)
     if not verdict.applicable:
         series = verdict.evidence["odd_length_series"].classification
         raise ConditionsFailed(str(verdict.evidence["failures"] or [f"odd-length series {series}"]))
-    growth = block_growth or default_block_growth
 
     i0 = int(np.flatnonzero(bks == 0.0)[0])
     n_min = -i0
@@ -237,15 +235,15 @@ def benedicks_sequence(partition: Partition, C: float,
         return float(bks[i0 + n])
 
     # block boundaries in units of even-interval index: n_{k+1} = n_k + growth(n_k)
-    # rightward and n_{k-1} = n_k - growth(n_k) leftward
+    # rightward and n_{k-1} = n_k - growth(n_k) leftward, growth = default_block_growth
     marks = [0]
     n = 0
-    while 2 * (n + growth(n)) <= n_max:
-        n = n + growth(n)
+    while 2 * (n + default_block_growth(n)) <= n_max:
+        n += default_block_growth(n)
         marks.append(n)
     n = 0
-    while 2 * (n - growth(n)) >= n_min:
-        n = n - growth(n)
+    while 2 * (n - default_block_growth(n)) >= n_min:
+        n -= default_block_growth(n)
         marks.insert(0, n)
     if len(marks) < 2:
         raise ConditionsFailed("partition too small to form one block")

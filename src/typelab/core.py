@@ -70,10 +70,6 @@ class Interval:
     def length(self) -> float:
         return self.right - self.left
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.left + self.right)
-
     def dist0(self) -> float:
         """Distance from the origin to the closure of the interval."""
         if self.left <= 0.0 <= self.right:
@@ -82,11 +78,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.left < x <= self.right
-
-    def dilate(self, factor: float) -> "Interval":
-        """Concentric dilation by ``factor``."""
-        half = 0.5 * factor * self.length
-        return Interval(self.midpoint - half, self.midpoint + half)
 
 
 @dataclass(frozen=True)
@@ -134,23 +125,6 @@ class RealSequence:
         if self.generator_tag is not None:
             out["generator"] = self.generator_tag
         return out
-
-
-def validate_sequence(points, window: float, generator_tag: str | None = None) -> RealSequence:
-    """Sort, validate and wrap raw points into a :class:`RealSequence`.
-
-    Raises :class:`EmptyInput`, :class:`DuplicatePoint` (exactly equal
-    entries) or :class:`OutOfWindow` (``|x| > T``).
-    """
-    arr = np.asarray(list(points), dtype=float)
-    if arr.size == 0:
-        raise EmptyInput("at least one point is required")
-    arr = np.sort(arr)
-    if np.any(arr[1:] == arr[:-1]):
-        raise DuplicatePoint("duplicate points in input")
-    if np.max(np.abs(arr)) > window:
-        raise OutOfWindow(f"point outside [-{window}, {window}]")
-    return RealSequence(arr, float(window), generator_tag)
 
 
 @dataclass(frozen=True)
@@ -377,7 +351,7 @@ def map_libm(fn, xs: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, xs.tolist()), dtype=float, count=xs.size)
 
 
-def shell_sum_verdict(locations, values, note: str | None = None) -> SumVerdict:
+def shell_sum_verdict(locations, values) -> SumVerdict:
     """Classify the series ``sum(values)`` whose terms live at ``locations``.
 
     Values must be nonnegative; they are binned into dyadic shells by
@@ -406,7 +380,7 @@ def shell_sum_verdict(locations, values, note: str | None = None) -> SumVerdict:
     inner_sum = math.fsum(values[inner].tolist())
 
     classification, ratio = _classify_shells(shell_sums)
-    return SumVerdict(total, shell_sums, inner_sum, classification, ratio, note)
+    return SumVerdict(total, shell_sums, inner_sum, classification, ratio)
 
 
 def _classify_shells(shell_sums: tuple[tuple[int, float], ...]) -> tuple[str, float | None]:

@@ -55,15 +55,13 @@ def _as_points(config) -> np.ndarray:
     return np.asarray(config, dtype=float)
 
 
-def coulomb_energy(config, exact: bool = False) -> float:
+def coulomb_energy(config) -> float:
     """Sum of ``log|x_k - x_l|`` over ordered pairs of distinct points.
 
     Points must be pairwise distinct; a gap below 1e-300 raises
     :class:`DegenerateDistance` instead of poisoning downstream deficits
     with -inf, and points spanning more than the float range raise
-    :class:`TypelabError` instead of overflowing.  ``exact=True`` switches
-    to exactly rounded summation over every pair (O(n^2) python loop,
-    intended for small test configurations).
+    :class:`TypelabError` instead of overflowing.
     """
     pts = np.sort(_as_points(config))
     n = pts.size
@@ -74,13 +72,6 @@ def coulomb_energy(config, exact: bool = False) -> float:
     gaps = np.diff(pts)
     if np.min(gaps) < DEGENERATE_DISTANCE:
         raise DegenerateDistance("two points closer than 1e-300")
-
-    if exact:
-        terms = []
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                terms.append(math.log(pts[j] - pts[i]))
-        return 2.0 * math.fsum(terms)
 
     if n <= _MATRIX_LIMIT:
         rows, cols = np.triu_indices(n, k=1)

@@ -34,6 +34,7 @@ SVD_CUTOFF = 1e-12           # relative floor below which values are clipped for
 REFUSAL_RATIO = 1e-14        # below this min sigma_min/sigma_max a hidden knee is refused
 KNEE_THRESHOLD = 2.0         # natural-log units of curvature required to call a knee
 DEFAULT_FREQ_DENSITY = 8.0
+EXTENDED_DPS = 40            # decimal digits of the extended-precision Gram solve
 # environment variables that set the BLAS threads of a process, in the order read
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -138,8 +139,7 @@ def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> 
 
 
 def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAULT_FREQ_DENSITY,
-                  extended_precision: bool = False, dps: int = 40,
-                  threads: int = 1) -> ResidualCurve:
+                  extended_precision: bool = False, threads: int = 1) -> ResidualCurve:
     """Smallest singular value across a frequency grid, with knee estimate.
 
     The knee statistic is the curvature (wide-stencil second difference) of
@@ -150,7 +150,7 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
     ratio has collapsed below 1e-14, the scan refuses to guess and raises
     :class:`IllConditioned` unless extended precision is enabled, in which
     case the collapsed values are recomputed from the exact
-    frequency-integrated Gram matrix at ``dps`` digits.
+    frequency-integrated Gram matrix at :data:`EXTENDED_DPS` digits.
 
     ``threads`` is the largest number of worker processes that compute the
     singular values (see :func:`_worker_count`); with one, they are computed
@@ -184,8 +184,8 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
             extended_used = True
             for i in np.flatnonzero(collapsed):
                 sig[i] = _gram_sigma_min_extended(
-                    measure, grid[i], default_freq_count(measure, grid[i], freq_density), dps)
-        clip_floor = floor_scale * 10.0 ** (-(dps // 2 - 3))
+                    measure, grid[i], default_freq_count(measure, grid[i], freq_density))
+        clip_floor = floor_scale * 10.0 ** (-(EXTENDED_DPS // 2 - 3))
     else:
         clip_floor = SVD_CUTOFF * floor_scale
 
@@ -200,8 +200,7 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
                          curvature, extended_used)
 
 
-def _detect_knee(grid: np.ndarray, sig: np.ndarray, clip_floor: float,
-                 threshold: float = KNEE_THRESHOLD) -> tuple[float | None, float]:
+def _detect_knee(grid: np.ndarray, sig: np.ndarray, clip_floor: float) -> tuple[float | None, float]:
     clip = np.log(np.maximum(sig, clip_floor))
     span = max(1, len(grid) // 32)
     if len(grid) <= 2 * span:
@@ -210,10 +209,10 @@ def _detect_knee(grid: np.ndarray, sig: np.ndarray, clip_floor: float,
     interior = grid[span:-span]
     kmax = int(np.argmax(d2))
     curvature = float(d2[kmax])
-    if curvature < threshold:
+    if curvature < KNEE_THRESHOLD:
         return None, curvature
     kmin = int(np.argmin(d2))
-    if kmin > kmax and -d2[kmin] >= threshold:
+    if kmin > kmax and -d2[kmin] >= KNEE_THRESHOLD:
         # midpoint of the rise: lower corner leaving the floor, upper corner
         # entering the plateau
         return 0.5 * float(interior[kmax] + interior[kmin]), curvature
@@ -250,8 +249,7 @@ def annihilator_extract(measure: DiscreteMeasure, a: float,
                              float(np.max(np.abs(moments))))
 
 
-def _gram_sigma_min_extended(measure: DiscreteMeasure, a: float, freq_count: int,
-                             dps: int) -> float:
+def _gram_sigma_min_extended(measure: DiscreteMeasure, a: float, freq_count: int) -> float:
     """Smallest singular value via the trapezoid Gram matrix in mpmath.
 
     The Gram entry has the closed form
@@ -261,7 +259,7 @@ def _gram_sigma_min_extended(measure: DiscreteMeasure, a: float, freq_count: int
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(EXTENDED_DPS):
         t = [mp.mpf(x) for x in measure.positions]
         m = [mp.mpf(x) for x in measure.masses]
         n = len(t)

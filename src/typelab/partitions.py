@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     CONVERGENT,
-    Interval,
     Partition,
     RealSequence,
     SumVerdict,
@@ -35,29 +34,31 @@ class NotShort(TypelabError):
     pass
 
 
-def _as_intervals(family) -> list[Interval]:
+def family_bounds(family) -> tuple[np.ndarray, np.ndarray]:
+    """``(lefts, rights)`` of a disjoint family, a :class:`Partition` or intervals,
+    ordered by left end; raises :class:`OverlappingIntervals` naming the
+    first overlapping pair."""
     if isinstance(family, Partition):
-        return family.intervals
-    return list(family)
+        return family.breakpoints[:-1], family.breakpoints[1:]
+    ends = np.array([(iv.left, iv.right) for iv in family], dtype=float).reshape(-1, 2)
+    lefts, rights = ends[np.argsort(ends[:, 0], kind="stable")].T
+    overlap = np.flatnonzero(lefts[1:] < rights[:-1])
+    if overlap.size:
+        i = overlap[0]
+        raise OverlappingIntervals(f"({lefts[i]}, {rights[i]}] overlaps "
+                                   f"({lefts[i + 1]}, {rights[i + 1]}]")
+    return lefts, rights
 
 
 def classify_family(intervals) -> SumVerdict:
-    """Short/long verdict for a disjoint interval family.
+    """Short/long verdict for a disjoint interval family (see :func:`family_bounds`).
 
     Feeds ``(dist(0, I_n), |I_n|^2)`` to the Poisson tail classifier:
     convergent means short, divergent means long.  A length whose square
     is not finite raises :class:`TypelabError`.
     """
-    if isinstance(intervals, Partition):
-        bks = intervals.breakpoints
-        locations, lengths = dist0(bks[:-1], bks[1:]), np.diff(bks).tolist()
-    else:
-        ivs = sorted(intervals, key=lambda i: i.left)
-        for prev, cur in zip(ivs, ivs[1:]):
-            if cur.left < prev.right:
-                raise OverlappingIntervals(
-                    f"({prev.left}, {prev.right}] overlaps ({cur.left}, {cur.right}]")
-        locations, lengths = [iv.dist0() for iv in ivs], [iv.length for iv in ivs]
+    lefts, rights = family_bounds(intervals)
+    locations, lengths = dist0(lefts, rights), (rights - lefts).tolist()
     try:
         # libm pow: it differs from x * x in the last bit
         squares = [x ** 2 for x in lengths]
@@ -163,20 +164,19 @@ def short2I_diagnostic(family, C: float) -> SumVerdict:
     """
     if C <= 1:
         raise TypelabError("dilation factor must exceed 1")
-    ivs = sorted(_as_intervals(family), key=lambda i: i.left)
-    base = classify_family(ivs)
+    base = classify_family(family)
     if base.classification != CONVERGENT:
         raise NotShort(f"input family classifies {base.classification}, not short")
 
-    lefts = np.array([iv.left for iv in ivs])
-    rights = np.array([iv.right for iv in ivs])
+    lefts, rights = family_bounds(family)
     lengths = rights - lefts
-    terms = []
-    for iv in ivs:
-        dil = iv.dilate(C)
-        # members m with lefts[m] < dil.right and rights[m] > dil.left
-        hi = int(np.searchsorted(lefts, dil.right, side="left"))
-        lo = int(np.searchsorted(rights, dil.left, side="right"))
-        l_n = float(lengths[lo:hi].sum()) if hi > lo else 0.0
-        terms.append((iv.dist0(), l_n * iv.length))
-    return poisson_tail_sum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        half, mids = 0.5 * C * lengths, 0.5 * (lefts + rights)
+        dil_lefts, dil_rights = mids - half, mids + half
+    if not (np.isfinite([dil_lefts, dil_rights]).all() and (dil_rights > dil_lefts).all()):
+        raise TypelabError(f"a {C:g}-fold dilation is not a finite interval with right > left")
+    # members m with lefts[m] < dil_rights[n] and rights[m] > dil_lefts[n]
+    his = np.searchsorted(lefts, dil_rights, side="left").tolist()
+    los = np.searchsorted(rights, dil_lefts, side="right").tolist()
+    l_n = [float(lengths[lo:hi].sum()) if hi > lo else 0.0 for lo, hi in zip(los, his)]
+    return poisson_tail_sum(np.column_stack((dist0(lefts, rights), np.array(l_n) * lengths)))

@@ -29,6 +29,7 @@ from .core import (
     SumVerdict,
     TypelabError,
     WeightTable,
+    dist0,
     map_libm,
     poisson_piece_contributions,
     poisson_tail_sum,
@@ -36,11 +37,7 @@ from .core import (
     shell_sum_verdict,
 )
 from .density import density_grid, downward_scan
-from .partitions import (
-    InsufficientData,
-    OverlappingIntervals,
-    classify_family,
-)
+from .partitions import InsufficientData, classify_family, family_bounds
 from .uniformity import UniformityReport, check_d_uniform
 
 TWO_PI = 2.0 * math.pi
@@ -129,13 +126,12 @@ def _log_weight_penalties(measure: DiscreteMeasure, denominator: str) -> np.ndar
     return pen / (1.0 + n * n), n
 
 
-def weight_filter_mask(measure: DiscreteMeasure, denominator: str = "index",
-                       budget: float = WEIGHT_BUDGET) -> np.ndarray:
-    """Atoms surviving the per-shell log-weight budget."""
+def weight_filter_mask(measure: DiscreteMeasure, denominator: str = "index") -> np.ndarray:
+    """Atoms surviving the per-shell log-weight budget :data:`WEIGHT_BUDGET`."""
     penalties, n = _log_weight_penalties(measure, denominator)
     outer = np.abs(n) >= 1.0
     shells, where = np.unique(shell_index(np.abs(n[outer])), return_inverse=True)
-    caps = np.array([budget * 2.0 ** (-1.5 * j) for j in shells.tolist()])
+    caps = np.array([WEIGHT_BUDGET * 2.0 ** (-1.5 * j) for j in shells.tolist()])
     keep = np.ones(len(measure), dtype=bool)
     keep[outer] = ~(penalties[outer] > caps[where])
     return keep
@@ -160,12 +156,12 @@ def _default_d_grid(measure: DiscreteMeasure) -> list[float]:
     return [step * k for k in range(1, 27)]  # up to 1.3x the gross density
 
 
-def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, budget: float,
-               skip_energy: bool, method: str, two_sided: bool) -> TypeEstimate:
+def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, skip_energy: bool,
+               method: str, two_sided: bool) -> TypeEstimate:
     if len(measure) < 2:
         raise InsufficientData("need at least 2 atoms")
     grid = density_grid(d_grid if d_grid is not None else _default_d_grid(measure))
-    mask = weight_filter_mask(measure, denominator, budget)
+    mask = weight_filter_mask(measure, denominator)
     if not np.any(mask):
         return TypeEstimate(0.0, None, method, two_sided,
                             ((grid[0], False, "weight filter removed every atom"),))
@@ -184,8 +180,7 @@ def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, budget: float
     return TypeEstimate(TWO_PI * d, cert, method, two_sided, diagnostics)
 
 
-def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "index",
-                  budget: float = WEIGHT_BUDGET) -> TypeEstimate:
+def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "index") -> TypeEstimate:
     """Certified lower bound on the type of a discrete measure.
 
     Scans the density grid downward; each candidate needs a d-uniform
@@ -193,7 +188,7 @@ def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "ind
     log-weight series is summable.  Returns ``2 pi d`` for the largest
     passing ``d`` (0 when none passes), with the full certificate.
     """
-    est = _scan_type(measure, d_grid, denominator, budget,
+    est = _scan_type(measure, d_grid, denominator,
                      skip_energy=False, method="discrete-scan", two_sided=False)
     growth = (0.0, _counting_growth_summable(measure), "log-counting-function Poisson-summable")
     return replace(est, diagnostics=est.diagnostics + (growth,))
@@ -209,20 +204,18 @@ def _counting_growth_summable(measure: DiscreteMeasure) -> bool:
     return verdict.classification != DIVERGENT
 
 
-def type_separated(measure: DiscreteMeasure, d_grid=None, denominator: str = "index",
-                   min_gap: float = SEPARATION_GAP,
-                   budget: float = WEIGHT_BUDGET) -> TypeEstimate:
+def type_separated(measure: DiscreteMeasure, d_grid=None, denominator: str = "index") -> TypeEstimate:
     """Two-sided type estimate for a measure on a separated support.
 
-    Separation (checked: consecutive gaps at least ``min_gap``) makes the
+    Separation (checked: consecutive gaps at least :data:`SEPARATION_GAP`) makes the
     energy condition automatic, so candidates are tested on density and
     shortness only, and the scan value is an equality rather than a lower
     bound.
     """
     gaps = np.diff(measure.positions)
-    if gaps.size and float(np.min(gaps)) < min_gap:
-        raise NotSeparated(f"min gap {float(np.min(gaps)):.3g} below {min_gap:.3g}")
-    return _scan_type(measure, d_grid, denominator, budget,
+    if gaps.size and float(np.min(gaps)) < SEPARATION_GAP:
+        raise NotSeparated(f"min gap {float(np.min(gaps)):.3g} below {SEPARATION_GAP:.3g}")
+    return _scan_type(measure, d_grid, denominator,
                       skip_energy=True, method="separated-scan", two_sided=True)
 
 
@@ -263,9 +256,9 @@ def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,
 def beurling_gap_check(support) -> TheoremVerdict:
     """Long gaps in the support force any gapped measure on it to vanish.
 
-    ``support`` is a :class:`RealSequence` or a list of intervals; the
-    complement gaps inside the window are classified, and a long gap
-    family means no positive-density uniform sequence fits the support.
+    ``support`` is a :class:`RealSequence` or a list of possibly overlapping
+    intervals; the gaps of their union inside the window are classified, and
+    a long gap family means no positive-density uniform sequence fits it.
     """
     gaps: list[Interval] = []
     if isinstance(support, RealSequence):
@@ -277,9 +270,11 @@ def beurling_gap_check(support) -> TheoremVerdict:
                 gaps.append(Interval(l, r))
     else:
         ivs = sorted(support, key=lambda i: i.left)
-        for prev, cur in zip(ivs, ivs[1:]):
-            if cur.left > prev.right:
-                gaps.append(Interval(prev.right, cur.left))
+        reach = ivs[0].right if ivs else 0.0  # right end of the union so far
+        for iv in ivs[1:]:
+            if iv.left > reach:
+                gaps.append(Interval(reach, iv.left))
+            reach = max(reach, iv.right)
     verdict = classify_family(gaps) if gaps else None
     long_gaps = verdict is not None and verdict.classification == DIVERGENT
     conclusion = Conclusion(MU_MUST_VANISH) if long_gaps else Conclusion(INCONCLUSIVE)
@@ -323,12 +318,13 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
     return TheoremVerdict("tail-decay", True, Conclusion(kind), evidence)
 
 
-def _levinson_thresholds(cuts: np.ndarray, tail: np.ndarray, n_max: int = 64) -> np.ndarray:
+def _levinson_thresholds(cuts: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    # a_n: the first cut where the tail mass drops to 3^-n of the total, n <= 64
     total = float(tail[0]) if len(tail) else 0.0
     if total <= 0:
         return np.zeros(0)
     out = [0.0]
-    for n in range(1, n_max + 1):
+    for n in range(1, 65):
         target = total * 3.0 ** (-n)
         k = int(np.argmax(tail <= target))
         a_n = float(cuts[min(k, len(cuts) - 1)])
@@ -346,18 +342,12 @@ def hybrid_check(measure: DiscreteMeasure, intervals) -> TheoremVerdict:
     nothing.  Divergence means no nonzero measure with a spectral gap can
     put so little mass there.
     """
-    ivs = sorted(intervals, key=lambda i: i.left)
-    for prev, cur in zip(ivs, ivs[1:]):
-        if cur.left < prev.right:
-            raise OverlappingIntervals("intervals must be disjoint")
+    lefts, rights = family_bounds(intervals)
     terms = []
-    for iv in ivs:
-        mass = measure.mass_in(iv.left, iv.right)
-        if mass <= 0.0:
-            val = iv.length
-        else:
-            val = min(iv.length, max(0.0, math.log(1.0 / mass)))
-        terms.append((iv.dist0(), iv.length * val))
+    for left, right, at in zip(lefts.tolist(), rights.tolist(), dist0(lefts, rights).tolist()):
+        mass, length = measure.mass_in(left, right), right - left
+        val = length if mass <= 0.0 else min(length, max(0.0, math.log(1.0 / mass)))
+        terms.append((at, length * val))
     verdict = poisson_tail_sum(terms)
     kind = MU_MUST_VANISH if verdict.classification == DIVERGENT else INCONCLUSIVE
     return TheoremVerdict("sparse-mass", True, Conclusion(kind), {"series": verdict})
@@ -450,7 +440,7 @@ def borichev_sodin_compare(mu: DiscreteMeasure, nu: DiscreteMeasure, delta: floa
     consecutive atoms; when the relation holds, the type of ``mu`` is at
     most the type of ``nu``.
     """
-    if delta <= 0 or C <= 0:
+    if not (delta > 0 and C > 0):  # also true on NaN
         raise TypelabError("delta and C must be positive")
     xs = sorted(set(mu.positions.tolist())
                 | {0.5 * (a + b) for a, b in zip(mu.positions, mu.positions[1:])})
@@ -480,7 +470,7 @@ def duffin_schaeffer_check(measure: DiscreteMeasure, L: float, c: float) -> Theo
     by ``+-L``, so each piece is tested at its point nearest the origin.
     A pass gives type at least ``pi / L``.
     """
-    if L <= 0 or c <= 0:
+    if not (L > 0 and c > 0):  # also true on NaN
         raise TypelabError("L and c must be positive")
     T = measure.window
     lo, hi = -T + L, T - L
@@ -507,7 +497,7 @@ def duffin_schaeffer_check(measure: DiscreteMeasure, L: float, c: float) -> Theo
                           {"worst_margin_at": worst[0], "worst_margin": worst[1]})
 
 
-def benedicks_conditions(partition, C1: float, C2: float, C3: float) -> TheoremVerdict:
+def benedicks_conditions(partition: Partition, C1: float, C2: float, C3: float) -> TheoremVerdict:
     """Admissibility of an alternating partition for the block construction.
 
     Checks, over the available indices: comparability of odd-interval
@@ -521,7 +511,7 @@ def benedicks_conditions(partition, C1: float, C2: float, C3: float) -> TheoremV
     """
     if not all(math.isfinite(c) and c > 0 for c in (C1, C2, C3)):
         raise TypelabError(f"C1, C2 and C3 must be finite and positive, got {C1}, {C2}, {C3}")
-    bks = partition.breakpoints if isinstance(partition, Partition) else _tiling_breakpoints(partition)
+    bks = partition.breakpoints
     zero_idx = np.flatnonzero(np.abs(bks) < 1e-12)
     if zero_idx.size != 1:
         raise BadAlternation("alternating partition needs 0 as a breakpoint")
@@ -578,16 +568,6 @@ def benedicks_conditions(partition, C1: float, C2: float, C3: float) -> TheoremV
                 "odd_length_series": series, "failures": failures}
     return TheoremVerdict("alternating-partition-admissibility", applicable,
                           Conclusion(INCONCLUSIVE), evidence)
-
-
-def _tiling_breakpoints(intervals) -> np.ndarray:
-    ivs = sorted(intervals, key=lambda i: i.left)
-    bks = [ivs[0].left]
-    for iv in ivs:
-        if abs(iv.left - bks[-1]) > 1e-12:
-            raise BadAlternation("intervals must tile contiguously")
-        bks.append(iv.right)
-    return np.asarray(bks)
 
 
 def polynomial_rescale(measure: DiscreteMeasure, alpha: float) -> DiscreteMeasure:

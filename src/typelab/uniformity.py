@@ -61,8 +61,8 @@ class UniformityReport:
     reason: str | None = None
 
 
-def merge_short_intervals(partition: Partition, min_length: float = 1.0) -> Partition:
-    """Merge intervals shorter than ``min_length`` into a neighbour.
+def merge_short_intervals(partition: Partition) -> Partition:
+    """Merge intervals shorter than 1, the energy leg's least length, into a neighbour.
 
     Short intervals are absorbed rightward, except that the breakpoint 0 is
     never dropped: a short interval ending at 0 extends leftward instead.
@@ -75,14 +75,14 @@ def merge_short_intervals(partition: Partition, min_length: float = 1.0) -> Part
         is_last = i == len(bks) - 1
         if b == 0.0:
             # keep 0; a short piece ending at 0 swallows its left neighbour
-            while len(out) > 1 and b - out[-1] < min_length:
+            while len(out) > 1 and b - out[-1] < 1.0:
                 out.pop()
             out.append(b)
         elif is_last:
-            while len(out) > 1 and out[-1] != 0.0 and b - out[-1] < min_length:
+            while len(out) > 1 and out[-1] != 0.0 and b - out[-1] < 1.0:
                 out.pop()
             out.append(b)
-        elif b - out[-1] >= min_length:
+        elif b - out[-1] >= 1.0:
             out.append(b)
     return Partition(np.asarray(out))
 

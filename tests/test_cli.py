@@ -309,6 +309,24 @@ class TestInputValidation:
         # every family built on an arithmetic progression refuses it before allocating
         assert exits_cleanly_with_2(["construct", family, "--param", param], capsys)
 
+    @pytest.mark.parametrize("params", [["d5"], ["dd=5", "T=3"], ["=1"], ["c=2"]])
+    def test_construct_param_not_read(self, params, capsys):
+        # an item without "=", or a key arithmetic does not read
+        argv = ["construct", "arithmetic"] + [a for p in params for a in ("--param", p)]
+        assert exits_cleanly_with_2(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem", "duffin-schaeffer", "--L", "nan"],
+        ["theorem", "duffin-schaeffer", "--c", "nan"],
+        ["theorem", "borichev-sodin", "--other", "MEASURE", "--delta", "nan"],
+        ["theorem", "borichev-sodin", "--other", "MEASURE", "--l", "nan"],
+        ["regularity", "--a", "nan"], ["regularity", "--a", "inf"],
+        ["uniform", "--d", "nan"], ["uniform", "--d=-inf"]])
+    def test_non_finite_float_option(self, measure_file, seq_file, argv, capsys):
+        doc = seq_file if argv[0] in ("regularity", "uniform") else measure_file
+        argv = [measure_file if a == "MEASURE" else a for a in argv]
+        assert exits_cleanly_with_2(argv + ["--input", doc], capsys)
+
     def test_energy_interval_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"points": [-1e307, 0, 1e307], "window": 1e308}))

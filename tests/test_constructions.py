@@ -144,19 +144,20 @@ class TestBenedicksSequence:
         assert abs(est.value - 0.5) <= 0.05 + 1e-12
 
     def test_single_block_equal_measure(self):
-        # one block over a single even interval: points equally spaced
+        # the centre block (0, 3] has one even interval, (0, 1]: at C = 2 it
+        # holds six points at equal measure, spaced 1/7
         part = catalog.benedicks_partition(600.0)
-        fam = benedicks_sequence(part, 0.5, block_growth=lambda n: 1)
+        fam = benedicks_sequence(part, 2.0)
         first = fam.blocks.intervals[len(fam.blocks) // 2]
         inside = [x for x in fam.sequence.points if first.contains(x)]
-        if len(inside) >= 2:
-            gaps = np.diff(inside)
-            assert np.allclose(gaps, gaps[0])
+        assert len(inside) == 6
+        assert np.allclose(np.diff(inside), 1.0 / 7.0)
 
     def test_conditions_failure(self):
-        part = catalog.benedicks_partition(600.0)
+        # odd length 0.3 is below C3 = 0.4 times the even length 1
+        part = catalog.benedicks_partition(600.0, 1.0, 0.3)
         with pytest.raises(ConditionsFailed):
-            benedicks_sequence(part, 0.5, c3=3.0)
+            benedicks_sequence(part, 0.5)
 
     def test_series_failure_named(self):
         # conditions 1-3 hold on a two-cell tiling, but its series is inconclusive

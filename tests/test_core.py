@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from typelab.core import (
     DiscreteMeasure,
-    DuplicatePoint,
-    EmptyInput,
     Interval,
     NegativeTerm,
-    OutOfWindow,
     Partition,
     RealSequence,
     TypelabError,
@@ -19,40 +16,7 @@ from typelab.core import (
     poisson_tail_sum,
     shell_sum_verdict,
     split_at_shells,
-    validate_sequence,
 )
-
-
-class TestValidateSequence:
-    def test_well_formed(self):
-        seq = validate_sequence([0, 1, 2], 10.0)
-        assert len(seq) == 3
-        assert seq.points.tolist() == [0.0, 1.0, 2.0]
-
-    def test_sorts_input(self):
-        seq = validate_sequence([2, 0, 1], 10.0)
-        assert seq.points.tolist() == [0.0, 1.0, 2.0]
-
-    def test_duplicate(self):
-        with pytest.raises(DuplicatePoint):
-            validate_sequence([1, 1, 2], 10.0)
-
-    def test_out_of_window(self):
-        with pytest.raises(OutOfWindow):
-            validate_sequence([0, 11], 10.0)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            validate_sequence([], 10.0)
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))
-    def test_idempotent(self, xs):
-        try:
-            once = validate_sequence(xs, 100.0)
-        except DuplicatePoint:
-            return
-        twice = validate_sequence(once.points, 100.0)
-        assert np.array_equal(once.points, twice.points)
 
 
 class TestPoissonTailSum:

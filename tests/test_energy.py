@@ -16,6 +16,13 @@ from typelab.energy import (
 )
 
 
+def exact_energy(points) -> float:
+    """Exactly rounded sum of ``log|x_k - x_l|`` over ordered pairs: the O(n^2) reference."""
+    pts = sorted(points)
+    return 2.0 * math.fsum(math.log(pts[j] - pts[i])
+                           for i in range(len(pts) - 1) for j in range(i + 1, len(pts)))
+
+
 @st.composite
 def distinct_points(draw):
     pts = sorted(draw(st.lists(st.floats(-50, 50), min_size=2, max_size=30,
@@ -51,11 +58,11 @@ class TestCoulombEnergy:
         rng = np.random.default_rng(7)
         pts = np.unique(rng.uniform(-300, 300, size=600))  # above the matrix-path limit
         blocked = coulomb_energy(pts)
-        exact = coulomb_energy(pts, exact=True)
+        exact = exact_energy(pts)
         assert blocked == pytest.approx(exact, rel=1e-12)
         small = pts[:200]
         assert coulomb_energy(small) == pytest.approx(
-            coulomb_energy(small, exact=True), rel=1e-12)
+            exact_energy(small), rel=1e-12)
 
     @given(distinct_points(), st.floats(-100, 100))
     @settings(max_examples=100)
@@ -68,8 +75,8 @@ class TestCoulombEnergy:
     @settings(max_examples=100)
     def test_scaling_law(self, pts, s):
         n = len(pts)
-        base = coulomb_energy(pts, exact=True)
-        scaled = coulomb_energy([s * p for p in pts], exact=True)
+        base = exact_energy(pts)
+        scaled = exact_energy([s * p for p in pts])
         assert scaled == pytest.approx(base + n * (n - 1) * math.log(s),
                                        rel=1e-12, abs=1e-9)
 

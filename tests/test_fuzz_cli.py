@@ -4,8 +4,9 @@ Malformed JSON documents (wrong shapes, missing or extra keys, strings,
 bools, nulls and huge or tiny numbers in place of values) go through
 ``cli.main`` to each of the five loaders; so do density grids, the
 Benedicks constants, the ``construct`` parameters of the alternating
-tilings and of the arithmetic progressions, and energy configurations
-and intervals near the float range.  Every run must end in exit 0 with a
+tilings and of the arithmetic progressions, the float options of the
+analysis commands, and energy configurations and intervals near the
+float range.  Every run must end in exit 0 with a
 finite canonical JSON report, or exit 2 with a one-line error: never an
 exception, and never ``"nan"`` or ``"inf"`` on stdout.
 """
@@ -15,13 +16,15 @@ import io
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from typelab import constructions
+from typelab import catalog, constructions
 from typelab.cli import main
 from typelab.constructions import alternating_partition, arithmetic, perturb_exponential
+from typelab.core import Interval, WeightTable
 from typelab.serialize import canonical_json
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
@@ -73,6 +76,12 @@ def workdir(tmp_path_factory):
     seq = perturb_exponential(arithmetic(1.0, 200.0), 1.0, 3)
     (root / "seq.json").write_text(canonical_json(seq))
     (root / "partition.json").write_text(canonical_json(alternating_partition(1.0, 2.0, 60.0)))
+    (root / "measure.json").write_text(canonical_json(catalog.koosis_measure(50.0)))
+    short = [Interval(2.0 ** n, 2.0 ** n + n) for n in range(1, 12)]
+    (root / "intervals.json").write_text(
+        canonical_json({"intervals": [[iv.left, iv.right] for iv in short]}))
+    weight = WeightTable(np.linspace(-50.0, 50.0, 11), np.full(10, 2.0))
+    (root / "weight.json").write_text(canonical_json(weight))
     return root
 
 
@@ -181,6 +190,31 @@ def test_construct_arithmetic_params(family, params):
     # a small cap, so that no accepted parameter set builds a long progression
     with mock.patch.object(constructions, "ARITHMETIC_MAX_POINTS", 2000):
         run(["construct", family] + [f"--param={k}={v}" for k, v in params.items()])
+
+
+# each command with the float options it reads, all of them set on every run
+FLOAT_OPTIONS = {
+    ("uniform", "--input", "seq"): ("--d",),
+    ("regularity", "--input", "seq"): ("--a",),
+    ("regularity", "--input", "seq", "--scan", "families"): ("--a", "--epsilon"),
+    ("short2i", "--intervals", "intervals"): ("--C",),
+    ("theorem", "duffin-schaeffer", "--input", "measure"): ("--L", "--c"),
+    ("theorem", "borichev-sodin", "--input", "measure", "--other", "measure"):
+        ("--delta", "--C", "--l"),
+    ("theorem", "debranges", "--input", "measure", "--weight", "weight"): ("--modulus",),
+    ("rescale", "--input", "measure"): ("--alpha",),
+}
+option_values = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e308",
+                                 "-1e308"]) | st.floats(-60, 60).map(repr)
+
+
+@settings(FUZZ, max_examples=150)
+@given(command=st.sampled_from(sorted(FLOAT_OPTIONS)), data=st.data())
+def test_float_options(workdir, command, data):
+    values = data.draw(st.fixed_dictionaries({o: option_values for o in FLOAT_OPTIONS[command]}))
+    docs = {"seq", "measure", "intervals", "weight"}
+    run([str(workdir / f"{a}.json") if a in docs else a for a in command]
+        + [f"{o}={v}" for o, v in values.items()])
 
 
 near_float_range = st.one_of(

@@ -8,7 +8,9 @@ construction reports, and the CSV mode) were taken while every report
 class still wrote its own ``to_dict``; the serializer, which now derives
 a report's document from its dataclass fields, must print the same bytes.
 The ``type-selection-empty`` digest was taken while the interior density
-and the type estimators still ran separate copies of the downward scan.
+and the type estimators still ran separate copies of the downward scan,
+and the ``theorem-hybrid`` digest while ``hybrid_check`` still ran its
+own overlap check over ``Interval`` objects.
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -64,6 +66,8 @@ GOLDEN = {
                 "f5b53f7c438a0e9d7b4f2367fe502064465b9ba38c87dbe3f5fd1ad2751b4785"),
     "theorem-beurling-gap": (["theorem", "beurling-gap", "--intervals", "intervals"],
                              "d03768392f57fa25fea647ba5d8b3fd6da12167582c683c3ab44c69da7315707"),
+    "theorem-hybrid": (["theorem", "hybrid", "--input", "koosis", "--intervals", "intervals"],
+                       "c69ed2657f65b2f14859b6e0e2eb5f0561471117649031e823e8260188b72668"),
     "theorem-krein-lm": (["theorem", "krein-lm", "--weight", "samples"],
                          "1ee9eb18d09177dc3f639d08d5606fcd1e7f5716fddad0935f21b21becf6689a"),
     "theorem-benedicks": (["theorem", "benedicks", "--partition", "alternating"],

@@ -215,7 +215,7 @@ class TestResidualScan:
     def test_extended_precision_resolves_floor(self):
         m = catalog.koosis_measure(10.0)
         grid = np.linspace(0, 4.0, 9)[1:].tolist()
-        curve = residual_scan(m, grid, extended_precision=True, dps=40)
+        curve = residual_scan(m, grid, extended_precision=True)
         assert curve.extended_used
         double_floor = 1e-13 * curve.sigma_max.max()
         assert curve.sigma_min[0] < double_floor

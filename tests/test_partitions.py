@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from typelab.constructions import arithmetic
-from typelab.core import Interval, RealSequence
+from typelab.core import Interval, RealSequence, TypelabError
 from typelab.partitions import (
     InsufficientData,
     NotShort,
@@ -93,14 +93,19 @@ class TestShort2I:
         # with this spacing a dilation meets at most the interval itself and
         # its neighbours
         lengths = [iv.length for iv in fam]
-        for (loc, _), iv, ln in zip(v.shell_sums, fam, lengths):
-            pass  # spacing assertion handled below
         for i, iv in enumerate(fam):
-            dil = iv.dilate(2.0)
+            # the 2-fold dilation reaches one length beyond the midpoint
+            mid = 0.5 * (iv.left + iv.right)
             touching = [o for o in fam
-                        if max(o.left, dil.left) < min(o.right, dil.right)]
+                        if max(o.left, mid - iv.length) < min(o.right, mid + iv.length)]
             assert sum(o.length for o in touching) <= 3 * max(
                 lengths[max(0, i - 1):i + 2])
+
+    @pytest.mark.parametrize("C", [1e308, float("nan")])
+    def test_dilation_beyond_float_range(self, C):
+        # (2^40, 2^40 + 40] dilated 1e308-fold overflows; a NaN factor is no interval
+        with pytest.raises(TypelabError, match="dilation"):
+            short2I_diagnostic(geometric_family(lambda n: float(n)), C)
 
     def test_long_family_rejected(self):
         with pytest.raises(NotShort):

@@ -155,6 +155,16 @@ class TestBeurlingGap:
         v = beurling_gap_check(catalog.short_gap_support())
         assert v.conclusion.kind == "inconclusive"
 
+    def test_gaps_of_the_union(self):
+        # one interval covers the long-gap support: the union has no gap
+        v = beurling_gap_check([Interval(-20000.0, 20000.0)] + catalog.long_gap_support())
+        assert v.conclusion.kind == "inconclusive"
+        assert v.evidence["gap_count"] == 0
+        # (2, 3] lies inside (0, 10]: the one gap is (12, 15], not (3, 5]
+        v = beurling_gap_check([Interval(0.0, 10.0), Interval(2.0, 3.0),
+                                Interval(5.0, 12.0), Interval(15.0, 20.0)])
+        assert v.evidence["gap_count"] == 1
+
 
 class TestGapSupportVsType:
     def test_long_gap_support_forces_zero_type(self):
@@ -334,6 +344,16 @@ class TestBorichevSodin:
         t_mu = type_discrete(mu, D_GRID).lower_bound_type
         t_nu = type_discrete(nu, D_GRID).lower_bound_type
         assert t_mu <= t_nu + TWO_PI * 0.05 + 1e-9
+
+
+@pytest.mark.parametrize("check", [
+    lambda m: duffin_schaeffer_check(m, L=math.nan, c=0.5),
+    lambda m: duffin_schaeffer_check(m, L=1.0, c=math.nan),
+    lambda m: borichev_sodin_compare(m, m, delta=math.nan, C=1.0, l=0.0),
+    lambda m: borichev_sodin_compare(m, m, delta=1.0, C=math.nan, l=0.0)])
+def test_nan_constant_rejected(check):
+    with pytest.raises(TypelabError, match="must be positive"):
+        check(catalog.koosis_measure(50.0))
 
 
 class TestDuffinSchaeffer:
