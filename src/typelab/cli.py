@@ -91,65 +91,51 @@ def _parse_grid(spec: str) -> list[float]:
     return out
 
 
-def _cmd_energy(args) -> int:
+# each command returns the report main writes, or its exit code if it writes its own
+def _cmd_energy(args):
     seq = load_sequence(args.input)
     if args.interval:
         left, right = (float(p) for p in args.interval.split(","))
-        _emit(args, energy_report(seq, Interval(left, right)))
-    else:
-        _emit(args, {"energy": coulomb_energy(seq), "points": len(seq)})
-    return 0
+        return energy_report(seq, Interval(left, right))
+    return {"energy": coulomb_energy(seq), "points": len(seq)}
 
 
-def _cmd_partition(args) -> int:
-    seq = load_sequence(args.input)
-    _emit(args, find_short_partition(seq, args.d))
-    return 0
+def _cmd_partition(args):
+    return find_short_partition(load_sequence(args.input), args.d)
 
 
-def _cmd_classify(args) -> int:
-    _emit(args, classify_family(load_intervals(args.intervals)))
-    return 0
+def _cmd_classify(args):
+    return classify_family(load_intervals(args.intervals))
 
 
-def _cmd_short2i(args) -> int:
-    _emit(args, short2I_diagnostic(load_intervals(args.intervals), args.C))
-    return 0
+def _cmd_short2i(args):
+    return short2I_diagnostic(load_intervals(args.intervals), args.C)
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args):
     seq = load_sequence(args.input)
     grid = _parse_grid(args.grid)
-    est = interior_density(seq, grid) if args.kind == "interior" else exterior_density(seq, grid)
-    _emit(args, est)
-    return 0
+    return interior_density(seq, grid) if args.kind == "interior" else exterior_density(seq, grid)
 
 
-def _cmd_regularity(args) -> int:
+def _cmd_regularity(args):
     seq = load_sequence(args.input)
     if args.scan == "families":
-        _emit(args, regularity_block_scan(seq, args.a, args.epsilon))
-    else:
-        _emit(args, strong_regularity_defect(seq, args.a))
-    return 0
+        return regularity_block_scan(seq, args.a, args.epsilon)
+    return strong_regularity_defect(seq, args.a)
 
 
-def _cmd_uniform(args) -> int:
+def _cmd_uniform(args):
     seq = load_sequence(args.input)
     partition = load_partition(args.partition) if args.partition else None
-    _emit(args, check_d_uniform(seq, args.d, partition))
-    return 0
+    return check_d_uniform(seq, args.d, partition)
 
 
-def _cmd_type(args) -> int:
+def _cmd_type(args):
     measure = load_measure(args.input)
     grid = _parse_grid(args.grid) if args.grid else None
-    if args.separated:
-        est = type_separated(measure, grid, denominator=args.denominator)
-    else:
-        est = type_discrete(measure, grid, denominator=args.denominator)
-    _emit(args, est)
-    return 0
+    estimate = type_separated if args.separated else type_discrete
+    return estimate(measure, grid, denominator=args.denominator)
 
 
 def _beurling_gap(args):
@@ -181,18 +167,16 @@ _THEOREMS = {
 }
 
 
-def _cmd_theorem(args) -> int:
+def _cmd_theorem(args):
     needs, check = _THEOREMS[args.name]
     for needed in needs:
         if getattr(args, needed) is None:
             raise TypelabError(f"theorem {args.name} requires --{needed}")
-    _emit(args, check(args))
-    return 0
+    return check(args)
 
 
-def _cmd_rescale(args) -> int:
-    _emit(args, polynomial_rescale(load_measure(args.input), args.alpha))
-    return 0
+def _cmd_rescale(args):
+    return polynomial_rescale(load_measure(args.input), args.alpha)
 
 
 def _cmd_construct(args) -> int:
@@ -234,9 +218,9 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.steps < 1 or not 0 < args.a_max - args.a_min < math.inf:
-        raise TypelabError("oracle needs --steps >= 1 and --a-max > --a-min")
+def _cmd_oracle(args):
+    if not 1 <= args.steps <= GRID_MAX_VALUES or not 0 < args.a_max - args.a_min < math.inf:
+        raise TypelabError(f"oracle needs 1 <= --steps <= {GRID_MAX_VALUES} and --a-max > --a-min")
     measure = load_measure(args.input)
     step = (args.a_max - args.a_min) / args.steps
     grid = [args.a_min + step * k for k in range(1, args.steps + 1)]
@@ -249,16 +233,9 @@ def _cmd_oracle(args) -> int:
     if args.format == "csv":
         sys.stdout.write(render_curve_csv(curve))
         return 0
-    summary = {
-        "knee": curve.knee,
-        "max_curvature": curve.max_curvature,
-        "extended_used": curve.extended_used,
-        "sigma_min_first": float(curve.sigma_min[0]),
-        "sigma_min_last": float(curve.sigma_min[-1]),
-        "csv": args.csv,
-    }
-    _emit(args, summary)
-    return 0
+    return {"knee": curve.knee, "max_curvature": curve.max_curvature,
+            "extended_used": curve.extended_used, "sigma_min_first": float(curve.sigma_min[0]),
+            "sigma_min_last": float(curve.sigma_min[-1]), "csv": args.csv}
 
 
 def _cmd_suite(args) -> int:
@@ -376,7 +353,11 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise TypelabError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        return args.func(args)
+        report = args.func(args)
+        if isinstance(report, int):
+            return report
+        _emit(args, report)
+        return 0
     except (TypelabError, FileNotFoundError, ValueError, TypeError, KeyError,
             OverflowError) as exc:  # OverflowError: an integer beyond the float range
         print(f"error: {exc}", file=sys.stderr)

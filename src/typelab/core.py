@@ -121,7 +121,7 @@ class RealSequence:
         return np.arange(len(self)) - k0
 
     def to_dict(self) -> dict:
-        out = {"points": self.points.tolist(), "window": self.window}
+        out = {"points": self.points, "window": self.window}
         if self.generator_tag is not None:
             out["generator"] = self.generator_tag
         return out
@@ -234,7 +234,7 @@ class DiscreteMeasure:
         return np.arange(len(self)) - k0
 
     def to_dict(self) -> dict:
-        out = {"atoms": np.column_stack((self.positions, self.masses)).tolist(),
+        out = {"atoms": np.column_stack((self.positions, self.masses)),
                "window": self.window}
         if self.tag is not None:
             out["tag"] = self.tag

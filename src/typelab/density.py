@@ -84,6 +84,9 @@ def strong_regularity_defect(seq: RealSequence, a: float) -> SumVerdict:
     if a < 0:
         raise TypelabError("regularity parameter must be nonnegative")
     T = seq.window
+    # the antiderivative reaches a log(1 + T^2) / 2, and differences of two of them
+    if not math.isfinite(a * math.log1p(T * T)):
+        raise TypelabError(f"the regularity defect overflows at a={a:g} on window T={T:g}")
     pts = seq.points
     cuts = np.concatenate([[-T], pts[(pts > -T) & (pts < T)], [T]])
     lefts, rights = cuts[:-1], cuts[1:]

@@ -8,6 +8,7 @@ without locale- or hash-order-dependent state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -24,6 +25,22 @@ def format_float(x: float) -> str:
     return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
 
 
+BULK_MIN_SIZE = 256  # float arrays at least this long are written in one pass
+ARRAY_KEYS = ("points", "atoms", "breakpoints", "values", "intervals")  # read in one pass
+# % conversions: [non-finite, other finite, integral] x [inside, first, last, whole] of a row
+_SPECS = np.array([[s, "[" + s, s + "]", "[" + s + "]"] for s in ('"%s"', "%.12g", "%d")], object)
+
+
+def _format_array(a: np.ndarray) -> str:
+    """``format_float`` of every element of a 1-D or 2-D float array, as JSON."""
+    flat = a.ravel()
+    kind = np.isfinite(flat).view(np.int8) + ((np.abs(flat) < 1e15) & (flat == np.trunc(flat)))
+    col = np.arange(flat.size) % a.shape[-1]  # a 1-D array is one row
+    specs = _SPECS[kind, (col == 0) + 2 * (col == a.shape[-1] - 1)]
+    text = ", ".join(specs.tolist()) % tuple(flat.tolist())
+    return text if a.ndim == 1 else f"[{text}]"
+
+
 def _document(obj):
     """The document of a report: its own ``to_dict()`` if it has one, else
     ``{field name: value}`` over the fields of a dataclass instance."""
@@ -37,6 +54,8 @@ def _document(obj):
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float format."""
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size >= BULK_MIN_SIZE:
+            return _format_array(obj)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
@@ -53,10 +72,8 @@ def canonical_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = []
-        for k in sorted(obj):
-            items.append(f"{json.dumps(str(k))}: {canonical_json(obj[k])}")
-        return "{" + ", ".join(items) + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {canonical_json(obj[k])}"
+                               for k in sorted(obj)) + "}"
     doc = _document(obj)
     if doc is not obj:
         return canonical_json(doc)
@@ -73,16 +90,10 @@ def flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
     elif isinstance(obj, (list, tuple, np.ndarray)):
         for i, v in enumerate(obj):
             rows.extend(flatten_for_csv(v, f"{prefix}[{i}]"))
+    elif obj is None or isinstance(obj, (bool, float, np.floating)):
+        rows.append((prefix, "" if obj is None else canonical_json(obj).strip('"')))
     else:
-        if isinstance(obj, bool):
-            val = "true" if obj else "false"
-        elif obj is None:
-            val = ""
-        elif isinstance(obj, (float, np.floating)):
-            val = format_float(float(obj)).strip('"')
-        else:
-            val = str(obj)
-        rows.append((prefix, val))
+        rows.append((prefix, str(obj)))
     return rows
 
 
@@ -107,66 +118,116 @@ def _reject_constant(name: str):
     raise TypelabError(f"non-finite JSON constant {name} is not accepted")
 
 
+def _parse_numbers(raw: bytes) -> np.ndarray | None:
+    """An array body ``n, n, ...`` or ``[a, b], [c, d], ...`` as ``np.asarray`` makes it of
+    ``json``'s list, bit for bit; None unless it is JSON in typelab's spacing, all finite."""
+    pairs = raw.startswith(b"[")
+    unit = b"[, ], " if pairs else b", "
+    skeleton = raw.translate(None, b"0123456789-+.eE") + b", "
+    if skeleton != unit * (len(skeleton) // len(unit)):
+        return None  # another character or spacing, or rows that are not pairs
+    a = np.frombuffer((raw.translate(None, b"[]") if pairs else raw) + b",", np.uint8)
+    ends = np.flatnonzero(a == 44)
+    starts = np.concatenate(([0], ends[:-1] + 2))
+    lead = starts + (a[starts] == 45)  # first digit, past a minus sign
+    point = a == 46
+    digit = lambda x: (x >= 48) & (x <= 57)  # noqa: E731
+    if (not digit(a[lead]).all() or (digit(a[lead + 1]) & (a[lead] == 48)).any()
+            or not digit(a[np.flatnonzero(point) + 1]).all()):
+        return None  # a sign, point or leading zero that json refuses
+    # integers that fit int64 go through its parser, five times faster than the float
+    # parser, which reads the other numbers (and would read -0 as -0.0, json as 0)
+    floats = ends - starts > 18
+    floats[np.searchsorted(ends, np.flatnonzero(point | (a > 57)))] = True
+    in_float = np.repeat(floats, ends - starts + 2)[:a.size] & (a != 32)  # with its comma
+    np.putmask(integers := a.copy(), in_float & (a != 44), 48)  # float tokens read as 0
+    try:
+        values = np.fromstring(integers.tobytes(), np.int64, sep=",").astype(float)
+        values[floats] = np.fromstring(a[in_float].tobytes(), float, sep=",")
+    except ValueError:  # what the checks above let through and the parsers refuse
+        return None
+    if values.size == starts.size and np.isfinite(values).all():
+        return values.reshape(-1, 2) if pairs else values
+
+
 def load_document(path: str) -> dict:
+    """The JSON document at ``path``: ``ARRAY_KEYS`` arrays by ``_parse_numbers``
+    where it vouches for them, all else by ``json``, with the same values and errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        text = fh.read()
+    pieces, arrays, end = [], [], 0
+    at = text.find('": [')
+    while at >= 0:
+        key, hi = text[text.rfind('"', 0, at) + 1:at], at
+        if key in ARRAY_KEYS:  # to its first "]", where the search goes on: each byte once
+            nested = text.startswith("[", at + 4)
+            hi = text.find("]]" if nested else "]", at + 4) + nested
+            values = _parse_numbers(text[at + 4:hi].encode()) if hi > at else None
+            if values is not None:
+                pieces += [text[end:at + 3], "NaN"]
+                arrays.append((key, values))
+                end = hi + 1
+        at = text.find('": [', max(hi, at + 1))
+    if arrays:
+        # json reads each array as a NaN standing for it: it must be its key's one value
+        slots = [values for _, values in reversed(arrays)]
+        try:
+            doc = json.loads("".join(pieces) + text[end:], parse_constant=lambda _: slots.pop())
+            if isinstance(doc, dict) and all(doc.get(k) is v for k, v in arrays):
+                return doc
+        except (ValueError, IndexError):  # json's own error, or a constant of the document
+            pass
+    return json.loads(text, parse_constant=_reject_constant)
 
 
-def load_sequence(doc: dict | str) -> RealSequence:
+def _loader(kind: str):
+    """A builder of ``kind`` documents as a loader of a path or parsed document."""
+    def wrap(build):
+        @functools.wraps(build)
+        def load(doc: dict | str):
+            try:
+                return build(load_document(doc) if isinstance(doc, str) else doc)
+            except KeyError as exc:
+                raise TypelabError(f"{kind} document missing field {exc}") from exc
+        return load
+    return wrap
+
+
+@_loader("sequence")
+def load_sequence(doc) -> RealSequence:
     """``{"points": [...], "window": T, "generator": optional}``"""
-    if isinstance(doc, str):
-        doc = load_document(doc)
-    try:
-        return RealSequence(np.asarray(doc["points"], dtype=float),
-                            float(doc["window"]), doc.get("generator"))
-    except KeyError as exc:
-        raise TypelabError(f"sequence document missing field {exc}") from exc
+    return RealSequence(np.asarray(doc["points"], dtype=float), float(doc["window"]),
+                        doc.get("generator"))
 
 
-def load_measure(doc: dict | str) -> DiscreteMeasure:
+@_loader("measure")
+def load_measure(doc) -> DiscreteMeasure:
     """``{"atoms": [[x, m], ...], "window": T}``"""
-    if isinstance(doc, str):
-        doc = load_document(doc)
-    try:
-        atoms = np.asarray(doc["atoms"], dtype=float)
-        if atoms.size == 0:
-            atoms = atoms.reshape(0, 2)  # DiscreteMeasure reports the empty input
-        elif atoms.ndim != 2 or atoms.shape[1] != 2:
-            raise TypelabError("atoms must be a list of [position, mass] pairs")
-        atoms = atoms[np.argsort(atoms[:, 0], kind="stable")]  # ties are duplicates, rejected below
-        return DiscreteMeasure(atoms[:, 0], atoms[:, 1], float(doc["window"]), doc.get("tag"))
-    except KeyError as exc:
-        raise TypelabError(f"measure document missing field {exc}") from exc
+    atoms = np.asarray(doc["atoms"], dtype=float)
+    if atoms.size == 0:
+        atoms = atoms.reshape(0, 2)  # DiscreteMeasure reports the empty input
+    elif atoms.ndim != 2 or atoms.shape[1] != 2:
+        raise TypelabError("atoms must be a list of [position, mass] pairs")
+    atoms = atoms[np.argsort(atoms[:, 0], kind="stable")]  # ties are duplicates, rejected below
+    return DiscreteMeasure(atoms[:, 0], atoms[:, 1], float(doc["window"]), doc.get("tag"))
 
 
-def load_weight_table(doc: dict | str) -> WeightTable:
+@_loader("weight table")
+def load_weight_table(doc) -> WeightTable:
     """``{"breakpoints": [...], "values": [...], "kind": optional}``"""
-    if isinstance(doc, str):
-        doc = load_document(doc)
-    try:
-        return WeightTable(np.asarray(doc["breakpoints"], dtype=float),
-                           np.asarray(doc["values"], dtype=float),
-                           doc.get("kind", "mu-weight"),
-                           float(doc.get("floor", 1.0 if doc.get("kind", "mu-weight") == "mu-weight" else 0.0)))
-    except KeyError as exc:
-        raise TypelabError(f"weight table document missing field {exc}") from exc
+    return WeightTable(np.asarray(doc["breakpoints"], dtype=float),
+                       np.asarray(doc["values"], dtype=float),
+                       doc.get("kind", "mu-weight"),
+                       float(doc.get("floor", 1.0 if doc.get("kind", "mu-weight") == "mu-weight" else 0.0)))
 
 
-def load_intervals(doc: dict | str) -> list[Interval]:
+@_loader("interval")
+def load_intervals(doc) -> list[Interval]:
     """``{"intervals": [[left, right], ...]}``"""
-    if isinstance(doc, str):
-        doc = load_document(doc)
-    try:
-        return [Interval(float(l), float(r)) for l, r in doc["intervals"]]
-    except KeyError as exc:
-        raise TypelabError(f"interval document missing field {exc}") from exc
+    return [Interval(float(l), float(r)) for l, r in doc["intervals"]]
 
 
-def load_partition(doc: dict | str) -> Partition:
+@_loader("partition")
+def load_partition(doc) -> Partition:
     """``{"breakpoints": [...]}``"""
-    if isinstance(doc, str):
-        doc = load_document(doc)
-    try:
-        return Partition(np.asarray(doc["breakpoints"], dtype=float))
-    except KeyError as exc:
-        raise TypelabError(f"partition document missing field {exc}") from exc
+    return Partition(np.asarray(doc["breakpoints"], dtype=float))

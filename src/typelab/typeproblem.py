@@ -574,6 +574,10 @@ def polynomial_rescale(measure: DiscreteMeasure, alpha: float) -> DiscreteMeasur
     """Divide masses by ``1 + |x|^alpha``; the type is invariant under this."""
     if alpha < 0:
         raise TypelabError("alpha must be nonnegative")
+    try:
+        math.pow(float(np.abs(measure.positions).max()), alpha)
+    except OverflowError:
+        raise TypelabError(f"|x|^alpha overflows at alpha={alpha:g}") from None
     scale = 1.0 + np.abs(measure.positions) ** alpha
     return DiscreteMeasure(measure.positions.copy(), measure.masses / scale,
                            measure.window,

@@ -6,6 +6,9 @@ code produces equals the one the loop produced, so the comparisons below
 use ``==``, never ``approx``.
 """
 
+import contextlib
+import io
+import json
 import math
 from unittest import mock
 
@@ -38,7 +41,9 @@ from typelab.energy import (
     interval_energies,
 )
 from typelab.partitions import _grow_side, _min_length, classify_family
-from typelab.serialize import canonical_json, format_float, load_measure
+from typelab import serialize
+from typelab.cli import main
+from typelab.serialize import ARRAY_KEYS, BULK_MIN_SIZE, canonical_json, format_float, load_measure
 from typelab import typeproblem
 from typelab.core import CONVERGENT
 from typelab.typeproblem import (
@@ -716,3 +721,131 @@ class TestBulkSerialize:
         ordered = sorted(atoms)
         assert measure.positions.tolist() == [a[0] for a in ordered]
         assert measure.masses.tolist() == [a[1] for a in ordered]
+
+
+def ref_load_document(path):
+    """The former document reader: ``json`` alone, refusing non-finite constants."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=serialize._reject_constant)
+
+
+def load_outcome(load, path):
+    """What a loader makes of a document: its error, or each value, with the
+    arrays as ``np.asarray(..., dtype=float)`` makes them (shape and bits) or fails."""
+    try:
+        doc = load(path)
+    except (ValueError, serialize.TypelabError) as exc:
+        return type(exc), str(exc)
+    if not isinstance(doc, dict):
+        return doc
+    out = {}
+    for key, value in doc.items():
+        try:
+            arr = np.asarray(value, dtype=float) if key in ARRAY_KEYS else None
+        except (ValueError, OverflowError, TypeError) as exc:
+            out[key] = type(exc)
+            continue
+        out[key] = value if arr is None else (arr.shape, arr.tobytes())
+    return out
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# literals json refuses or reads differently from a float parser, and edge values
+NUMBER_LITERALS = ["-0", "-0.0", "0", "0.0", "0e0", "-0e5", "1e400", "-1e400", "1" + "0" * 400,
+                   "+1", ".5", "-.5", "1.", "1.e5", "01", "-01", "00", "1e", "1.5e+", "-",
+                   "1-2", "1+2", "NaN", "Infinity", "-Infinity", "1E+05", "1e-05", "5e-324",
+                   "2.4703282292062328e-324", "1.7976931348623157e308", "9007199254740993",
+                   "123456789012345678", "1234567890123456789", "9223372036854775808",
+                   "-18446744073709551617", "0x10", "1_0", "true", '"1"', "[]"]
+valid_tokens = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.floats(allow_nan=False, allow_infinity=False).map(format_float),
+                         st.integers(-10 ** 20, 10 ** 20).map(str))
+# mostly valid, so that whole arrays often are
+number_tokens = st.integers(0, 15).flatmap(
+    lambda i: st.sampled_from(NUMBER_LITERALS) if i == 0 else valid_tokens)
+# typelab's separator, and others json reads too
+separators = st.integers(0, 5).flatmap(
+    lambda i: st.sampled_from([",", " , ", ",  "]) if i == 0 else st.just(", "))
+flat_arrays = st.builds(lambda ts, sep: "[" + sep.join(ts) + "]",
+                        st.lists(number_tokens, max_size=8), separators)
+rows = st.lists(number_tokens, min_size=2, max_size=2) | st.lists(number_tokens, max_size=3)
+row_arrays = st.builds(lambda rs, sep: "[" + sep.join("[" + sep.join(r) + "]" for r in rs) + "]",
+                       st.lists(rows, max_size=6), separators)
+# a key inside a string, inside a key, or in a nested object is not the array
+DECOYS = ['"generator": "\\"points\\": [1, 2]"', '"a \\"atoms": [[1, 2]]',
+          '"nested": {"values": [1, 2]}', '"tag": "\\"breakpoints\\": [3]"']
+
+
+@st.composite
+def typelab_documents(draw):
+    """Documents in typelab's spacing: array keys (repeated ones too), scalars, decoys."""
+    members = [f'"{key}": {draw(row_arrays if draw(st.booleans()) else flat_arrays)}'
+               for key in draw(st.lists(st.sampled_from(ARRAY_KEYS), max_size=4))]
+    members += draw(st.lists(st.sampled_from(DECOYS + ['"window": 10', '"kind": "samples"']),
+                             max_size=2))
+    return "{" + ", ".join(draw(st.permutations(members))) + "}"
+
+
+class TestBulkReader:
+    @settings(max_examples=400, deadline=None)
+    @given(text=typelab_documents())
+    @example(text='{"points": [-0, 1.5, -0.0], "window": 10}')
+    @example(text='{"points": [1' + "0" * 400 + ', 0.5]}')
+    @example(text='{"atoms": [[1, 2, 3], [4]]}')
+    @example(text='{"points": [1,01]}')
+    def test_matches_json(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(text)
+        assert load_outcome(serialize.load_document, path) == load_outcome(ref_load_document, path)
+
+    @pytest.mark.parametrize("literal", NUMBER_LITERALS)
+    def test_literals_through_cli(self, tmp_path, literal):
+        docs = {"seq": f'{{"points": [-3, {literal}, 4], "window": 10}}',
+                "measure": f'{{"atoms": [[-3, 1], [{literal}, 0.5]], "window": 10}}',
+                "intervals": f'{{"intervals": [[1, 2], [{literal}, 8]]}}',
+                "weight": f'{{"breakpoints": [-5, 0, 5], "values": [{literal}, 2]}}'}
+        for name, text in docs.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        for argv in (["energy", "--input", "seq"], ["rescale", "--input", "measure"],
+                     ["classify", "--intervals", "intervals"],
+                     ["theorem", "krein-lm", "--weight", "weight"]):
+            argv = [str(tmp_path / f"{a}.json") if a in docs else a for a in argv]
+            bulk = run_cli(argv)
+            with mock.patch.object(serialize, "load_document", ref_load_document):
+                assert bulk == run_cli(argv)
+            assert bulk[0] in (0, 2) and "Traceback" not in bulk[2]
+
+    def test_large_documents_take_the_bulk_path(self, tmp_path):
+        for key, value in (("points", np.arange(-500.0, 500.0) + 0.25),
+                           ("atoms", np.column_stack((np.arange(400.0), np.full(400, 1e-20))))):
+            path = tmp_path / f"{key}.json"
+            path.write_text(canonical_json({key: value, "window": 1000}))
+            with mock.patch.object(serialize.json, "loads", wraps=json.loads) as loads:
+                doc = serialize.load_document(path)
+            assert isinstance(doc[key], np.ndarray) and doc[key].tobytes() == value.tobytes()
+            assert len(loads.call_args.args[0]) < 40  # json saw the rest, not the array
+
+
+WRITER_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 0.5, -1e-300] + [
+    sign * m for sign in (1.0, -1.0)
+    for m in (1e12, 1e12 + 1, 1e14 + 0.5, 1e15 - 1, 1e15, 1e15 + 2, 2.0 ** 53, 1e300)]
+
+
+class TestBulkWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats() | st.sampled_from(WRITER_SPECIALS), min_size=1,
+                           max_size=2 * BULK_MIN_SIZE),
+           width=st.sampled_from([1, 2, 3]))
+    def test_matches_format_float(self, values, width):
+        size = -(-max(len(values), BULK_MIN_SIZE) // width) * width
+        arr = np.resize(np.asarray(values, dtype=float), size)
+        assert canonical_json(arr) == "[" + ", ".join(map(ref_format_float, arr.tolist())) + "]"
+        rendered = ", ".join("[" + ", ".join(map(ref_format_float, row)) + "]"
+                             for row in arr.reshape(-1, width).tolist())
+        assert canonical_json(arr.reshape(-1, width)) == f"[{rendered}]"

@@ -157,7 +157,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("extra", [["--steps", "0"], ["--steps", "-3"],
                                        ["--a-min", "5", "--a-max", "5"],
                                        ["--a-min", "6", "--a-max", "5"],
-                                       ["--a-max", "inf"]])
+                                       ["--a-max", "inf"], ["--steps", "10001"]])
     def test_oracle_bad_steps_and_range(self, measure_file, extra, capsys):
         argv = ["oracle", "--input", measure_file, "--a-max", "12.6"] + extra
         assert exits_cleanly_with_2(argv, capsys)

@@ -5,10 +5,11 @@ bools, nulls and huge or tiny numbers in place of values) go through
 ``cli.main`` to each of the five loaders; so do density grids, the
 Benedicks constants, the ``construct`` parameters of the alternating
 tilings and of the arithmetic progressions, the float options of the
-analysis commands, and energy configurations and intervals near the
-float range.  Every run must end in exit 0 with a
-finite canonical JSON report, or exit 2 with a one-line error: never an
-exception, and never ``"nan"`` or ``"inf"`` on stdout.
+analysis commands, the oracle's frequency range and step count, and
+energy configurations and intervals near the float range.  Every run
+must end in exit 0 with a finite canonical JSON report, or exit 2 with a
+one-line error: never an exception, a numpy ``RuntimeWarning``, or
+``"nan"`` or ``"inf"`` on stdout.
 """
 
 import contextlib
@@ -26,6 +27,9 @@ from typelab.cli import main
 from typelab.constructions import alternating_partition, arithmetic, perturb_exponential
 from typelab.core import Interval, WeightTable
 from typelab.serialize import canonical_json
+
+# a numpy warning on stderr is a defect even where the run then exits cleanly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -234,3 +238,17 @@ def test_energy_near_float_range(workdir, points, window, interval):
     if interval is not None:
         argv.append("--interval={!r},{!r}".format(*interval))
     run_with_document(workdir, {"points": points, "window": window}, argv)
+
+
+# small frequencies only: the oracle's matrix grows with --a-max (about 32 rows per
+# unit on the T=50 measure), so a large finite value would allocate for real
+oracle_frequencies = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308",
+                                      "5e-324"]) | st.floats(-2, 13).map(repr)
+
+
+@settings(FUZZ, max_examples=100)
+@given(a_min=oracle_frequencies, a_max=oracle_frequencies,
+       steps=st.sampled_from([0, -1, 1, 2, 10001, 10 ** 9]))
+def test_oracle_range_and_steps(workdir, a_min, a_max, steps):
+    run(["oracle", "--input", str(workdir / "measure.json"), f"--a-min={a_min}",
+         f"--a-max={a_max}", f"--steps={steps}"])

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from typelab import catalog
+from typelab.constructions import alternating_partition, arithmetic, perturb_exponential
 from typelab.core import DiscreteMeasure, Interval, Partition, RealSequence, WeightTable
 from typelab.serialize import (
     canonical_json,
@@ -49,6 +51,31 @@ class TestRoundTrips:
         doc = {"intervals": [[1.0, 2.0], [4.0, 8.0]]}
         ivs = load_intervals(doc)
         assert ivs == [Interval(1.0, 2.0), Interval(4.0, 8.0)]
+
+
+class TestDocumentRoundTrips:
+    """Documents typelab writes read back, from a file, to the arrays json gives,
+    bit for bit, and write again to the same bytes."""
+
+    @pytest.mark.parametrize("make, load, arrays", [
+        (lambda: catalog.koosis_measure(1e4), load_measure, {"atoms": ("positions", "masses")}),
+        (lambda: perturb_exponential(arithmetic(1.0, 1e4), 1.0, 0), load_sequence,
+         {"points": ("points",)}),
+        (lambda: perturb_exponential(arithmetic(1.0, 1e4), 1.0, 5), load_sequence,
+         {"points": ("points",)}),
+        (lambda: alternating_partition(1.0, 2.0, 60.0), load_partition,
+         {"breakpoints": ("breakpoints",)}),
+    ])
+    def test_write_read_write(self, tmp_path, make, load, arrays):
+        text = canonical_json(make())
+        path = tmp_path / "doc.json"
+        path.write_text(text + "\n")
+        back = load(str(path))
+        for key, fields in arrays.items():
+            expected = np.asarray(json.loads(text)[key], dtype=float)
+            got = np.column_stack([getattr(back, f) for f in fields])
+            assert got.tobytes() == expected.reshape(got.shape).tobytes()
+        assert canonical_json(back) == text
 
 
 class TestCanonicalForm:
