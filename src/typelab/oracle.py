@@ -35,6 +35,9 @@ REFUSAL_RATIO = 1e-14        # below this min sigma_min/sigma_max a hidden knee 
 KNEE_THRESHOLD = 2.0         # natural-log units of curvature required to call a knee
 DEFAULT_FREQ_DENSITY = 8.0
 EXTENDED_DPS = 40            # decimal digits of the extended-precision Gram solve
+# most cells of an annihilation matrix a scan builds (64 MB of complex128): four
+# times the 1927 x 481 matrix of the koosis T=240 measure at a = 12.6
+MATRIX_MAX_CELLS = 4e6
 # environment variables that set the BLAS threads of a process, in the order read
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -75,6 +78,13 @@ class AnnihilatorReport:
         }
 
 
+def _freq_rows(measure: DiscreteMeasure, a: float, freq_density: float) -> float:
+    """:func:`default_freq_count` in floats, so that no finite ``a`` overflows it."""
+    tmax = max(1.0, float(np.max(np.abs(measure.positions))))
+    nyquist = np.ceil(a * 2.0 * tmax / math.pi) + 1.0
+    return float(max(4.0, np.ceil(freq_density * a), nyquist, len(measure) + 8.0))
+
+
 def default_freq_count(measure: DiscreteMeasure, a: float,
                        freq_density: float = DEFAULT_FREQ_DENSITY) -> int:
     """Row count resolving both the requested density and the integrand.
@@ -84,9 +94,7 @@ def default_freq_count(measure: DiscreteMeasure, a: float,
     the count is floored at both the Nyquist requirement and the atom
     count.
     """
-    tmax = max(1.0, float(np.max(np.abs(measure.positions))))
-    nyquist = int(math.ceil(a * 2.0 * tmax / math.pi)) + 1
-    return max(4, int(math.ceil(freq_density * a)), nyquist, len(measure) + 8)
+    return int(_freq_rows(measure, a, freq_density))
 
 
 def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> np.ndarray:
@@ -161,6 +169,10 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
         raise DegenerateGrid("a-grid must be positive and strictly increasing")
     if threads < 1:
         raise TypelabError(f"threads must be at least 1, got {threads}")
+    cells = _freq_rows(measure, grid[-1], freq_density) * len(measure)
+    if cells > MATRIX_MAX_CELLS:
+        raise TypelabError(f"the annihilation matrix at a={grid[-1]:g} has {cells:.3g} cells, "
+                           f"more than the cap of {MATRIX_MAX_CELLS:g}")
 
     # numpy.linalg.svd holds the GIL, so the SVDs run in worker processes;
     # map keeps grid order, so the curve does not depend on the worker count

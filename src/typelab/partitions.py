@@ -22,6 +22,9 @@ from .core import (
 )
 
 
+SCALAR_PROBE = 4  # points _first_reach tests as floats before its array chunks
+
+
 class OverlappingIntervals(TypelabError):
     pass
 
@@ -83,17 +86,20 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
     """
     bks: list[float] = []
     b = 0.0
+    base = int(points.searchsorted(b, "right"))  # points[:base] are <= b
+    stop = int(points.searchsorted(T, "right"))  # points[:stop] are <= T
     rank = 1
     while b < T:
         L = _min_length(rank, scale)
         xmin = b + L
         if xmin >= T:
             break
-        base = int(np.searchsorted(points, b, side="right"))
-        cmin = int(np.searchsorted(points, xmin, side="right")) - base
-        nxt = xmin if cmin >= d * L - 1e-9 else _first_reach(points, T, d, b, base, xmin)
+        reach = int(points.searchsorted(xmin, "right"))
+        nxt = (xmin if reach - base >= d * L - 1e-9
+               else _first_reach(points, stop, d, b, base, xmin))
         if nxt is None or nxt >= T:
             break
+        base = reach if nxt == xmin else int(points.searchsorted(nxt, "right"))
         bks.append(nxt)
         b = nxt
         rank += 1
@@ -106,17 +112,21 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
     return bks
 
 
-def _first_reach(points: np.ndarray, T: float, d: float, b: float, base: int,
+def _first_reach(points: np.ndarray, stop: int, d: float, b: float, base: int,
                  xmin: float) -> float | None:
-    """First point ``p_k >= xmin`` (and ``<= T``) where the interval ``(b, p_k]``
+    """First point ``p_k >= xmin`` (and ``k < stop``) where the interval ``(b, p_k]``
     holds at least ``d * (p_k - b)`` points, or None.
 
-    Tests galloping chunks of 64, 128, 256, ... points at a time, so the work
-    stays proportional to the distance to the hit.
+    Tests the first :data:`SCALAR_PROBE` points one at a time (most hits are
+    the first), then galloping chunks of 64, 128, 256, ... points at a time,
+    so the work stays proportional to the distance to the hit.
     """
-    k = int(np.searchsorted(points, xmin, side="left"))
-    stop = int(np.searchsorted(points, T, side="right"))
-    size = 64
+    lo = int(points.searchsorted(xmin, "left"))
+    for k in range(lo, min(lo + SCALAR_PROBE, stop)):
+        p = points.item(k)
+        if k - base + 1 >= d * (p - b) - 1e-9:
+            return p
+    k, size = lo + SCALAR_PROBE, 64
     while k < stop:
         pk = points[k:min(k + size, stop)]
         ks = np.arange(k, k + pk.size)
@@ -144,8 +154,8 @@ def find_short_partition(seq: RealSequence, d: float, min_length_scale: float = 
     # _first_reach's target count d * (p - b) may overflow to inf, which no
     # interval reaches: the right verdict, so the overflow needs no warning
     with np.errstate(over="ignore"):
-        right = _grow_side(pts[pts > 0.0], T, d, min_length_scale)
-        mirrored = np.sort(-pts[pts < 0.0])
+        right = _grow_side(pts[pts.searchsorted(0.0, "right"):], T, d, min_length_scale)
+        mirrored = -pts[:pts.searchsorted(0.0)][::-1]  # the points are increasing
         left = [-x for x in _grow_side(mirrored, T, d, min_length_scale)]
     breakpoints = sorted(left) + [0.0] + right
     if len(breakpoints) - 1 < 4:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -25,20 +26,53 @@ def format_float(x: float) -> str:
     return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
 
 
-BULK_MIN_SIZE = 256  # float arrays at least this long are written in one pass
+BULK_MIN_SIZE = 256  # float arrays, and lists of at least this many cells or rows, in one pass
 ARRAY_KEYS = ("points", "atoms", "breakpoints", "values", "intervals")  # read in one pass
-# % conversions: [non-finite, other finite, integral] x [inside, first, last, whole] of a row
-_SPECS = np.array([[s, "[" + s, s + "]", "[" + s + "]"] for s in ('"%s"', "%.12g", "%d")], object)
+# % conversions: [non-finite, other finite, integral, None] x [inside, first, last, whole] of a row
+_SPECS = np.array([[s, "[" + s, s + "]", "[" + s + "]"]
+                   for s in ('"%s"', "%.12g", "%d", "%.0snull")], object)
+# the rows and cells of a list written in one pass
+_ROW_TYPES, _CELL_TYPES = frozenset((list, tuple)), frozenset((float, int, type(None)))
 
 
-def _format_array(a: np.ndarray) -> str:
-    """``format_float`` of every element of a 1-D or 2-D float array, as JSON."""
+def _format_array(a: np.ndarray, nulls=()) -> str:
+    """``format_float`` of every element of a 1-D or 2-D float array, as JSON;
+    the flat indices ``nulls`` are written ``null``."""
     flat = a.ravel()
     kind = np.isfinite(flat).view(np.int8) + ((np.abs(flat) < 1e15) & (flat == np.trunc(flat)))
+    if nulls:
+        kind[nulls] = 3
     col = np.arange(flat.size) % a.shape[-1]  # a 1-D array is one row
     specs = _SPECS[kind, (col == 0) + 2 * (col == a.shape[-1] - 1)]
-    text = ", ".join(specs.tolist()) % tuple(flat.tolist())
+    ints = kind == 2  # to %d as ints: a float takes a conversion more
+    args = np.empty(flat.size, object)
+    args[ints] = flat[ints].astype(np.int64)
+    args[~ints] = flat[~ints]
+    text = ", ".join(specs.tolist()) % tuple(args.tolist())
     return text if a.ndim == 1 else f"[{text}]"
+
+
+def _table(obj: list | tuple) -> tuple[np.ndarray, list[int]] | None:
+    """A list of floats, ints and None, or of equal-width rows of them, as the
+    1-D or 2-D float array and ``nulls`` that ``_format_array`` writes as
+    ``canonical_json`` writes the list; None for anything else."""
+    width = len(obj[0]) if type(obj[0]) in _ROW_TYPES else 0
+    if width:
+        if not _ROW_TYPES.issuperset(map(type, obj)) or set(map(len, obj)) != {width}:
+            return None
+        cells = list(itertools.chain.from_iterable(obj))
+    else:
+        cells = obj
+    if not _CELL_TYPES.issuperset(map(type, cells)):
+        return None
+    try:
+        a = np.array(cells, dtype=float)  # None as NaN
+    except OverflowError:  # an int beyond the float range
+        return None
+    odd = np.flatnonzero(~(np.abs(a) < 1e15)).tolist()  # None, non-finite or not for %d
+    if any(type(cells[i]) is int for i in odd):
+        return None  # |int| >= 1e15: %.12g of its float would round it
+    return (a.reshape(-1, width) if width else a), [i for i in odd if cells[i] is None]
 
 
 def _document(obj):
@@ -58,6 +92,8 @@ def canonical_json(obj) -> str:
             return _format_array(obj)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
+        if len(obj) >= BULK_MIN_SIZE and (table := _table(obj)) is not None:
+            return _format_array(*table)
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(format_float, obj)) + "]"
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
@@ -175,9 +211,12 @@ def load_document(path: str) -> dict:
             doc = json.loads("".join(pieces) + text[end:], parse_constant=lambda _: slots.pop())
             if isinstance(doc, dict) and all(doc.get(k) is v for k, v in arrays):
                 return doc
-        except (ValueError, IndexError):  # json's own error, or a constant of the document
-            pass
-    return json.loads(text, parse_constant=_reject_constant)
+        except (ValueError, IndexError, RecursionError):
+            pass  # json's own error, or a constant of the document: json alone decides
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:  # json recurses once per level of nesting
+        raise TypelabError("document is nested too deeply to read") from None
 
 
 def _loader(kind: str):

@@ -40,7 +40,14 @@ from typelab.energy import (
     energy_report,
     interval_energies,
 )
-from typelab.partitions import _grow_side, _min_length, classify_family
+from typelab.partitions import (
+    SCALAR_PROBE,
+    InsufficientData,
+    _grow_side,
+    _min_length,
+    classify_family,
+    find_short_partition,
+)
 from typelab import serialize
 from typelab.cli import main
 from typelab.serialize import ARRAY_KEYS, BULK_MIN_SIZE, canonical_json, format_float, load_measure
@@ -534,6 +541,32 @@ class TestEstimatorKernels:
         assert got[0] == points[hit]
         assert got == ref_grow_side(points, T, 1.0, 1.0)
 
+    @pytest.mark.parametrize("hit", range(SCALAR_PROBE + 3))
+    def test_grow_side_probe_hands_over(self, hit):
+        # nine points in (0, 10] fall short of d * L = 9.5 (d = 0.95, L = 10);
+        # past xmin = 10, (0, p_k] first holds 0.95 p_k points at the point
+        # `hit` places on, which the scalar probe or the first chunk finds
+        j = np.arange(hit + 300)
+        after = (10.0 + j) / 0.95 + np.where(j < hit, 1e-3, -1e-3)
+        points = np.concatenate((np.arange(1.0, 10.0), after))
+        T = float(points[-1]) + 10.0
+        got = _grow_side(points, T, 0.95, 10.0)
+        assert got[0] == after[hit]
+        assert got == ref_grow_side(points, T, 0.95, 10.0)
+
+    @given(sequences(), st.sampled_from([0.3, 1.0, 2.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_short_partition_matches_walk(self, seq, d):
+        # each side walked as before: the points of that side, mirrored and sorted
+        pts, T = seq.points, seq.window
+        left = ref_grow_side(np.sort(-pts[pts < 0.0]), T, d, 1.0)
+        expected = sorted(-x for x in left) + [0.0] + ref_grow_side(pts[pts > 0.0], T, d, 1.0)
+        try:
+            got = find_short_partition(seq, d).breakpoints.tolist()
+        except InsufficientData:
+            got = None
+        assert got == (expected if len(expected) > 4 else None)
+
     @given(measures(), st.sampled_from(["index", "location"]),
            st.sampled_from([WEIGHT_BUDGET, 0.01, 100.0]))
     @settings(max_examples=150, deadline=None)
@@ -849,3 +882,75 @@ class TestBulkWriter:
         rendered = ", ".join("[" + ", ".join(map(ref_format_float, row)) + "]"
                              for row in arr.reshape(-1, width).tolist())
         assert canonical_json(arr.reshape(-1, width)) == f"[{rendered}]"
+
+
+def ref_canonical_json(obj):
+    """The former renderer of lists and their values: one value at a time."""
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(ref_canonical_json, obj)) + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return ref_format_float(obj)
+    return json.dumps(obj)
+
+
+# the edges of the one-pass path: signed zeros, non-finite floats, ints at the
+# 1e15 bound of %d and beyond 2**53, None
+TABLE_SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.5, 1e15 - 1.0, 1e15, None] + [
+    sign * m for sign in (1, -1) for m in (10 ** 15 - 1, 10 ** 15, 2 ** 53 + 1)]
+SPOILERS = {"bool": True, "text": "1", "row": [1.0], "dict": {}}
+
+
+@st.composite
+def list_tables(draw):
+    """Lists of about BULK_MIN_SIZE cells, or rows of width 1-4, cycled from a few
+    drawn cells; some with a None column, rows as tuples, or one spoiled cell or row."""
+    n = draw(st.sampled_from([BULK_MIN_SIZE - 1, BULK_MIN_SIZE, 2 * BULK_MIN_SIZE + 1]))
+    width = draw(st.integers(0, 4))  # 0: a flat list
+    cells = draw(st.lists(st.floats() | st.integers(-10 ** 6, 10 ** 6)
+                          | st.sampled_from(TABLE_SPECIALS), min_size=1, max_size=9))
+    flat = [cells[i % len(cells)] for i in range(n * max(width, 1))]
+    obj = [flat[i * width:(i + 1) * width] for i in range(n)] if width else flat
+    if width and draw(st.booleans()):
+        col = draw(st.integers(0, width - 1))
+        for row in obj:
+            row[col] = None
+    if width and draw(st.booleans()):
+        obj = [tuple(row) for row in obj]
+    spoil = draw(st.sampled_from([None, None, "ragged", *SPOILERS]))
+    at = draw(st.integers(0, n - 1))
+    if spoil == "ragged" and width:
+        obj[at] = list(obj[at])[:-1] if draw(st.booleans()) else list(obj[at]) + [0.5]
+    elif spoil in SPOILERS and width:
+        obj[at] = list(obj[at])
+        obj[at][draw(st.integers(0, width - 1))] = SPOILERS[spoil]
+    elif spoil in SPOILERS:
+        obj[at] = SPOILERS[spoil]
+    return obj
+
+
+class TestTableWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=list_tables(), as_tuple=st.booleans())
+    def test_matches_recursive_renderer(self, obj, as_tuple):
+        obj = tuple(obj) if as_tuple else obj
+        assert canonical_json(obj) == ref_canonical_json(obj)
+
+    def test_one_pass_only_where_it_prints_the_same(self):
+        rows = [(k, 0.5 * k, -0.0, None if k % 3 else math.nan) for k in range(BULK_MIN_SIZE)]
+        cases = [(rows, True), ([r[1] for r in rows], True), ([r[3] for r in rows], True),
+                 ([[10 ** 15 - 1]] * BULK_MIN_SIZE, True), (rows[1:], False),
+                 (rows[1:] + [(1, 2.0, 3.0)], False), (rows[1:] + [(True, 0.0, 0.0, 0.0)], False),
+                 (rows[1:] + [(10 ** 15, 0.0, 0.0, 0.0)], False), ([[]] * BULK_MIN_SIZE, False),
+                 ([10 ** 400] * BULK_MIN_SIZE, False)]
+        for obj, one_pass in cases:
+            with mock.patch.object(serialize, "_format_array",
+                                   wraps=serialize._format_array) as fmt:
+                text = canonical_json(obj)
+            assert text == ref_canonical_json(obj)
+            assert fmt.called == one_pass, obj[-1]

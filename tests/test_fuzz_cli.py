@@ -6,7 +6,8 @@ bools, nulls and huge or tiny numbers in place of values) go through
 Benedicks constants, the ``construct`` parameters of the alternating
 tilings and of the arithmetic progressions, the float options of the
 analysis commands, the oracle's frequency range and step count, and
-energy configurations and intervals near the float range.  Every run
+energy configurations and intervals near the float range, and documents
+nested deeper than ``json`` reads.  Every run
 must end in exit 0 with a finite canonical JSON report, or exit 2 with a
 one-line error: never an exception, a numpy ``RuntimeWarning``, or
 ``"nan"`` or ``"inf"`` on stdout.
@@ -240,10 +241,10 @@ def test_energy_near_float_range(workdir, points, window, interval):
     run_with_document(workdir, {"points": points, "window": window}, argv)
 
 
-# small frequencies only: the oracle's matrix grows with --a-max (about 32 rows per
-# unit on the T=50 measure), so a large finite value would allocate for real
+# the oracle's matrix grows with --a-max (about 32 rows per unit on the T=50
+# measure): 1e4 and above must meet the matrix cap before any allocation
 oracle_frequencies = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308",
-                                      "5e-324"]) | st.floats(-2, 13).map(repr)
+                                      "5e-324", "1e4", "1e6", "1e7"]) | st.floats(-2, 13).map(repr)
 
 
 @settings(FUZZ, max_examples=100)
@@ -252,3 +253,16 @@ oracle_frequencies = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e
 def test_oracle_range_and_steps(workdir, a_min, a_max, steps):
     run(["oracle", "--input", str(workdir / "measure.json"), f"--a-min={a_min}",
          f"--a-max={a_max}", f"--steps={steps}"])
+
+
+@pytest.mark.parametrize("argv, key", [(["energy", "--input", "DOC"], "points"),
+                                       (["rescale", "--input", "DOC", "--alpha", "1"], "atoms")])
+def test_deeply_nested_document(workdir, argv, key):
+    # json reads each level of nesting with one recursion
+    path = workdir / "nested.json"
+    path.write_text(f'{{"{key}": [' * 900 + "1" + "]}" * 900)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if a == "DOC" else a for a in argv])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == "error: document is nested too deeply to read\n"

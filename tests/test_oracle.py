@@ -145,6 +145,20 @@ class TestResidualScan:
         with pytest.raises(TypelabError):
             residual_scan(m, [1.0, 2.0], threads=threads)
 
+    def test_matrix_cap(self, monkeypatch):
+        m = DiscreteMeasure(np.array([0.0]), np.array([1.0]), 1.0)
+        grid = np.linspace(0, 4.0, 9)[1:].tolist()
+        monkeypatch.setattr(oracle, "MATRIX_MAX_CELLS", float(default_freq_count(m, 4.0)))
+        residual_scan(m, grid)  # at the cap
+        # above it, refused before any matrix is built or any worker is started
+        import concurrent.futures
+
+        monkeypatch.setattr(oracle, "annihilation_matrix", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        for top in (4.1, 1e4, 1e308):
+            with pytest.raises(TypelabError, match="cap"):
+                residual_scan(m, grid + [top], threads=2)
+
     def test_worker_count_capped(self, monkeypatch):
         # a recording stand-in for the pool: no process is started
         import concurrent.futures
