@@ -20,7 +20,7 @@ from .density import (
     regularity_block_scan,
     strong_regularity_defect,
 )
-from .uniformity import UniformityReport, check_d_uniform, check_density, check_energy
+from .uniformity import UniformityReport, check_d_uniform
 from .typeproblem import (
     TheoremVerdict,
     TypeEstimate,
@@ -46,6 +46,6 @@ from .constructions import (
     perturb_exponential,
     weight_families,
 )
-from .oracle import ResidualCurve, annihilation_matrix, annihilator_extract, residual_scan
+from .oracle import ResidualCurve, annihilation_matrix, residual_scan
 
 __version__ = "0.1.0"

@@ -61,6 +61,7 @@ def arithmetic(d: float, T: float) -> RealSequence:
     return RealSequence(pts, T, f"arithmetic(d={d:g})")
 
 
+@np.errstate(over="ignore")  # an overflowing exponent is +-inf, and exp(-inf) = 0 is meant
 def perturb_exponential(seq: RealSequence, c: float, rng_seed: int) -> RealSequence:
     """Shift each point by a seeded uniform offset within ``+-exp(-c|x|)``.
 
@@ -287,6 +288,7 @@ def _equal_measure_points(evens: list[Interval], n_points: int) -> list[float]:
     return out
 
 
+@np.errstate(over="ignore")
 def weight_families(name: str, params: dict | None, indices) -> np.ndarray:
     """Point-weight families evaluated at integer indices.
 

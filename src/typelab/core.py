@@ -76,9 +76,6 @@ class Interval:
             return 0.0
         return self.left if self.left > 0.0 else -self.right
 
-    def contains(self, x: float) -> bool:
-        return self.left < x <= self.right
-
 
 @dataclass(frozen=True)
 class RealSequence:
@@ -215,13 +212,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return int(self.positions.size)
 
-    @property
-    def total_mass(self) -> float:
-        return float(math.fsum(self.masses))
-
-    def support(self) -> RealSequence:
-        return RealSequence(self.positions.copy(), self.window, self.tag)
-
     def mass_in(self, left: float, right: float, closed: bool = False) -> float:
         """Mass of ``(left, right]`` (default) or ``[left, right]``."""
         pos = self.positions
@@ -328,14 +318,6 @@ class SumVerdict:
     classification: str
     fit_ratio: float | None = None
     note: str | None = None
-
-    @property
-    def convergent(self) -> bool:
-        return self.classification == CONVERGENT
-
-    @property
-    def divergent(self) -> bool:
-        return self.classification == DIVERGENT
 
 
 def shell_index(magnitudes: np.ndarray) -> np.ndarray:

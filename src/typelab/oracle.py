@@ -61,23 +61,6 @@ class ResidualCurve:
     extended_used: bool
 
 
-@dataclass(frozen=True)
-class AnnihilatorReport:
-    coefficients: np.ndarray     # unit-norm in L2 of the measure
-    sigma_min: float
-    sigma_max: float
-    fine_grid_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients_re": np.real(self.coefficients).tolist(),
-            "coefficients_im": np.imag(self.coefficients).tolist(),
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "fine_grid_residual": self.fine_grid_residual,
-        }
-
-
 def _freq_rows(measure: DiscreteMeasure, a: float, freq_density: float) -> float:
     """:func:`default_freq_count` in floats, so that no finite ``a`` overflows it."""
     tmax = max(1.0, float(np.max(np.abs(measure.positions))))
@@ -229,36 +212,6 @@ def _detect_knee(grid: np.ndarray, sig: np.ndarray, clip_floor: float) -> tuple[
         # entering the plateau
         return 0.5 * float(interior[kmax] + interior[kmin]), curvature
     return float(interior[kmax]), curvature
-
-
-def annihilator_extract(measure: DiscreteMeasure, a: float,
-                        freq_count: int | None = None) -> AnnihilatorReport:
-    """Best near-annihilator at frequency interval ``[0, a]``.
-
-    Returns the unit-L2 coefficient vector achieving the smallest singular
-    value, with its residual measured honestly on a ten-times finer
-    frequency grid (sup of the absolute exponential moment).  The phase is
-    normalised so the largest coefficient is real positive.
-    """
-    if freq_count is None:
-        freq_count = default_freq_count(measure, a)
-    A = annihilation_matrix(measure, a, freq_count)
-    try:
-        _, s, vh = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise IllConditioned(f"SVD failed at a={a}") from exc
-    v = vh[-1].conj()
-    coeffs = v / np.sqrt(measure.masses)
-    k = int(np.argmax(np.abs(coeffs)))
-    phase = coeffs[k] / abs(coeffs[k])
-    v = v / phase
-    coeffs = coeffs / phase
-
-    lam_fine = np.linspace(0.0, a, 10 * freq_count)
-    moments = np.exp(1j * lam_fine[:, None] * measure.positions[None, :]) @ (
-        v * np.sqrt(measure.masses))
-    return AnnihilatorReport(coeffs, float(s[-1]), float(s[0]),
-                             float(np.max(np.abs(moments))))
 
 
 def _gram_sigma_min_extended(measure: DiscreteMeasure, a: float, freq_count: int) -> float:

@@ -94,8 +94,6 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) >= BULK_MIN_SIZE and (table := _table(obj)) is not None:
             return _format_array(*table)
-        if all(type(v) is float for v in obj):
-            return "[" + ", ".join(map(format_float, obj)) + "]"
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if obj is None:
         return "null"
@@ -162,28 +160,25 @@ def _parse_numbers(raw: bytes) -> np.ndarray | None:
     skeleton = raw.translate(None, b"0123456789-+.eE") + b", "
     if skeleton != unit * (len(skeleton) // len(unit)):
         return None  # another character or spacing, or rows that are not pairs
-    a = np.frombuffer((raw.translate(None, b"[]") if pairs else raw) + b",", np.uint8)
+    body = (raw.translate(None, b"[]") if pairs else raw) + b","
+    a = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(a == 44)
     starts = np.concatenate(([0], ends[:-1] + 2))
     lead = starts + (a[starts] == 45)  # first digit, past a minus sign
-    point = a == 46
     digit = lambda x: (x >= 48) & (x <= 57)  # noqa: E731
     if (not digit(a[lead]).all() or (digit(a[lead + 1]) & (a[lead] == 48)).any()
-            or not digit(a[np.flatnonzero(point) + 1]).all()):
+            or not digit(a[np.flatnonzero(a == 46) + 1]).all()):
         return None  # a sign, point or leading zero that json refuses
-    # integers that fit int64 go through its parser, five times faster than the float
-    # parser, which reads the other numbers (and would read -0 as -0.0, json as 0)
-    floats = ends - starts > 18
-    floats[np.searchsorted(ends, np.flatnonzero(point | (a > 57)))] = True
-    in_float = np.repeat(floats, ends - starts + 2)[:a.size] & (a != 32)  # with its comma
-    np.putmask(integers := a.copy(), in_float & (a != 44), 48)  # float tokens read as 0
     try:
-        values = np.fromstring(integers.tobytes(), np.int64, sep=",").astype(float)
-        values[floats] = np.fromstring(a[in_float].tobytes(), float, sep=",")
-    except ValueError:  # what the checks above let through and the parsers refuse
+        values = np.fromstring(body, float, sep=",")
+    except ValueError:  # what the checks above let through and the parser refuses
         return None
-    if values.size == starts.size and np.isfinite(values).all():
-        return values.reshape(-1, 2) if pairs else values
+    if values.size != starts.size or not np.isfinite(values).all():
+        return None
+    # json reads the integer -0 as 0: an integer zero is "0" or "-0" (no leading
+    # zeros), and a zero with a point or exponent takes at least three characters
+    values[(ends - starts <= 2) & (values == 0.0)] = 0.0
+    return values.reshape(-1, 2) if pairs else values
 
 
 def load_document(path: str) -> dict:

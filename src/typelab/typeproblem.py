@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     CONVERGENT,
     DIVERGENT,
+    INCONCLUSIVE,
     DiscreteMeasure,
     Interval,
     Partition,
@@ -57,7 +58,6 @@ TYPE_ZERO = "type_zero"
 TYPE_AT_LEAST = "type_at_least"
 TYPE_INFINITE = "type_infinite"
 MU_MUST_VANISH = "mu_must_vanish"
-INCONCLUSIVE = "inconclusive"
 TYPE_ORDERING = "type_ordering"
 
 

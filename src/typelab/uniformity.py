@@ -87,17 +87,6 @@ def merge_short_intervals(partition: Partition) -> Partition:
     return Partition(np.asarray(out))
 
 
-def check_density(seq: RealSequence, partition: Partition, d: float) -> DensityCheck:
-    """Density condition: counts per interval close to ``d * length``.
-
-    The deviation ``|count/length - d|`` is compared against
-    ``max(0.05 d, 2/length)`` interval by interval, and
-    only the outer half of the intervals (largest distance from 0) must
-    comply; the inner half is finite-scale noise.
-    """
-    return _density_leg(_covering_index(seq, partition), d)
-
-
 def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
     span = partition.span
     if span.left > -seq.window or span.right < seq.window:
@@ -106,6 +95,13 @@ def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
 
 
 def _density_leg(idx: PartitionIndex, d: float) -> DensityCheck:
+    """Density condition: counts per interval close to ``d * length``.
+
+    The deviation ``|count/length - d|`` is compared against
+    ``max(0.05 d, 2/length)`` interval by interval, and
+    only the outer half of the intervals (largest distance from 0) must
+    comply; the inner half is finite-scale noise.
+    """
     ratios = idx.counts / idx.lengths
     tol = np.maximum(DENSITY_RTOL * d, DENSITY_SLACK / idx.lengths)
     dev = np.abs(ratios - d)
@@ -120,11 +116,6 @@ def _density_leg(idx: PartitionIndex, d: float) -> DensityCheck:
             max_dev = max(max_dev, float(np.max(dev[outer])))
             passed = passed and bool(np.all(dev[outer] - tol[outer] <= 0.0))
     return DensityCheck(passed, max_dev, d, tuple(ratios.tolist()))
-
-
-def check_energy(seq: RealSequence, partition: Partition) -> SumVerdict:
-    """Energy condition: Poisson tail of per-interval Coulomb deficits."""
-    return _energy_leg(seq, partition.index(seq.points))[0]
 
 
 def _energy_leg(seq: RealSequence, idx: PartitionIndex) -> tuple[SumVerdict, np.ndarray]:

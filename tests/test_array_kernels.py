@@ -63,7 +63,7 @@ from typelab.typeproblem import (
     benedicks_conditions,
     weight_filter_mask,
 )
-from typelab.uniformity import check_d_uniform, check_density, check_energy
+from typelab.uniformity import _energy_leg, check_d_uniform
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
 coords = st.floats(-1e300, 1e300, allow_nan=False)
@@ -247,7 +247,7 @@ def ref_spread_selection(seq, partition, d):
 
 
 def ref_energy_leg(seq, partition):
-    """The per-interval energy_report loop of the former check_energy and _evaluate."""
+    """The former per-interval energy_report loop of the energy leg."""
     deficits, terms = [], []
     for iv in partition.intervals:
         rep = energy_report(seq, iv)
@@ -636,9 +636,10 @@ class TestPartitionKernels:
     def test_energy_leg_matches_loop(self, case):
         seq, part = case
         deficits, verdict = ref_energy_leg(seq, part)
-        assert check_energy(seq, part) == verdict
         # intervals are at least 1 long, so _evaluate merges none of them
-        assert [row[3] for row in check_d_uniform(seq, 1.0, part).per_interval] == deficits
+        report = check_d_uniform(seq, 1.0, part)
+        assert report.energy_verdict == verdict
+        assert [row[3] for row in report.per_interval] == deficits
 
     @pytest.mark.parametrize("n", [2, 3, 511, 512, 513, 700])
     def test_interval_energies_at_matrix_limit(self, n):
@@ -659,7 +660,7 @@ class TestPartitionKernels:
         seq, part = case
         pts = np.union1d(seq.points, close_pair)
         seq = RealSequence(pts, seq.window)
-        got = outcome(check_energy, seq, part)
+        got = outcome(lambda s, p: _energy_leg(s, p.index(s.points))[0], seq, part)
         want = outcome(lambda s, p: ref_energy_leg(s, p)[1], seq, part)
         assert got == want
 
@@ -667,7 +668,7 @@ class TestPartitionKernels:
     @settings(max_examples=200, deadline=None)
     def test_density_leg_matches_loop(self, case, d):
         seq, part = case
-        got = check_density(seq, part, d)
+        got = check_d_uniform(seq, d, part, skip_energy=True).density
         passed, max_dev, ratios = ref_check_density(seq, part, d)
         assert (got.passed, got.max_outer_deviation, list(got.ratios)) == (passed, max_dev, ratios)
 

@@ -309,6 +309,24 @@ class TestInputValidation:
         # every family built on an arithmetic progression refuses it before allocating
         assert exits_cleanly_with_2(["construct", family, "--param", param], capsys)
 
+    @pytest.mark.parametrize("params", [["weights=exponential", "c=-1000"],
+                                        ["weights=exponential", "c=1e308"],
+                                        ["weights=mixed", "c=-800"],
+                                        ["weights=polynomial", "beta=-200"]])
+    def test_weights_beyond_float_range(self, params, capsys):
+        # an exponent past the float range gives an infinite or zero mass, refused
+        # without a numpy warning
+        argv = ["construct", "weighted-measure"] + [a for p in params for a in ("--param", p)]
+        assert exits_cleanly_with_2(argv, capsys)
+
+    def test_perturbation_decay_beyond_float_range(self, capsys):
+        # exp(-c|x|) underflows to 0 off the origin, without a numpy warning
+        code = main(["construct", "perturbed", "--param", "c=1e308"])
+        captured = capsys.readouterr()
+        pts = np.asarray(json.loads(captured.out)["points"])
+        assert code == 0 and captured.err == ""
+        assert np.array_equal(pts[np.abs(pts) >= 1.0], np.setdiff1d(np.arange(-100.0, 101.0), 0.0))
+
     @pytest.mark.parametrize("params", [["d5"], ["dd=5", "T=3"], ["=1"], ["c=2"]])
     def test_construct_param_not_read(self, params, capsys):
         # an item without "=", or a key arithmetic does not read

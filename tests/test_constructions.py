@@ -149,7 +149,7 @@ class TestBenedicksSequence:
         part = catalog.benedicks_partition(600.0)
         fam = benedicks_sequence(part, 2.0)
         first = fam.blocks.intervals[len(fam.blocks) // 2]
-        inside = [x for x in fam.sequence.points if first.contains(x)]
+        inside = [x for x in fam.sequence.points if first.left < x <= first.right]
         assert len(inside) == 6
         assert np.allclose(np.diff(inside), 1.0 / 7.0)
 

@@ -7,9 +7,8 @@ from typelab.energy import IntervalTooShort
 from typelab.partitions import find_short_partition
 from typelab.uniformity import (
     WindowMismatch,
+    _energy_leg,
     check_d_uniform,
-    check_density,
-    check_energy,
     merge_short_intervals,
 )
 
@@ -30,12 +29,12 @@ class TestCheckDensity:
     def test_matched(self):
         seq = arithmetic(1.0, 2000.0)
         part = find_short_partition(seq, 1.0)
-        assert check_density(seq, part, 1.0).passed
+        assert check_d_uniform(seq, 1.0, part).density.passed
 
     def test_off_target_fails_with_gap(self):
         seq = arithmetic(1.0, 2000.0)
         part = find_short_partition(seq, 1.0)
-        res = check_density(seq, part, 1.5)
+        res = check_d_uniform(seq, 1.5, part).density
         assert not res.passed
         assert res.max_outer_deviation == pytest.approx(0.5, abs=0.05)
 
@@ -44,20 +43,20 @@ class TestCheckDensity:
         pts = np.arange(-T, T / 2)
         seq = RealSequence(pts, T)
         part = find_short_partition(seq, 1.0)
-        assert not check_density(seq, part, 1.0).passed
+        assert not check_d_uniform(seq, 1.0, part).density.passed
 
     def test_window_mismatch(self):
         seq = arithmetic(1.0, 100.0)
         small = Partition(np.array([-50.0, 0.0, 50.0]))
         with pytest.raises(WindowMismatch):
-            check_density(seq, small, 1.0)
+            check_d_uniform(seq, 1.0, small)
 
 
 class TestCheckEnergy:
     def test_grid_convergent(self):
         seq = arithmetic(1.0, 10_000.0)
         part = find_short_partition(seq, 1.0)
-        assert check_energy(seq, part).classification == "convergent"
+        assert check_d_uniform(seq, 1.0, part).energy_verdict.classification == "convergent"
 
     def test_single_point_per_interval(self):
         # energy vanishes, deficit reduces to log length
@@ -66,7 +65,7 @@ class TestCheckEnergy:
         seq = RealSequence(pts, 4.0 ** 9)
         bks = np.concatenate([-(4.0 ** np.arange(9, 0, -1)), [0.0], 4.0 ** np.arange(1, 10)])
         part = Partition(bks)
-        v = check_energy(seq, part)
+        v = check_d_uniform(seq, 1.0, part).energy_verdict
         assert v.classification == "convergent"
 
     def test_exponentially_close_pairs_raise_deficits(self):
@@ -101,10 +100,11 @@ class TestCheckEnergy:
         assert poisson_tail_sum(terms).classification == "divergent"
 
     def test_short_interval_rejected(self):
+        # check_d_uniform merges the short interval first; the leg itself refuses it
         seq = arithmetic(1.0, 100.0)
         part = Partition(np.array([-100.0, 0.0, 0.5, 100.0]))
         with pytest.raises(IntervalTooShort):
-            check_energy(seq, part)
+            _energy_leg(seq, part.index(seq.points))
 
 
 class TestCheckDUniform:
