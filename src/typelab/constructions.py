@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     DiscreteMeasure,
-    Interval,
     Partition,
     RealSequence,
     TypelabError,
@@ -94,20 +93,14 @@ def alternating_partition(even_len: float, odd_len: float, T: float) -> Partitio
     if T / (even_len + odd_len) > CONSTRUCTION_MAX_SIZE / 4:
         raise TypelabError(f"tiling of [-{T:g}, {T:g}] would have more than "
                            f"{CONSTRUCTION_MAX_SIZE} intervals")
-    right = [0.0]
-    while True:
-        for step in (even_len, odd_len):
-            right.append(right[-1] + step)
-        if right[-1] >= T:
-            break
-    left = [0.0]
-    while True:
-        for step in (odd_len, even_len):
-            left.append(left[-1] - step)
-        if left[-1] <= -T:
-            break
-    bks = sorted(set(left) | set(right))
-    return Partition(np.asarray(bks))
+    # pairs of steps per side: enough to pass T, with room for rounding
+    pairs = int(T / (even_len + odd_len)) + 2
+    with np.errstate(over="ignore"):  # Partition refuses an infinite breakpoint
+        sums = [np.cumsum(np.tile(steps, pairs)) for steps in ((even_len, odd_len),
+                                                               (odd_len, even_len))]
+    # each side ends with the first pair that reaches T
+    right, left = (c[:2 * int(np.argmax(c[1::2] >= T)) + 2] for c in sums)
+    return Partition(np.unique(np.concatenate([-left, [0.0], right])))
 
 
 @dataclass(frozen=True)
@@ -162,16 +155,12 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     pairs[0::2] = centers - l / 3.0
     pairs[1::2] = centers + l / 3.0
 
-    fill: list[float] = []
-    for i in range(centers.size - 1):
-        lo = pairs[2 * i + 1]
-        hi = pairs[2 * i + 2]
-        gap = hi - lo
-        if gap > L:
-            m = int(math.floor(gap / L))
-            for k in range(1, m + 1):
-                fill.append(lo + k * gap / (m + 1))
-    a_pts = np.sort(np.concatenate([pairs, np.asarray(fill)]))
+    lo, gap = pairs[1:-1:2], np.diff(pairs)[1::2]
+    m = np.where(gap > L, np.floor(gap / L), 0.0).astype(int)
+    owner = np.repeat(np.arange(gap.size), m)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m) + 1
+    fill = lo[owner] + k * gap[owner] / (m[owner] + 1)
+    a_pts = np.sort(np.concatenate([pairs, fill]))
     a_seq = RealSequence(a_pts, B.window, "auxiliary-A")
     c_pts = 0.5 * (a_pts[:-1] + a_pts[1:])
     c_seq = RealSequence(c_pts, B.window, "auxiliary-C")
@@ -187,7 +176,7 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
         float(np.max(np.diff(a_pts))) if a_pts.size > 1 else 0.0,
         float(np.max(widths)),
         widths,
-        len(fill),
+        fill.size,
     )
 
 
@@ -232,9 +221,6 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     n_min = -i0
     n_max = len(bks) - 1 - i0
 
-    def a(n: int) -> float:
-        return float(bks[i0 + n])
-
     # block boundaries in units of even-interval index: n_{k+1} = n_k + growth(n_k)
     # rightward and n_{k-1} = n_k - growth(n_k) leftward, growth = default_block_growth
     marks = [0]
@@ -249,43 +235,28 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     if len(marks) < 2:
         raise ConditionsFailed("partition too small to form one block")
 
-    block_bks = [a(2 * n) for n in marks]
-    points: list[float] = []
-    counts: list[int] = []
-    for lo_mark, hi_mark in zip(marks, marks[1:]):
-        lo, hi = a(2 * lo_mark), a(2 * hi_mark)
-        evens = []
-        for m in range(2 * lo_mark, 2 * hi_mark):
-            if m % 2 == 0 and i0 + m + 1 <= len(bks) - 1:
-                evens.append(Interval(a(m), a(m + 1)))
-        placed = _equal_measure_points(evens, int(math.floor(C * (hi - lo))))
-        points.extend(placed)
-        counts.append(len(placed))
-    seq = RealSequence(np.asarray(sorted(points)),
+    # block k spans the breakpoints at[k]..at[k + 1]; every other one starts an even interval
+    at = i0 + 2 * np.asarray(marks)
+    lengths = np.diff(bks)
+    placed = [_equal_measure_points(bks[lo:hi:2], lengths[lo:hi:2],
+                                    int(math.floor(C * (bks[hi] - bks[lo]))))
+              for lo, hi in zip(at[:-1].tolist(), at[1:].tolist())]
+    seq = RealSequence(np.sort(np.concatenate(placed)),
                        float(max(abs(bks[0]), abs(bks[-1]))),
                        f"benedicks(C={C:g})")
-    return BenedicksFamily(seq, Partition(np.asarray(block_bks)), tuple(counts))
+    return BenedicksFamily(seq, Partition(bks[at]), tuple(p.size for p in placed))
 
 
-def _equal_measure_points(evens: list[Interval], n_points: int) -> list[float]:
-    """Invert the cumulative even-interval length at equally spaced levels."""
-    if n_points <= 0 or not evens:
-        return []
-    lengths = np.array([iv.length for iv in evens])
+def _equal_measure_points(lefts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """Invert the cumulative length of the intervals at ``n`` equally spaced levels.
+
+    A level on a plateau edge, where one interval ends, goes to the left end
+    of the next one.
+    """
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = cum[-1]
-    out = []
-    for m in range(1, n_points + 1):
-        level = total * m / (n_points + 1)
-        idx = int(np.searchsorted(cum, level, side="left")) - 1
-        idx = min(max(idx, 0), len(evens) - 1)
-        if level >= cum[idx + 1]:
-            # level sits exactly on a plateau edge: resolve to the left
-            # endpoint of the next even interval
-            idx = min(idx + 1, len(evens) - 1)
-        off = level - cum[idx]
-        out.append(evens[idx].left + off)
-    return out
+    levels = cum[-1] * np.arange(1, n + 1) / (n + 1)
+    idx = np.minimum(np.searchsorted(cum, levels, side="right"), lengths.size) - 1
+    return lefts[idx] + (levels - cum[idx])
 
 
 @np.errstate(over="ignore")

@@ -286,11 +286,6 @@ class WeightTable:
         out = self.values[idx]
         return out if np.ndim(x) else float(out[0])
 
-    @property
-    def pieces(self) -> list[tuple[float, float, float]]:
-        bks, vals = self.breakpoints, self.values
-        return [(float(bks[i]), float(bks[i + 1]), float(vals[i])) for i in range(len(vals))]
-
     def to_dict(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist(),
                 "values": self.values.tolist(),

@@ -118,7 +118,7 @@ def energy_report(config, interval: Interval) -> EnergyReport:
                            "is longer than the float range")
     if interval.length < 1.0:
         raise IntervalTooShort(f"interval length {interval.length} < 1")
-    pts = _as_points(config)
+    pts = np.sort(_as_points(config))
     lo = np.searchsorted(pts, interval.left, side="right")
     hi = np.searchsorted(pts, interval.right, side="right")
     inside = pts[lo:hi]

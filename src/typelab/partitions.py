@@ -38,12 +38,14 @@ class NotShort(TypelabError):
 
 
 def family_bounds(family) -> tuple[np.ndarray, np.ndarray]:
-    """``(lefts, rights)`` of a disjoint family, a :class:`Partition` or intervals,
-    ordered by left end; raises :class:`OverlappingIntervals` naming the
-    first overlapping pair."""
+    """``(lefts, rights)`` of a disjoint family, a :class:`Partition`, intervals or
+    an array of ``(left, right)`` rows, ordered by left end; raises
+    :class:`OverlappingIntervals` naming the first overlapping pair."""
     if isinstance(family, Partition):
         return family.breakpoints[:-1], family.breakpoints[1:]
-    ends = np.array([(iv.left, iv.right) for iv in family], dtype=float).reshape(-1, 2)
+    if not isinstance(family, np.ndarray):
+        family = [(iv.left, iv.right) for iv in family]
+    ends = np.asarray(family, dtype=float).reshape(-1, 2)
     lefts, rights = ends[np.argsort(ends[:, 0], kind="stable")].T
     overlap = np.flatnonzero(lefts[1:] < rights[:-1])
     if overlap.size:

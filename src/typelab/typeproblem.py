@@ -24,7 +24,6 @@ from .core import (
     DIVERGENT,
     INCONCLUSIVE,
     DiscreteMeasure,
-    Interval,
     Partition,
     RealSequence,
     SumVerdict,
@@ -236,17 +235,16 @@ def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,
         raise InsufficientData("need at least 3 points for neighbourhoods")
     centers = pts[1:-1]
     eps = np.minimum(pts[1:-1] - pts[:-2], pts[2:] - pts[1:-1]) / 3.0
-    masses = []
-    for x, e in zip(centers, eps):
-        lo = int(np.searchsorted(measure.positions, x - e, side="right"))
-        hi = int(np.searchsorted(measure.positions, x + e, side="left"))
-        m = float(math.fsum(measure.masses[lo:hi]))
-        if m <= 0.0:
-            raise EmptyNeighborhood(f"zero mass in ({x - e}, {x + e})")
-        masses.append(m)
+    los = np.searchsorted(measure.positions, centers - eps, side="right")
+    his = np.searchsorted(measure.positions, centers + eps, side="left")
+    empty = np.flatnonzero(his <= los)
+    if empty.size:
+        x, e = centers[empty[0]], eps[empty[0]]
+        raise EmptyNeighborhood(f"zero mass in ({x - e}, {x + e})")
+    logs = np.array([math.log(math.fsum(measure.masses[lo:hi]))
+                     for lo, hi in zip(los.tolist(), his.tolist())])
     idx = A.centered_indices()[1:-1].astype(float)
-    verdict = shell_sum_verdict(idx, [max(0.0, -math.log(m)) / (1.0 + n * n)
-                                      for m, n in zip(masses, idx)])
+    verdict = shell_sum_verdict(idx, np.maximum(0.0, -logs) / (1.0 + idx * idx))
     applicable = verdict.classification == CONVERGENT
     conclusion = Conclusion(TYPE_AT_LEAST, TWO_PI * d) if applicable else Conclusion(INCONCLUSIVE)
     return TheoremVerdict("neighbourhood-mass-bound", applicable, conclusion,
@@ -260,22 +258,16 @@ def beurling_gap_check(support) -> TheoremVerdict:
     intervals; the gaps of their union inside the window are classified, and
     a long gap family means no positive-density uniform sequence fits it.
     """
-    gaps: list[Interval] = []
     if isinstance(support, RealSequence):
-        T = support.window
-        pts = support.points
-        cuts = [-T] + pts.tolist() + [T]
-        for l, r in zip(cuts, cuts[1:]):
-            if r > l:
-                gaps.append(Interval(l, r))
+        cuts = np.concatenate([[-support.window], support.points, [support.window]])
+        lefts, rights = cuts[:-1], cuts[1:]
     else:
-        ivs = sorted(support, key=lambda i: i.left)
-        reach = ivs[0].right if ivs else 0.0  # right end of the union so far
-        for iv in ivs[1:]:
-            if iv.left > reach:
-                gaps.append(Interval(reach, iv.left))
-            reach = max(reach, iv.right)
-    verdict = classify_family(gaps) if gaps else None
+        ends = np.array([(iv.left, iv.right) for iv in support], dtype=float).reshape(-1, 2)
+        ends = ends[np.argsort(ends[:, 0], kind="stable")]
+        # a gap runs from the right end of the union so far to the next left end
+        lefts, rights = np.maximum.accumulate(ends[:, 1])[:-1], ends[1:, 0]
+    gaps = np.column_stack((lefts, rights))[rights > lefts]
+    verdict = classify_family(gaps) if gaps.size else None
     long_gaps = verdict is not None and verdict.classification == DIVERGENT
     conclusion = Conclusion(MU_MUST_VANISH) if long_gaps else Conclusion(INCONCLUSIVE)
     return TheoremVerdict("gap-support", True, conclusion,
@@ -373,7 +365,8 @@ def debranges_check(K: WeightTable, measure: DiscreteMeasure,
     mass_series = shell_sum_verdict(measure.positions, kw * measure.masses)
     mass_ok = mass_series.classification == CONVERGENT
 
-    log_pieces = [(l, r, math.log(v)) for l, r, v in K.pieces]
+    log_pieces = np.column_stack((K.breakpoints[:-1], K.breakpoints[1:],
+                                  map_libm(math.log, K.values)))
     poisson_logk = shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
     unsummable = poisson_logk.classification == DIVERGENT
 
@@ -397,31 +390,30 @@ def krein_lm_check(density_samples: WeightTable, monotone_flag: bool = True) -> 
     samples are inconclusive.  Pieces where ``w`` vanishes on positive
     length make ``log w`` unsummable outright.
     """
-    pieces = density_samples.pieces
-    zero_pieces = [(l, r) for l, r, v in pieces if v <= 0.0 and r > l]
-    pos_pieces = [(l, r, v) for l, r, v in pieces if v > 0.0]
-    log_pieces = [(l, r, abs(math.log(v))) for l, r, v in pos_pieces]
-    overall = (shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
-               if log_pieces else None)
+    bks, vals = density_samples.breakpoints, density_samples.values
+    lefts, rights, pos = bks[:-1], bks[1:], vals > 0.0
+    logs = np.abs(map_libm(math.log, np.where(pos, vals, 1.0)))
+
+    def log_verdict(mask: np.ndarray) -> SumVerdict | None:
+        if not mask.any():
+            return None
+        pieces = np.column_stack((lefts[mask], rights[mask], logs[mask]))
+        return shell_sum_verdict(*poisson_piece_contributions(pieces).T)
+
+    overall = log_verdict(pos)
     evidence: dict = {"poisson_log_density": overall,
-                      "zero_pieces": len(zero_pieces)}
-    if not zero_pieces and overall is not None and overall.classification == CONVERGENT:
+                      "zero_pieces": int(np.count_nonzero(~pos))}
+    if pos.all() and overall.classification == CONVERGENT:
         return TheoremVerdict("density-log-summability", True,
                               Conclusion(TYPE_INFINITE), evidence)
 
-    for side in ("positive", "negative"):
-        side_pieces = [(l, r, v) for l, r, v in pos_pieces
-                       if (l >= 0 if side == "positive" else r <= 0)]
-        side_zero = any((l >= 0 if side == "positive" else r <= 0) for l, r in zero_pieces)
-        side_log = [(l, r, abs(math.log(v))) for l, r, v in side_pieces]
-        side_verdict = (shell_sum_verdict(*poisson_piece_contributions(side_log).T)
-                        if side_log else None)
-        diverges = side_zero or (side_verdict is not None
-                                 and side_verdict.classification == DIVERGENT)
-        vals = [v for _, _, v in side_pieces]
-        if side == "negative":
-            vals = vals[::-1]
-        monotone = all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+    # each side's values in order away from 0
+    for side, on_side, step in (("positive", lefts >= 0, 1), ("negative", rights <= 0, -1)):
+        side_verdict = log_verdict(pos & on_side)
+        diverges = bool(np.any(~pos & on_side)) or (
+            side_verdict is not None and side_verdict.classification == DIVERGENT)
+        side_vals = vals[pos & on_side][::step]
+        monotone = bool(np.all(side_vals[1:] <= side_vals[:-1] * (1 + 1e-12)))
         evidence[f"{side}_half"] = {"diverges": diverges, "monotone": monotone,
                                     "verdict": side_verdict}
         if diverges and monotone and monotone_flag:

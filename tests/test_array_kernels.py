@@ -7,6 +7,7 @@ use ``==``, never ``approx``.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,10 +18,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from typelab.constructions import (
+    BENEDICKS_CONSTANTS,
+    CONSTRUCTION_MAX_SIZE,
+    AuxiliaryFamily,
+    BadL,
+    BenedicksFamily,
+    ConditionsFailed,
+    WeightUnbounded,
+    _equal_measure_points,
+    alternating_partition,
+    arithmetic,
+    auxiliary_sequence,
+    benedicks_sequence,
+    default_block_growth,
+)
 from typelab.core import (
+    DIVERGENT,
     DiscreteMeasure,
+    Interval,
     Partition,
     RealSequence,
+    TypelabError,
+    WeightTable,
     poisson_tail_sum,
     poisson_piece_contributions,
     shell_sum_verdict,
@@ -55,12 +75,24 @@ from typelab import typeproblem
 from typelab.core import CONVERGENT
 from typelab.typeproblem import (
     INCONCLUSIVE,
+    MU_MUST_VANISH,
+    TWO_PI,
+    TYPE_AT_LEAST,
+    TYPE_INFINITE,
+    TYPE_ZERO,
     WEIGHT_BUDGET,
     BadAlternation,
     Conclusion,
+    EmptyNeighborhood,
+    NotUniform,
     TheoremVerdict,
+    WeightBelowOne,
     _counting_growth_summable,
     benedicks_conditions,
+    beurling_gap_check,
+    debranges_check,
+    krein_lm_check,
+    suffgen_bound,
     weight_filter_mask,
 )
 from typelab.uniformity import _energy_leg, check_d_uniform
@@ -353,12 +385,273 @@ def ref_benedicks_conditions(partition, C1, C2, C3):
                           Conclusion(INCONCLUSIVE), evidence)
 
 
+def ref_alternating_partition(even_len, odd_len, T):
+    if not all(math.isfinite(v) and v > 0 for v in (even_len, odd_len, T)):
+        raise TypelabError("interval lengths and T must be finite and positive")
+    if T / (even_len + odd_len) > CONSTRUCTION_MAX_SIZE / 4:
+        raise TypelabError(f"tiling of [-{T:g}, {T:g}] would have more than "
+                           f"{CONSTRUCTION_MAX_SIZE} intervals")
+    right = [0.0]
+    while True:
+        for step in (even_len, odd_len):
+            right.append(right[-1] + step)
+        if right[-1] >= T:
+            break
+    left = [0.0]
+    while True:
+        for step in (odd_len, even_len):
+            left.append(left[-1] - step)
+        if left[-1] <= -T:
+            break
+    bks = sorted(set(left) | set(right))
+    return Partition(np.asarray(bks))
+
+
+def ref_auxiliary_sequence(B, w, epsilon, L):
+    if epsilon <= 0:
+        raise TypelabError("epsilon must be positive")
+    if L < 1.0 / epsilon:
+        raise BadL(f"need L >= 1/epsilon = {1.0 / epsilon}")
+    if len(B) < 3:
+        raise TypelabError("base sequence needs at least 3 points")
+    wb = np.atleast_1d(w.evaluate(B.points))
+    if np.any(~np.isfinite(wb)) or np.any(wb <= 0):
+        raise WeightUnbounded("weights must be positive and finite")
+    b = B.points
+    l = np.minimum(np.minimum(b[1:-1] - b[:-2], b[2:] - b[1:-1]), wb[1:-1])
+    centers = b[1:-1]
+    if np.any(l / 3.0 <= 4.0 * np.spacing(np.abs(centers))):
+        raise WeightUnbounded(
+            "pair widths fall below the float spacing of the base points; "
+            "shrink the window or raise the weights")
+    pairs = np.empty(2 * centers.size)
+    pairs[0::2] = centers - l / 3.0
+    pairs[1::2] = centers + l / 3.0
+    fill = []
+    for i in range(centers.size - 1):
+        lo = pairs[2 * i + 1]
+        hi = pairs[2 * i + 2]
+        gap = hi - lo
+        if gap > L:
+            m = int(math.floor(gap / L))
+            for k in range(1, m + 1):
+                fill.append(lo + k * gap / (m + 1))
+    a_pts = np.sort(np.concatenate([pairs, np.asarray(fill)]))
+    c_pts = 0.5 * (a_pts[:-1] + a_pts[1:])
+    scale = max(1.0, float(np.max(np.abs(b))))
+    matched = centers[np.isclose(centers[:, None], c_pts[None, :],
+                                 atol=1e-9 * scale, rtol=0.0).any(axis=1)]
+    widths = 2.0 * l / 3.0
+    return AuxiliaryFamily(
+        RealSequence(a_pts, B.window, "auxiliary-A"),
+        RealSequence(c_pts, B.window, "auxiliary-C"),
+        RealSequence(matched, B.window, "auxiliary-B-matched"),
+        float(np.max(np.diff(a_pts))) if a_pts.size > 1 else 0.0,
+        float(np.max(widths)), widths, len(fill))
+
+
+def ref_benedicks_sequence(partition, C):
+    bks = partition.breakpoints
+    if not (math.isfinite(C) and C > 0):
+        raise TypelabError("point density C must be finite and positive")
+    if C * (float(bks[-1]) - float(bks[0])) > CONSTRUCTION_MAX_SIZE:
+        raise TypelabError(f"a Benedicks sequence of density {C:g} would have more than "
+                           f"{CONSTRUCTION_MAX_SIZE} points")
+    verdict = benedicks_conditions(partition, *BENEDICKS_CONSTANTS)
+    if not verdict.applicable:
+        series = verdict.evidence["odd_length_series"].classification
+        raise ConditionsFailed(str(verdict.evidence["failures"] or [f"odd-length series {series}"]))
+    i0 = int(np.flatnonzero(bks == 0.0)[0])
+    n_min, n_max = -i0, len(bks) - 1 - i0
+
+    def a(n):
+        return float(bks[i0 + n])
+
+    marks = [0]
+    n = 0
+    while 2 * (n + default_block_growth(n)) <= n_max:
+        n += default_block_growth(n)
+        marks.append(n)
+    n = 0
+    while 2 * (n - default_block_growth(n)) >= n_min:
+        n -= default_block_growth(n)
+        marks.insert(0, n)
+    if len(marks) < 2:
+        raise ConditionsFailed("partition too small to form one block")
+    points, counts = [], []
+    for lo_mark, hi_mark in zip(marks, marks[1:]):
+        lo, hi = a(2 * lo_mark), a(2 * hi_mark)
+        evens = []
+        for m in range(2 * lo_mark, 2 * hi_mark):
+            if m % 2 == 0 and i0 + m + 1 <= len(bks) - 1:
+                evens.append(Interval(a(m), a(m + 1)))
+        placed = ref_equal_measure_points(evens, int(math.floor(C * (hi - lo))))
+        points.extend(placed)
+        counts.append(len(placed))
+    seq = RealSequence(np.asarray(sorted(points)), float(max(abs(bks[0]), abs(bks[-1]))),
+                       f"benedicks(C={C:g})")
+    return BenedicksFamily(seq, Partition(np.asarray([a(2 * n) for n in marks])),
+                           tuple(counts))
+
+
+def ref_equal_measure_points(evens, n_points):
+    if n_points <= 0 or not evens:
+        return []
+    lengths = np.array([iv.length for iv in evens])
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    total = cum[-1]
+    out = []
+    for m in range(1, n_points + 1):
+        level = total * m / (n_points + 1)
+        idx = int(np.searchsorted(cum, level, side="left")) - 1
+        idx = min(max(idx, 0), len(evens) - 1)
+        if level >= cum[idx + 1]:
+            # level sits exactly on a plateau edge: resolve to the left
+            # endpoint of the next even interval
+            idx = min(idx + 1, len(evens) - 1)
+        off = level - cum[idx]
+        out.append(evens[idx].left + off)
+    return out
+
+
+def ref_pieces(table):
+    """The ``(left, right, value)`` rows of a weight table."""
+    bks, vals = table.breakpoints, table.values
+    return [(float(bks[i]), float(bks[i + 1]), float(vals[i])) for i in range(len(vals))]
+
+
+def ref_suffgen_bound(measure, A, d):
+    report = check_d_uniform(A, d, None)
+    if not report.overall:
+        raise NotUniform(f"A is not d-uniform at d={d}")
+    pts = A.points
+    if pts.size < 3:
+        raise InsufficientData("need at least 3 points for neighbourhoods")
+    centers = pts[1:-1]
+    eps = np.minimum(pts[1:-1] - pts[:-2], pts[2:] - pts[1:-1]) / 3.0
+    masses = []
+    for x, e in zip(centers, eps):
+        lo = int(np.searchsorted(measure.positions, x - e, side="right"))
+        hi = int(np.searchsorted(measure.positions, x + e, side="left"))
+        m = float(math.fsum(measure.masses[lo:hi]))
+        if m <= 0.0:
+            raise EmptyNeighborhood(f"zero mass in ({x - e}, {x + e})")
+        masses.append(m)
+    idx = A.centered_indices()[1:-1].astype(float)
+    verdict = shell_sum_verdict(idx, [max(0.0, -math.log(m)) / (1.0 + n * n)
+                                      for m, n in zip(masses, idx)])
+    applicable = verdict.classification == CONVERGENT
+    conclusion = Conclusion(TYPE_AT_LEAST, TWO_PI * d) if applicable else Conclusion(INCONCLUSIVE)
+    return TheoremVerdict("neighbourhood-mass-bound", applicable, conclusion,
+                          {"mass_sum": verdict, "uniformity": report})
+
+
+def ref_beurling_gap_check(support):
+    gaps = []
+    if isinstance(support, RealSequence):
+        T = support.window
+        cuts = [-T] + support.points.tolist() + [T]
+        for l, r in zip(cuts, cuts[1:]):
+            if r > l:
+                gaps.append(Interval(l, r))
+    else:
+        ivs = sorted(support, key=lambda i: i.left)
+        reach = ivs[0].right if ivs else 0.0
+        for iv in ivs[1:]:
+            if iv.left > reach:
+                gaps.append(Interval(reach, iv.left))
+            reach = max(reach, iv.right)
+    verdict = classify_family(gaps) if gaps else None
+    long_gaps = verdict is not None and verdict.classification == DIVERGENT
+    conclusion = Conclusion(MU_MUST_VANISH) if long_gaps else Conclusion(INCONCLUSIVE)
+    return TheoremVerdict("gap-support", True, conclusion,
+                          {"gap_family": verdict, "gap_count": len(gaps)})
+
+
+def ref_debranges_check(K, measure, modulus_of_continuity):
+    if float(np.min(K.values)) < 1.0:
+        raise WeightBelowOne("weight must be >= 1")
+    mids = 0.5 * (K.breakpoints[:-1] + K.breakpoints[1:])
+    slopes = np.abs(np.diff(np.log(K.values))) / np.diff(mids)
+    continuity_ok = bool(np.all(slopes <= modulus_of_continuity + 1e-12))
+    kw = np.atleast_1d(K.evaluate(measure.positions))
+    mass_series = shell_sum_verdict(measure.positions, kw * measure.masses)
+    mass_ok = mass_series.classification == CONVERGENT
+    log_pieces = [(l, r, math.log(v)) for l, r, v in ref_pieces(K)]
+    poisson_logk = shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
+    unsummable = poisson_logk.classification == DIVERGENT
+    applicable = continuity_ok and mass_ok and unsummable
+    evidence = {
+        "continuity_ok": continuity_ok,
+        "max_log_slope": float(np.max(slopes)) if slopes.size else 0.0,
+        "mass_series": mass_series,
+        "poisson_log_weight": poisson_logk,
+    }
+    conclusion = Conclusion(MU_MUST_VANISH) if applicable else Conclusion(INCONCLUSIVE)
+    return TheoremVerdict("admissible-weight", applicable, conclusion, evidence)
+
+
+def ref_krein_lm_check(density_samples, monotone_flag=True):
+    pieces = ref_pieces(density_samples)
+    zero_pieces = [(l, r) for l, r, v in pieces if v <= 0.0 and r > l]
+    pos_pieces = [(l, r, v) for l, r, v in pieces if v > 0.0]
+    log_pieces = [(l, r, abs(math.log(v))) for l, r, v in pos_pieces]
+    overall = (shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
+               if log_pieces else None)
+    evidence = {"poisson_log_density": overall, "zero_pieces": len(zero_pieces)}
+    if not zero_pieces and overall is not None and overall.classification == CONVERGENT:
+        return TheoremVerdict("density-log-summability", True,
+                              Conclusion(TYPE_INFINITE), evidence)
+    for side in ("positive", "negative"):
+        side_pieces = [(l, r, v) for l, r, v in pos_pieces
+                       if (l >= 0 if side == "positive" else r <= 0)]
+        side_zero = any((l >= 0 if side == "positive" else r <= 0) for l, r in zero_pieces)
+        side_log = [(l, r, abs(math.log(v))) for l, r, v in side_pieces]
+        side_verdict = (shell_sum_verdict(*poisson_piece_contributions(side_log).T)
+                        if side_log else None)
+        diverges = side_zero or (side_verdict is not None
+                                 and side_verdict.classification == DIVERGENT)
+        vals = [v for _, _, v in side_pieces]
+        if side == "negative":
+            vals = vals[::-1]
+        monotone = all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+        evidence[f"{side}_half"] = {"diverges": diverges, "monotone": monotone,
+                                    "verdict": side_verdict}
+        if diverges and monotone and monotone_flag:
+            return TheoremVerdict("density-log-summability", True,
+                                  Conclusion(TYPE_ZERO), evidence)
+    return TheoremVerdict("density-log-summability", False,
+                          Conclusion(INCONCLUSIVE), evidence)
+
+
 def outcome(fn, *args):
     """Result of ``fn``, or the type and message of the error it raises."""
     try:
         return fn(*args)
     except (IntervalTooShort, DegenerateDistance) as exc:
         return type(exc), str(exc)
+
+
+def bits(obj):
+    """``obj`` with every float and array replaced by its exact bits, for ``==``."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, dict):
+        return tuple((k, bits(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(bits(v) for v in obj)
+    return float.hex(obj) if isinstance(obj, float) else obj
+
+
+def printed(fn, *args):
+    """The canonical JSON and the bits of ``fn(*args)``, or the type and message of its error."""
+    try:
+        result = fn(*args)
+    except TypelabError as exc:
+        return type(exc), str(exc)
+    return canonical_json(result), bits(result)
 
 
 @st.composite
@@ -726,6 +1019,185 @@ class TestBenedicksKernel:
 
         collect()
         assert len(seen) >= 20
+
+
+# ---------------------------------------------------------------- constructions and checkers
+
+
+step_lengths = st.one_of(st.floats(0.05, 20.0), st.floats(1e-300, 1.7e308),
+                         st.sampled_from([0.1, 0.3, 1.0, 1.7, 2.0, 1e308]))
+
+
+@st.composite
+def alternating_params(draw):
+    """``(even_len, odd_len, T)``, T mostly a few thousand steps or fewer."""
+    even, odd = draw(step_lengths), draw(step_lengths)
+    steps = draw(st.floats(0.0, 3000.0))
+    T = draw(st.one_of(st.just(steps * (even + odd)), st.floats(1e-300, 1.7e308)))
+    return even, odd, T
+
+
+@st.composite
+def auxiliary_cases(draw):
+    """A jittered lattice, a step weight, epsilon and L.
+
+    L is mostly a gap between consecutive pairs divided by a small integer,
+    or a float next to that, so that ``gap / L`` sits at a step of its floor.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s, n = draw(st.floats(0.5, 100.0)), draw(st.integers(3, 80))
+    pts = (np.arange(n) - n // 2 + rng.uniform(-0.4, 0.4, n)) * s
+    T = float(np.max(np.abs(pts))) * draw(st.sampled_from([1.0, 1.5]))
+    bks = np.linspace(-T, T, draw(st.integers(2, 6)))
+    w = WeightTable(bks, rng.choice([0.5, 2.0, 1e3], bks.size - 1) * s, kind="samples")
+    l = np.minimum(np.minimum(np.diff(pts)[:-1], np.diff(pts)[1:]), w.evaluate(pts)[1:-1])
+    pairs = np.column_stack((pts[1:-1] - l / 3.0, pts[1:-1] + l / 3.0)).ravel()
+    gaps = np.diff(pairs)[1::2]
+    L = gaps[draw(st.integers(0, gaps.size - 1))] / draw(st.integers(1, 4)) if gaps.size else s
+    L = float(draw(st.sampled_from([L, np.nextafter(L, 0.0), np.nextafter(L, np.inf),
+                                    L * draw(st.floats(0.5, 3.0))])))
+    return RealSequence(pts, T), w, 2.0 / L, L
+
+
+@st.composite
+def even_layouts(draw):
+    """Even intervals ``(bks[2i], bks[2i + 1]]`` with odd gaps between them, and a
+    point count; equal integer lengths and ``n + 1`` a multiple of their number
+    put levels exactly on plateau edges.
+
+    No length is lost to rounding in the running sum: where one is, a level
+    on the edge goes to the first of the intervals of zero float measure in
+    the loop and to the last in the array code.
+    """
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        lengths = np.full(2 * k, float(draw(st.integers(1, 4))))
+        n = k * draw(st.integers(1, 20)) - 1
+    else:
+        lengths = np.asarray(draw(st.lists(st.floats(0.01, 50.0), min_size=2 * k,
+                                           max_size=2 * k)))
+        n = draw(st.integers(0, 200))
+    bks = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0], np.cumsum(lengths)])
+    return bks[0:-1:2], bks[1::2], n
+
+
+@st.composite
+def interval_unions(draw):
+    """Intervals on a coarse grid, so that nested, duplicate and touching ones are common."""
+    step = draw(st.sampled_from([0.5, 1.0, 37.5]))
+    rows = draw(st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 30)), max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    return [Interval(step * a, step * (a + n)) for a, n in rows]
+
+
+@st.composite
+def sample_tables(draw):
+    """Density samples with zero pieces and monotone stretches, on both sides of 0
+    or on one side only."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 300))
+    bks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 50.0, n))])
+    bks -= draw(st.sampled_from([0.0, bks[-1], bks[n // 2], -1.0, bks[-1] + 1.0]))
+    mids = np.abs(0.5 * (bks[:-1] + bks[1:]))
+    vals = draw(st.sampled_from([np.exp(-mids), 1.0 / (1.0 + mids * mids),
+                                 np.exp(-np.sqrt(mids)), rng.uniform(0.0, 2.0, n)]))
+    vals = np.where(rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.05, 1.0])), 0.0, vals)
+    return WeightTable(bks, vals, kind="samples")
+
+
+@st.composite
+def suffgen_cases(draw):
+    """A lattice of density d with points at +-T, and atoms near its points,
+    with some neighbourhoods emptied and some masses exactly 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, T = draw(st.sampled_from([0.5, 1.0, 2.0])), float(draw(st.integers(40, 400)))
+    A = arithmetic(d, T)
+    pos = A.points + rng.uniform(-0.3, 0.3, len(A)) / d
+    drop = draw(st.sampled_from([0.0, 0.002]))
+    pos = np.unique(np.clip(pos[rng.uniform(size=pos.size) >= drop], -T, T))
+    masses = np.where(rng.uniform(size=pos.size) < 0.2, 1.0,
+                      np.exp(rng.uniform(draw(st.sampled_from([-2.0, -60.0])), 3.0, pos.size)))
+    return DiscreteMeasure(pos, masses, T), A, d
+
+
+class TestConstructionKernels:
+    @given(alternating_params())
+    @example((1e308, 2.0, 1.0))  # breakpoints 1e308 and 1e308 + 2 merge
+    @example((1e308, 1e308, 1e308))  # the step sum overflows
+    @example((1e307, 1.7e308, 5e307))
+    @example((0.3, 1.7, 77.7))
+    @example((1.0, 1.0, 20.5))
+    @settings(max_examples=300, deadline=None)
+    def test_alternating_partition_matches_loop(self, params):
+        assert printed(alternating_partition, *params) == printed(ref_alternating_partition,
+                                                                  *params)
+
+    @given(auxiliary_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_auxiliary_sequence_matches_loop(self, case):
+        assert printed(auxiliary_sequence, *case) == printed(ref_auxiliary_sequence, *case)
+
+    @given(even_layouts())
+    @example((np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0]), 5))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_measure_points_match_loop(self, layout):
+        lefts, rights, n = layout
+        want = ref_equal_measure_points([Interval(l, r) for l, r in zip(lefts, rights)], n)
+        assert _equal_measure_points(lefts, rights - lefts, n).tolist() == want
+
+    def test_plateau_edge_goes_to_the_next_interval(self):
+        # levels 1 and 2 end the first and second interval of unit length
+        got = _equal_measure_points(np.array([0.0, 2.0, 4.0]), np.ones(3), 5)
+        assert got.tolist() == [0.5, 2.0, 2.5, 4.0, 4.5]
+
+    @given(st.sampled_from([(1.0, 2.0), (1.0, 1.0), (0.3, 1.1), (2.0, 7.0), (1.0, 5.0)]),
+           st.floats(2.0, 1500.0), st.one_of(st.floats(1e-3, 5.0), st.sampled_from([1 / 3, 0.5, 2.0])))
+    @example((1.0, 2.0), 900.0, 0.5)
+    @settings(max_examples=100, deadline=None)
+    def test_benedicks_sequence_matches_loop(self, lengths, T, C):
+        partition = alternating_partition(*lengths, T)
+        assert printed(benedicks_sequence, partition, C) == printed(ref_benedicks_sequence,
+                                                                    partition, C)
+
+
+class TestCheckerKernels:
+    @given(sample_tables(), st.booleans())
+    @example(WeightTable(np.array([-3.0, -1.0, 0.0]), np.array([0.0, 0.0]), "samples"), True)
+    @example(WeightTable(np.array([0.0, 1.0, 3.0]), np.array([2.0, 1.0]), "samples"), True)
+    @settings(max_examples=300, deadline=None)
+    def test_krein_lm_matches_loop(self, table, monotone_flag):
+        assert (printed(krein_lm_check, table, monotone_flag)
+                == printed(ref_krein_lm_check, table, monotone_flag))
+
+    @given(interval_unions())
+    @example([])
+    @example([Interval(0.0, 10.0), Interval(2.0, 3.0), Interval(2.0, 3.0),
+              Interval(10.0, 12.0), Interval(15.0, 16.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_beurling_union_matches_loop(self, ivs):
+        assert printed(beurling_gap_check, ivs) == printed(ref_beurling_gap_check, ivs)
+
+    @given(sequences())
+    @example(RealSequence(np.array([-5.0, 0.0, 5.0]), 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_beurling_sequence_matches_loop(self, seq):
+        assert printed(beurling_gap_check, seq) == printed(ref_beurling_gap_check, seq)
+
+    @given(st.floats(0.1, 3.0), st.floats(0.05, 1.0), measures())
+    @settings(max_examples=200, deadline=None)
+    def test_debranges_matches_loop(self, power, scale, measure):
+        T = measure.window
+        bks = np.linspace(-T, T, 65)
+        mids = np.abs(0.5 * (bks[:-1] + bks[1:]))
+        K = WeightTable(bks, 1.0 + scale * mids ** power)
+        assert (printed(debranges_check, K, measure, 1.0)
+                == printed(ref_debranges_check, K, measure, 1.0))
+
+    @given(suffgen_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_suffgen_matches_loop(self, case):
+        measure, A, d = case
+        assert printed(suffgen_bound, measure, A, d) == printed(ref_suffgen_bound, measure, A, d)
 
 
 # ---------------------------------------------------------------- serialize

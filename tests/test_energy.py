@@ -115,6 +115,11 @@ class TestEnergyReport:
         assert rep.energy == 0.0
         assert rep.deficit == pytest.approx(math.log(7.0))
 
+    def test_unsorted_configuration(self):
+        rep = energy_report(np.array([5.0, 1.0, 2.0]), Interval(0.0, 3.0))
+        assert rep == energy_report(np.array([1.0, 2.0, 5.0]), Interval(0.0, 3.0))
+        assert rep.delta == 2
+
     def test_interval_too_short(self):
         with pytest.raises(IntervalTooShort):
             energy_report(np.arange(10.0), Interval(0.0, 0.5))

@@ -10,7 +10,10 @@ a report's document from its dataclass fields, must print the same bytes.
 The ``type-selection-empty`` digest was taken while the interior density
 and the type estimators still ran separate copies of the downward scan,
 and the ``theorem-hybrid`` digest while ``hybrid_check`` still ran its
-own overlap check over ``Interval`` objects.
+own overlap check over ``Interval`` objects.  The ``construct-auxiliary-fill``,
+``construct-alternating``, ``theorem-beurling-gap-sequence``,
+``theorem-krein-lm-zero`` and ``theorem-debranges`` digests were taken while
+the constructions and the classical checkers still ran per-element loops.
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -77,6 +80,19 @@ GOLDEN = {
                         "c9d4bd3c7b6550486d49c32f8a3b61ad77ccc0d384b1c28a5b8ebc969b7b9c66"),
     "construct-benedicks": (["construct", "benedicks", "--param", "T=400"],
                             "249254426250d5340c1f38122c50538dedcc9c13820f18f7a2df212420620fe7"),
+    "construct-auxiliary-fill": (["construct", "auxiliary", "--param", "d=0.013",
+                                  "--param", "T=3000", "--param", "L=21"],
+                                 "f8a50c740311e59444095885d187301984c8f5eeb55727ca2deb335d1cfefe9c"),
+    "construct-alternating": (["construct", "alternating-partition", "--param", "T=77.7",
+                               "--param", "even=0.3", "--param", "odd=1.7"],
+                              "311e942149ef58656bbdded9b8f6e6bcc40be0a6959c60bcdb0224ed10d4c852"),
+    "theorem-beurling-gap-sequence": (["theorem", "beurling-gap", "--input", "pert"],
+                                      "e60d3467d98492475448d40299606eb402492a99eea19be86624a9555ee3f4fb"),
+    "theorem-krein-lm-zero": (["theorem", "krein-lm", "--weight", "samples-zero"],
+                              "c1c458526642ffdbb2dba5a159fc75c336d52b6fd8b2c888541b240ee6f346a5"),
+    "theorem-debranges": (["theorem", "debranges", "--input", "koosis",
+                           "--weight", "mu-weight"],
+                          "f6aca943bb739df1ff0e17967e8bcd0226cb76d0e3415db164c0c675bd9b2972"),
     "type-csv": (["type", "--input", "koosis", "--format", "csv"],
                  "1fc203b55be891bf36809c414c08c28b823dbd156593178e77a47a87711c8e11"),
     "uniform-csv": (["uniform", "--input", "pert", "--d", "1.0", "--format", "csv"],
@@ -88,6 +104,19 @@ def _samples_table() -> WeightTable:
     """Density samples ``exp(-sqrt|x + 10|)`` on 200 pieces of ``[-T, T]``."""
     bks = np.linspace(-T, T, 201)
     return WeightTable(bks, np.exp(-np.sqrt(np.abs(bks[:-1] + 10.0))), "samples")
+
+
+def _samples_zero_table() -> WeightTable:
+    """:func:`_samples_table` with the pieces left of -1500 set to zero."""
+    table = _samples_table()
+    values = np.where(table.breakpoints[:-1] < -1500.0, 0.0, table.values)
+    return WeightTable(table.breakpoints, values, "samples")
+
+
+def _mu_weight() -> WeightTable:
+    """The weight ``exp(sqrt|x|)`` on 200 pieces of ``[-T, T]``."""
+    bks = np.linspace(-T, T, 201)
+    return WeightTable(bks, np.exp(np.sqrt(np.abs(0.5 * (bks[:-1] + bks[1:])))))
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +132,8 @@ def documents(tmp_path_factory):
             "alternating": alternating_partition(1.0, 2.0, 400.0),
             "intervals": {"intervals": sorted([s * k * k, s * k * k + 1.0]
                                               for k in range(1, 41) for s in (-1, 1))},
-            "samples": _samples_table()}
+            "samples": _samples_table(), "samples-zero": _samples_zero_table(),
+            "mu-weight": _mu_weight()}
     paths = {}
     for name, obj in docs.items():
         path = root / f"{name}.json"
