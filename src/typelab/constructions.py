@@ -129,8 +129,8 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     points.  Every base point is then exactly the midpoint of its pair, so
     it reappears in the midpoint sequence C.
 
-    Requires ``L >= 1/epsilon`` (fill spacing consistent with the gap bound)
-    and strictly positive finite weights.
+    Requires ``L >= 1/epsilon`` (fill spacing consistent with the gap bound), strictly
+    positive finite weights and at most :data:`CONSTRUCTION_MAX_SIZE` fill points.
     """
     if epsilon <= 0:
         raise TypelabError("epsilon must be positive")
@@ -156,7 +156,11 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     pairs[1::2] = centers + l / 3.0
 
     lo, gap = pairs[1:-1:2], np.diff(pairs)[1::2]
-    m = np.where(gap > L, np.floor(gap / L), 0.0).astype(int)
+    with np.errstate(over="ignore"):  # an infinite fill is refused just below
+        m = np.where(gap > L, np.floor(gap / L), 0.0)
+        if m.sum() > CONSTRUCTION_MAX_SIZE:
+            raise TypelabError(f"the gap fill would have more than {CONSTRUCTION_MAX_SIZE} points")
+    m = m.astype(int)
     owner = np.repeat(np.arange(gap.size), m)
     k = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m) + 1
     fill = lo[owner] + k * gap[owner] / (m[owner] + 1)

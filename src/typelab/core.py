@@ -70,12 +70,6 @@ class Interval:
     def length(self) -> float:
         return self.right - self.left
 
-    def dist0(self) -> float:
-        """Distance from the origin to the closure of the interval."""
-        if self.left <= 0.0 <= self.right:
-            return 0.0
-        return self.left if self.left > 0.0 else -self.right
-
 
 @dataclass(frozen=True)
 class RealSequence:
@@ -104,11 +98,11 @@ class RealSequence:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    def count_in(self, left: float, right: float) -> int:
-        """Number of points in ``(left, right]``."""
+    def count_in(self, left, right):
+        """Number of points in ``(left, right]``; arrays of ends give an integer array."""
         pts = self.points
-        return int(np.searchsorted(pts, right, side="right")
-                   - np.searchsorted(pts, left, side="right"))
+        counts = np.searchsorted(pts, right, side="right") - np.searchsorted(pts, left, side="right")
+        return int(counts) if counts.ndim == 0 else counts
 
     def centered_indices(self) -> np.ndarray:
         """Enumeration indices with 0 at the first point ``>= 0``."""
@@ -140,11 +134,6 @@ class Partition:
         if not np.any(bks == 0.0):
             raise TypelabError("partition must contain 0 as a breakpoint")
 
-    @property
-    def intervals(self) -> list[Interval]:
-        bks = self.breakpoints
-        return [Interval(bks[i], bks[i + 1]) for i in range(len(bks) - 1)]
-
     def index(self, points: np.ndarray) -> "PartitionIndex":
         """The intervals as arrays, with the slice of sorted ``points`` each holds."""
         bks = self.breakpoints
@@ -152,10 +141,6 @@ class Partition:
         lefts, rights = bks[:-1], bks[1:]
         return PartitionIndex(lefts, rights, rights - lefts, dist0(lefts, rights),
                               at[:-1], at[1:])
-
-    @property
-    def span(self) -> Interval:
-        return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
     def __len__(self) -> int:
         return len(self.breakpoints) - 1
@@ -178,7 +163,7 @@ class PartitionIndex:
 
 
 def dist0(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """:meth:`Interval.dist0` of every ``(lefts[i], rights[i]]``."""
+    """Distance from 0 to the closure of every ``(lefts[i], rights[i]]``."""
     return np.where(lefts > 0.0, lefts, np.where(rights < 0.0, -rights, 0.0))
 
 
@@ -200,14 +185,9 @@ class DiscreteMeasure:
             raise EmptyInput("measure needs at least one atom")
         if pos.shape != mas.shape:
             raise TypelabError("positions and masses must align")
-        if not 0 < self.window < math.inf:
-            raise TypelabError("window must be positive and finite")
-        if np.any(pos[1:] <= pos[:-1]):
-            raise DuplicatePoint("atom positions must be strictly increasing")
+        RealSequence(pos, self.window)  # the support's checks
         if np.any(mas <= 0) or not np.all(np.isfinite(mas)):
             raise TypelabError("masses must be positive and finite")
-        if not np.max(np.abs(pos)) <= self.window:  # also true on NaN
-            raise OutOfWindow("atom positions must be finite and inside the window")
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -405,14 +385,18 @@ def _classify_shells(shell_sums: tuple[tuple[int, float], ...]) -> tuple[str, fl
 def poisson_tail_sum(terms) -> SumVerdict:
     """Classify ``sum value/(1 + location^2)`` for ``terms = [(location, value), ...]``.
 
-    The nonnegative ``value`` entries are Poisson-weighted at their
+    The nonnegative finite ``value`` entries are Poisson-weighted at their
     locations and handed to the dyadic-shell classifier; an empty list
     yields value 0 and an inconclusive verdict.
     """
     locs, vals = np.asarray(terms, dtype=float).reshape(-1, 2).T
     if np.any(vals < 0):
         raise NegativeTerm("poisson_tail_sum requires nonnegative values")
-    return shell_sum_verdict(locs, vals * (1.0 / (1.0 + locs * locs)))
+    if not np.isfinite(vals).all():
+        raise TypelabError("a term of the Poisson series is beyond the float range")
+    with np.errstate(over="ignore"):  # past |x| = 1.3e154 the weight rounds to 0
+        weights = 1.0 / (1.0 + locs * locs)
+    return shell_sum_verdict(locs, vals * weights)
 
 
 def poisson_piece_contributions(pieces) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    _SHELL_CUTS,
     DIVERGENT,
-    Interval,
     OutOfWindow,
     Partition,
     RealSequence,
@@ -121,10 +121,13 @@ def regularity_block_scan(seq: RealSequence, a: float,
     """
     if a < 0 or epsilon <= 0:
         raise TypelabError("need a >= 0 and epsilon > 0")
-    bad = [iv for iv in _dyadic_blocks(seq.window)
-           if abs(seq.count_in(iv.left, iv.right) / iv.length - a)
-           > epsilon * max(a, 1.0) + 1.0 / iv.length]
-    if not bad:
+    blocks = _dyadic_blocks(seq.window)
+    lefts, rights = blocks.T
+    lengths = rights - lefts
+    # the innermost block (-1, 1] takes no part in this scan
+    bad = blocks[(lefts != -1.0) & (np.abs(seq.count_in(lefts, rights) / lengths - a)
+                                    > epsilon * max(a, 1.0) + 1.0 / lengths)]
+    if not bad.size:
         return SumVerdict(0.0, (), 0.0, "convergent", 0.0, note="no violating blocks")
     return replace(classify_family(bad), note=f"{len(bad)} violating blocks")
 
@@ -298,24 +301,19 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
     return DensityEstimate(value, EXTERIOR, None, tuple(diagnostics))
 
 
-def _excess_blocks(seq: RealSequence, a: float) -> list[Interval]:
-    """Dyadic blocks where the count exceeds the repairable target."""
-    T = seq.window
-    out = [iv for iv in _dyadic_blocks(T)
-           if seq.count_in(iv.left, iv.right) - a * iv.length
-           > max(EXCESS_RTOL * a * iv.length, EXCESS_SLACK)]
-    # the innermost block (-1, 1] is checked as a whole
-    if T >= 1.0:
-        count = seq.count_in(-1.0, 1.0)
-        if count - 2 * a > max(2 * EXCESS_RTOL * a, EXCESS_SLACK):
-            out.append(Interval(-1.0, 1.0))
-    return out
+def _excess_blocks(seq: RealSequence, a: float) -> np.ndarray:
+    """``(left, right)`` rows of the dyadic blocks where the count exceeds the repairable target."""
+    blocks = _dyadic_blocks(seq.window)
+    lefts, rights = blocks.T
+    lengths = rights - lefts
+    with np.errstate(over="ignore"):  # an infinite target is never exceeded
+        return blocks[seq.count_in(lefts, rights) - a * lengths
+                      > np.maximum(EXCESS_RTOL * a * lengths, EXCESS_SLACK)]
 
 
-def _dyadic_blocks(T: float) -> list[Interval]:
-    """Blocks ``(2^j, 2^(j+1)]`` and ``(-2^(j+1), -2^j]`` inside ``[-T, T]``, j = 0, 1, ..."""
-    out, lo = [], 1.0
-    while 2.0 * lo <= T:
-        out += [Interval(lo, 2.0 * lo), Interval(-2.0 * lo, -lo)]
-        lo *= 2.0
-    return out
+def _dyadic_blocks(T: float) -> np.ndarray:
+    """``(left, right)`` rows of the blocks inside ``[-T, T]``, in increasing order:
+    ``(-2^(j+1), -2^j]``, the innermost ``(-1, 1]`` and ``(2^j, 2^(j+1)]``, j = 0, 1, ..."""
+    mags = np.abs(_SHELL_CUTS)
+    ends = _SHELL_CUTS[(mags >= 1.0) & (mags <= T)]
+    return np.column_stack((ends[:-1], ends[1:]))

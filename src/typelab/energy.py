@@ -16,6 +16,9 @@ import numpy as np
 
 from .core import Interval, RealSequence, TypelabError, map_libm
 
+# the least interval length: the deficit is nonnegative only for |I| >= 1
+LEAST_LENGTH = 1.0
+
 # below this separation a pair is treated as coincident rather than
 # silently contributing -inf
 DEGENERATE_DISTANCE = 1e-300
@@ -116,8 +119,8 @@ def energy_report(config, interval: Interval) -> EnergyReport:
     if not math.isfinite(interval.length):
         raise TypelabError(f"interval ({interval.left:g}, {interval.right:g}] "
                            "is longer than the float range")
-    if interval.length < 1.0:
-        raise IntervalTooShort(f"interval length {interval.length} < 1")
+    if interval.length < LEAST_LENGTH:
+        raise IntervalTooShort(f"interval length {interval.length} < {LEAST_LENGTH:g}")
     pts = np.sort(_as_points(config))
     lo = np.searchsorted(pts, interval.left, side="right")
     hi = np.searchsorted(pts, interval.right, side="right")
@@ -143,11 +146,11 @@ def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     two = delta >= 2
     degenerate = np.zeros(delta.size, dtype=bool)
     degenerate[two] = close[hi[two] - 1] > close[lo[two]]
-    bad = np.flatnonzero((lengths < 1.0) | degenerate)
+    bad = np.flatnonzero((lengths < LEAST_LENGTH) | degenerate)
     if bad.size:
         first = bad[0]
-        if lengths[first] < 1.0:
-            raise IntervalTooShort(f"interval length {lengths[first]} < 1")
+        if lengths[first] < LEAST_LENGTH:
+            raise IntervalTooShort(f"interval length {lengths[first]} < {LEAST_LENGTH:g}")
         raise DegenerateDistance("two points closer than 1e-300")
     return delta * delta * map_libm(math.log, lengths) - interval_energies(points, lo, hi)
 

@@ -20,6 +20,7 @@ from .core import (
     dist0,
     poisson_tail_sum,
 )
+from .energy import LEAST_LENGTH
 
 
 SCALAR_PROBE = 4  # points _first_reach tests as floats before its array chunks
@@ -40,13 +41,19 @@ class NotShort(TypelabError):
 def family_bounds(family) -> tuple[np.ndarray, np.ndarray]:
     """``(lefts, rights)`` of a disjoint family, a :class:`Partition`, intervals or
     an array of ``(left, right)`` rows, ordered by left end; raises
-    :class:`OverlappingIntervals` naming the first overlapping pair."""
+    :class:`OverlappingIntervals` naming the first overlapping pair, and
+    :class:`TypelabError` for a member longer than the float range."""
     if isinstance(family, Partition):
         return family.breakpoints[:-1], family.breakpoints[1:]
     if not isinstance(family, np.ndarray):
         family = [(iv.left, iv.right) for iv in family]
     ends = np.asarray(family, dtype=float).reshape(-1, 2)
     lefts, rights = ends[np.argsort(ends[:, 0], kind="stable")].T
+    with np.errstate(over="ignore"):
+        too_long = np.flatnonzero(~np.isfinite(rights - lefts))
+    if too_long.size:
+        i = too_long[0]
+        raise TypelabError(f"interval ({lefts[i]:g}, {rights[i]:g}] is longer than the float range")
     overlap = np.flatnonzero(lefts[1:] < rights[:-1])
     if overlap.size:
         i = overlap[0]
@@ -68,14 +75,12 @@ def classify_family(intervals) -> SumVerdict:
         # libm pow: it differs from x * x in the last bit
         squares = [x ** 2 for x in lengths]
     except OverflowError:
-        squares = [math.inf]
-    if not all(map(math.isfinite, squares)):
-        raise TypelabError("an interval is too long for its squared length to be finite")
+        raise TypelabError("an interval is too long for its squared length to be finite") from None
     return poisson_tail_sum(list(zip(locations, squares)))
 
 
 def _min_length(rank: int, scale: float) -> float:
-    return scale * max(1.0, math.sqrt(rank))
+    return scale * max(LEAST_LENGTH, math.sqrt(rank))
 
 
 def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[float]:
@@ -105,9 +110,9 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
         bks.append(nxt)
         b = nxt
         rank += 1
-    # close the side at the window edge; a sliver shorter than 1 is merged
-    # into the last interval
-    if bks and T - bks[-1] < 1.0:
+    # close the side at the window edge; a sliver shorter than the least
+    # length is merged into the last interval
+    if bks and T - bks[-1] < LEAST_LENGTH:
         bks[-1] = T
     elif b < T:
         bks.append(T)

@@ -550,8 +550,6 @@ def benedicks_conditions(partition: Partition, C1: float, C2: float, C3: float) 
         grow = prev_even > 0
         bracket[grow] = np.maximum(0.0, map_libm(math.log, odd_len[grow] / prev_even[grow])) + 1.0
         terms = odd_len * odd_len * bracket
-        if not np.isfinite(terms).all():
-            raise TypelabError("odd intervals too long for their squared length to be finite")
         series = poisson_tail_sum(np.column_stack((bks[odd], terms)))
     cond4 = series.classification == CONVERGENT
 

@@ -23,7 +23,7 @@ from .core import (
     TypelabError,
     poisson_tail_sum,
 )
-from .energy import interval_deficits
+from .energy import LEAST_LENGTH, interval_deficits
 from .partitions import InsufficientData, classify_family, find_short_partition
 
 # density condition tolerance: per-interval ratios must satisfy
@@ -62,7 +62,7 @@ class UniformityReport:
 
 
 def merge_short_intervals(partition: Partition) -> Partition:
-    """Merge intervals shorter than 1, the energy leg's least length, into a neighbour.
+    """Merge intervals shorter than the energy leg's least length into a neighbour.
 
     Short intervals are absorbed rightward, except that the breakpoint 0 is
     never dropped: a short interval ending at 0 extends leftward instead.
@@ -75,21 +75,21 @@ def merge_short_intervals(partition: Partition) -> Partition:
         is_last = i == len(bks) - 1
         if b == 0.0:
             # keep 0; a short piece ending at 0 swallows its left neighbour
-            while len(out) > 1 and b - out[-1] < 1.0:
+            while len(out) > 1 and b - out[-1] < LEAST_LENGTH:
                 out.pop()
             out.append(b)
         elif is_last:
-            while len(out) > 1 and out[-1] != 0.0 and b - out[-1] < 1.0:
+            while len(out) > 1 and out[-1] != 0.0 and b - out[-1] < LEAST_LENGTH:
                 out.pop()
             out.append(b)
-        elif b - out[-1] >= 1.0:
+        elif b - out[-1] >= LEAST_LENGTH:
             out.append(b)
     return Partition(np.asarray(out))
 
 
 def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
-    span = partition.span
-    if span.left > -seq.window or span.right < seq.window:
+    bks = partition.breakpoints
+    if bks[0] > -seq.window or bks[-1] < seq.window:
         raise WindowMismatch("partition does not cover the sequence window")
     return partition.index(seq.points)
 

@@ -39,6 +39,7 @@ from typelab.core import (
     Interval,
     Partition,
     RealSequence,
+    SumVerdict,
     TypelabError,
     WeightTable,
     poisson_tail_sum,
@@ -48,8 +49,13 @@ from typelab.core import (
     split_pieces_at_shells,
 )
 from typelab.density import (
+    EXCESS_RTOL,
+    EXCESS_SLACK,
+    _dyadic_blocks,
     _farthest_points,
     counting_function,
+    exterior_density,
+    regularity_block_scan,
     spread_selection,
     strong_regularity_defect,
 )
@@ -258,10 +264,23 @@ def ref_farthest_points(inside, k):
     return np.sort(inside[np.array(sel)])
 
 
+def ref_intervals(partition):
+    """The partition's intervals as :class:`Interval` objects."""
+    bks = partition.breakpoints.tolist()
+    return [Interval(left, right) for left, right in zip(bks[:-1], bks[1:])]
+
+
+def ref_dist0(iv):
+    """Distance from the origin to the closure of ``iv``."""
+    if iv.left <= 0.0 <= iv.right:
+        return 0.0
+    return iv.left if iv.left > 0.0 else -iv.right
+
+
 def ref_spread_selection(seq, partition, d):
     pts = seq.points
     chosen = []
-    for iv in partition.intervals:
+    for iv in ref_intervals(partition):
         lo = int(np.searchsorted(pts, iv.left, side="right"))
         hi = int(np.searchsorted(pts, iv.right, side="right"))
         inside = pts[lo:hi]
@@ -281,22 +300,22 @@ def ref_spread_selection(seq, partition, d):
 def ref_energy_leg(seq, partition):
     """The former per-interval energy_report loop of the energy leg."""
     deficits, terms = [], []
-    for iv in partition.intervals:
+    for iv in ref_intervals(partition):
         rep = energy_report(seq, iv)
         deficits.append(rep.deficit)
-        terms.append((iv.dist0(), max(rep.deficit, 0.0)))
+        terms.append((ref_dist0(iv), max(rep.deficit, 0.0)))
     return deficits, poisson_tail_sum(terms)
 
 
 def ref_check_density(seq, partition, d):
     ratios = []
     sides = {"left": [], "right": []}
-    for iv in partition.intervals:
+    for iv in ref_intervals(partition):
         count = seq.count_in(iv.left, iv.right)
         ratio = count / iv.length
         ratios.append(ratio)
         tol = max(0.05 * d, 2.0 / iv.length)
-        row = (iv.dist0(), abs(ratio - d), abs(ratio - d) - tol)
+        row = (ref_dist0(iv), abs(ratio - d), abs(ratio - d) - tol)
         if iv.right <= 0.0:
             sides["left"].append(row)
         elif iv.left >= 0.0:
@@ -312,7 +331,37 @@ def ref_check_density(seq, partition, d):
 
 def ref_classify_family(intervals):
     ivs = sorted(intervals, key=lambda i: i.left)
-    return poisson_tail_sum([(iv.dist0(), iv.length ** 2) for iv in ivs])
+    return poisson_tail_sum([(ref_dist0(iv), iv.length ** 2) for iv in ivs])
+
+
+def ref_dyadic_blocks(T):
+    out, lo = [], 1.0
+    while 2.0 * lo <= T:
+        out += [Interval(lo, 2.0 * lo), Interval(-2.0 * lo, -lo)]
+        lo *= 2.0
+    return out
+
+
+def ref_excess_blocks(seq, a):
+    T = seq.window
+    out = [iv for iv in ref_dyadic_blocks(T)
+           if seq.count_in(iv.left, iv.right) - a * iv.length
+           > max(EXCESS_RTOL * a * iv.length, EXCESS_SLACK)]
+    # the innermost block (-1, 1] is checked as a whole
+    if T >= 1.0:
+        count = seq.count_in(-1.0, 1.0)
+        if count - 2 * a > max(2 * EXCESS_RTOL * a, EXCESS_SLACK):
+            out.append(Interval(-1.0, 1.0))
+    return out
+
+
+def ref_regularity_block_scan(seq, a, epsilon=0.05):
+    bad = [iv for iv in ref_dyadic_blocks(seq.window)
+           if abs(seq.count_in(iv.left, iv.right) / iv.length - a)
+           > epsilon * max(a, 1.0) + 1.0 / iv.length]
+    if not bad:
+        return SumVerdict(0.0, (), 0.0, "convergent", 0.0, note="no violating blocks")
+    return dataclasses.replace(classify_family(bad), note=f"{len(bad)} violating blocks")
 
 
 def ref_benedicks_conditions(partition, C1, C2, C3):
@@ -985,8 +1034,54 @@ class TestPartitionKernels:
         cuts = np.cumsum(gaps)
         bks = np.unique(np.concatenate([-cuts[:split][::-1], [0.0], cuts[split:]]))
         part = Partition(bks)
-        assert classify_family(part) == ref_classify_family(part.intervals)
-        assert classify_family(part.intervals) == ref_classify_family(part.intervals)
+        ivs = ref_intervals(part)
+        assert classify_family(part) == ref_classify_family(ivs)
+        assert classify_family(ivs) == ref_classify_family(ivs)
+
+
+@st.composite
+def block_windows(draw):
+    """Windows below 1, in [1, 2), at a power of two or next to one, and 1e5."""
+    p = 2.0 ** draw(st.integers(0, 17))
+    return draw(st.one_of(st.floats(0.01, 1.0, exclude_max=True),
+                          st.floats(1.0, 2.0, exclude_max=True),
+                          st.sampled_from([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]),
+                          st.just(1e5)))
+
+
+@st.composite
+def block_sequences(draw):
+    """Points in a :func:`block_windows` window: scattered, in tight clusters
+    that overfill a block, and some of 0 and +-1."""
+    T = draw(block_windows())
+    xs = draw(st.lists(st.floats(-T, T), max_size=100))
+    for centre, size in draw(st.lists(st.tuples(st.floats(-T, T), st.integers(3, 60)),
+                                      max_size=4)):
+        xs += np.clip(centre + np.arange(size) * 1e-3, -T, T).tolist()
+    xs += [x for x in draw(st.sets(st.sampled_from([0.0, -1.0, 1.0]))) if abs(x) <= T]
+    return RealSequence(np.unique(np.asarray(xs, dtype=float)), T)
+
+
+class TestDyadicBlocks:
+    def test_blocks_match_loop(self):
+        powers = np.ldexp(1.0, np.arange(0, 1024, 7))
+        windows = np.concatenate([[0.01, 0.5, np.nextafter(1.0, 0.0), 1.5, 1.7976931348623157e308],
+                                  powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        for T in windows.tolist():
+            want = [[iv.left, iv.right] for iv in ref_dyadic_blocks(T)]
+            want += [[-1.0, 1.0]] if T >= 1.0 else []
+            assert _dyadic_blocks(T).tolist() == sorted(want), T
+
+    @given(block_sequences(), st.sampled_from([0.0, 0.3, 0.7, 1.0, 2.5]))
+    @example(RealSequence(np.array([-1.0, 0.0, 1.0]), 1.0), 0.3)
+    @example(RealSequence(np.arange(-1.0, 1.001, 0.001), 1.5), 0.7)
+    @settings(max_examples=150, deadline=None)
+    def test_scans_match_loop(self, seq, a):
+        assert printed(regularity_block_scan, seq, a) == printed(ref_regularity_block_scan, seq, a)
+        grid = [0.05, 0.5, 1.0, 2.0, 8.0] + [a] * (a > 0)
+        with mock.patch("typelab.density._excess_blocks", ref_excess_blocks):
+            want = printed(exterior_density, seq, grid)
+        assert printed(exterior_density, seq, grid) == want
 
 
 class TestBenedicksKernel:

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -272,6 +273,22 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, intervals", [
+        (["classify"], "[[-1e308, 1e308]]"),
+        (["short2i"], "[[-1e308, 1e308]]"),
+        (["theorem", "beurling-gap"], "[[-1.5e308, -1e308], [1e308, 1.5e308]]"),
+        (["theorem", "hybrid", "--input", "MEASURE"], "[[-1e308, 1e308]]")])
+    def test_interval_length_beyond_float_range(self, tmp_path, command, intervals, capsys):
+        # finite ends whose difference overflows; for beurling-gap it is the gap
+        measure = tmp_path / "measure.json"
+        measure.write_text('{"atoms": [[0, 2], [1, 3]], "window": 10}')
+        path = tmp_path / "intervals.json"
+        path.write_text('{"intervals": %s}' % intervals)
+        argv = [str(measure) if a == "MEASURE" else a for a in command]
+        assert main(argv + ["--intervals", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: interval (-1e+308, 1e+308] "
+                                           "is longer than the float range\n")
+
     def test_integer_beyond_float_range(self, tmp_path, capsys):
         huge = "1" + "0" * 400
         docs = {"energy": '{"points": [1, 2, %s], "window": 10}' % huge,
@@ -308,6 +325,19 @@ class TestInputValidation:
     def test_bad_arithmetic_params(self, family, param, capsys):
         # every family built on an arithmetic progression refuses it before allocating
         assert exits_cleanly_with_2(["construct", family, "--param", param], capsys)
+
+    @pytest.mark.parametrize("params", [["epsilon=1e300", "L=1e-300"],
+                                        ["epsilon=1e6", "L=1e-6"]])
+    def test_auxiliary_fill_beyond_cap(self, params):
+        # a fill of about 1e302 or 2.7e8 points is refused before it is built:
+        # the run gets 1 GiB of address space, less than the second fill needs
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        argv = ["construct", "auxiliary"] + [a for p in params for a in ("--param", p)]
+        run = subprocess.run([sys.executable, "-m", "typelab", *argv], capture_output=True,
+                             text=True, preexec_fn=limit, timeout=60)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == "error: the gap fill would have more than 100000 points\n"
 
     @pytest.mark.parametrize("params", [["weights=exponential", "c=-1000"],
                                         ["weights=exponential", "c=1e308"],

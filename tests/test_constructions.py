@@ -114,8 +114,8 @@ class TestBenedicksSequence:
     def test_counts_track_block_length(self):
         part = catalog.benedicks_partition(600.0)
         fam = benedicks_sequence(part, 0.5)
-        for (count, iv) in zip(fam.block_counts, fam.blocks.intervals):
-            assert count == math.floor(0.5 * iv.length)
+        for (count, length) in zip(fam.block_counts, np.diff(fam.blocks.breakpoints)):
+            assert count == math.floor(0.5 * length)
 
     def test_points_live_in_even_intervals(self):
         part = catalog.benedicks_partition(600.0)
@@ -148,8 +148,8 @@ class TestBenedicksSequence:
         # holds six points at equal measure, spaced 1/7
         part = catalog.benedicks_partition(600.0)
         fam = benedicks_sequence(part, 2.0)
-        first = fam.blocks.intervals[len(fam.blocks) // 2]
-        inside = [x for x in fam.sequence.points if first.left < x <= first.right]
+        left, right = fam.blocks.breakpoints[len(fam.blocks) // 2:][:2]
+        inside = [x for x in fam.sequence.points if left < x <= right]
         assert len(inside) == 6
         assert np.allclose(np.diff(inside), 1.0 / 7.0)
 

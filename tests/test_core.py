@@ -13,6 +13,7 @@ from typelab.core import (
     RealSequence,
     TypelabError,
     WeightTable,
+    dist0,
     poisson_tail_sum,
     shell_sum_verdict,
     split_at_shells,
@@ -72,9 +73,8 @@ class TestPoissonTailSum:
 
 class TestDomainTypes:
     def test_interval_dist0(self):
-        assert Interval(1.0, 2.0).dist0() == 1.0
-        assert Interval(-3.0, -2.0).dist0() == 2.0
-        assert Interval(-1.0, 1.0).dist0() == 0.0
+        got = dist0(np.array([1.0, -3.0, -1.0]), np.array([2.0, -2.0, 1.0]))
+        assert got.tolist() == [1.0, 2.0, 0.0]
 
     def test_interval_requires_positive_length(self):
         with pytest.raises(TypelabError):

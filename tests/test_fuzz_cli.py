@@ -2,7 +2,8 @@
 
 Malformed JSON documents (wrong shapes, missing or extra keys, strings,
 bools, nulls and huge or tiny numbers in place of values) go through
-``cli.main`` to each of the five loaders; so do density grids, the
+``cli.main`` to each of the five loaders, and an intervals document to each
+of the four commands that read one; so do density grids, the
 Benedicks constants, the ``construct`` parameters of the alternating
 tilings and of the arithmetic progressions, the float options of the
 analysis commands, the oracle's frequency range and step count, and
@@ -20,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from typelab import catalog, constructions
@@ -125,8 +126,13 @@ def test_measure_loader(workdir, doc):
 
 @FUZZ
 @given(doc=malformed(INTERVALS))
+@example(doc={"intervals": [[-1e308, 1e308]]})  # a length beyond the float range
+@example(doc={"intervals": [[-1.5e308, -1e308], [1e308, 1.5e308]]})  # and a gap
+@example(doc={"intervals": [[1e156, 1.001e156]]})  # a Poisson weight below the float range
 def test_intervals_loader(workdir, doc):
-    run_with_document(workdir, doc, ["classify", "--intervals", "DOC"])
+    for argv in (["classify"], ["short2i"], ["theorem", "beurling-gap"],
+                 ["theorem", "hybrid", "--input", str(workdir / "measure.json")]):
+        run_with_document(workdir, doc, argv + ["--intervals", "DOC"])
 
 
 @FUZZ

@@ -14,6 +14,8 @@ own overlap check over ``Interval`` objects.  The ``construct-auxiliary-fill``,
 ``construct-alternating``, ``theorem-beurling-gap-sequence``,
 ``theorem-krein-lm-zero`` and ``theorem-debranges`` digests were taken while
 the constructions and the classical checkers still ran per-element loops.
+The ``regularity-families`` and ``theorem-beurling-gap-union`` digests were
+taken while the dyadic blocks were still built one ``Interval`` at a time.
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -46,6 +48,8 @@ GOLDEN = {
                        "89952c54d0a5730530e7e07bdc2f5a99429314b307ce046a63b1354ac8c968e9"),
     "regularity": (["regularity", "--input", "pert", "--a", "1"],
                    "b33164fd6523ab870ecd8e5cf3c4c705073b9d7d101d730a04ffc8cb3a7b85a0"),
+    "regularity-families": (["regularity", "--input", "pert", "--a", "0.7", "--scan", "families"],
+                            "2b62bba86048379c935427f5da25b4a5e2b69ae5ce636079329b980577b125b3"),
     "density-interior-arith": (["density", "--input", "arith", "--kind", "interior"] + GRID,
                                "c7c7ef3197eae6bae64abf15db44a119fc21d5966e72d14dfad8ba70f62bb606"),
     "density-interior-pert": (["density", "--input", "pert", "--kind", "interior"] + GRID,
@@ -69,6 +73,8 @@ GOLDEN = {
                 "f5b53f7c438a0e9d7b4f2367fe502064465b9ba38c87dbe3f5fd1ad2751b4785"),
     "theorem-beurling-gap": (["theorem", "beurling-gap", "--intervals", "intervals"],
                              "d03768392f57fa25fea647ba5d8b3fd6da12167582c683c3ab44c69da7315707"),
+    "theorem-beurling-gap-union": (["theorem", "beurling-gap", "--intervals", "intervals-union"],
+                                   "769836d4a07d15891c0279ae73c21075f47af234caa8eb7cc8aef957bf0f7f76"),
     "theorem-hybrid": (["theorem", "hybrid", "--input", "koosis", "--intervals", "intervals"],
                        "c69ed2657f65b2f14859b6e0e2eb5f0561471117649031e823e8260188b72668"),
     "theorem-krein-lm": (["theorem", "krein-lm", "--weight", "samples"],
@@ -98,6 +104,14 @@ GOLDEN = {
     "uniform-csv": (["uniform", "--input", "pert", "--d", "1.0", "--format", "csv"],
                     "1216807d812b47c76a731a321457eb3309b26db17e9144920ecb0c0b04e76347"),
 }
+
+
+def _union_intervals() -> list[list[float]]:
+    """Unit intervals at ``+-k^2`` with duplicate, nested and touching members."""
+    def at(ks, lo, hi):
+        return [[s * k * k + lo, s * k * k + hi] for k in ks for s in (-1, 1)]
+    return (sorted(at(range(1, 41), 0.0, 1.0)) + at(range(2, 41, 4), 0.0, 1.0)
+            + at(range(3, 41, 3), 0.25, 0.5) + at(range(5, 41, 5), 1.0, 3.0))
 
 
 def _samples_table() -> WeightTable:
@@ -132,6 +146,7 @@ def documents(tmp_path_factory):
             "alternating": alternating_partition(1.0, 2.0, 400.0),
             "intervals": {"intervals": sorted([s * k * k, s * k * k + 1.0]
                                               for k in range(1, 41) for s in (-1, 1))},
+            "intervals-union": {"intervals": _union_intervals()},
             "samples": _samples_table(), "samples-zero": _samples_zero_table(),
             "mu-weight": _mu_weight()}
     paths = {}

@@ -50,30 +50,33 @@ class TestFindShortPartition:
         for d in (0.5, 1.0, 2.0):
             seq = arithmetic(d, 10_000.0)
             part = find_short_partition(seq, d)
-            for iv in part.intervals:
-                count = seq.count_in(iv.left, iv.right)
-                assert abs(count - d * iv.length) <= 1.0 + 1e-9
+            bks = part.breakpoints
+            counts = seq.count_in(bks[:-1], bks[1:])
+            assert np.all(np.abs(counts - d * np.diff(bks)) <= 1.0 + 1e-9)
 
     def test_zero_breakpoint_and_window_cover(self):
         seq = arithmetic(1.0, 1000.0)
         part = find_short_partition(seq, 1.0)
         assert 0.0 in part.breakpoints.tolist()
-        assert part.span.left == -1000.0 and part.span.right == 1000.0
+        assert part.breakpoints[0] == -1000.0 and part.breakpoints[-1] == 1000.0
 
     def test_output_family_is_short(self):
         for d in (0.5, 1.0, 2.0):
             seq = arithmetic(d, 1000.0)
             part = find_short_partition(seq, d)
-            assert classify_family(part.intervals).classification == "convergent"
+            bks = part.breakpoints
+            rows = np.column_stack((bks[:-1], bks[1:]))
+            assert classify_family(rows).classification == "convergent"
 
     def test_gap_spanned_by_one_interval(self):
         T = 1000.0
         pts = np.concatenate([-np.arange(1.0, T), np.arange(T / 2, T)])
         seq = RealSequence(np.sort(np.unique(pts)), T)
         part = find_short_partition(seq, 1.0)
-        gap_holders = [iv for iv in part.intervals if iv.left < 250.0 < iv.right]
-        assert len(gap_holders) == 1
-        assert gap_holders[0].length >= T / 2 - 1
+        lefts, rights = part.breakpoints[:-1], part.breakpoints[1:]
+        gap_holders = np.flatnonzero((lefts < 250.0) & (250.0 < rights))
+        assert gap_holders.size == 1
+        assert (rights - lefts)[gap_holders[0]] >= T / 2 - 1
 
     def test_empty_sequence(self):
         seq = RealSequence(np.zeros(0), 100.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from typelab.constructions import arithmetic
-from typelab.core import Partition, RealSequence
+from typelab.core import Interval, Partition, RealSequence
 from typelab.energy import IntervalTooShort
 from typelab.partitions import find_short_partition
 from typelab.uniformity import (
@@ -77,8 +77,10 @@ class TestCheckEnergy:
         singles = RealSequence(base, seq.window)
         from typelab.energy import energy_report
 
-        for iv in part.intervals:
-            if iv.dist0() < 2.0 or iv.length < 2.0:
+        bks = part.breakpoints.tolist()
+        for iv in map(Interval, bks[:-1], bks[1:]):
+            # 0 is a breakpoint, so the nearer end is the distance to 0
+            if min(abs(iv.left), abs(iv.right)) < 2.0 or iv.length < 2.0:
                 continue
             paired = energy_report(seq.points, iv).deficit
             alone = energy_report(singles.points, iv).deficit
