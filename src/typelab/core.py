@@ -106,10 +106,7 @@ class RealSequence:
 
     def centered_indices(self) -> np.ndarray:
         """Enumeration indices with 0 at the first point ``>= 0``."""
-        if not len(self):
-            return np.zeros(0, dtype=int)
-        k0 = int(np.searchsorted(self.points, 0.0, side="left"))
-        return np.arange(len(self)) - k0
+        return np.arange(len(self)) - int(np.searchsorted(self.points, 0.0, side="left"))
 
     def to_dict(self) -> dict:
         out = {"points": self.points, "window": self.window}
@@ -185,23 +182,24 @@ class DiscreteMeasure:
             raise EmptyInput("measure needs at least one atom")
         if pos.shape != mas.shape:
             raise TypelabError("positions and masses must align")
-        RealSequence(pos, self.window)  # the support's checks
+        object.__setattr__(self, "_support", RealSequence(pos, self.window))  # its checks
         if np.any(mas <= 0) or not np.all(np.isfinite(mas)):
             raise TypelabError("masses must be positive and finite")
 
     def __len__(self) -> int:
         return int(self.positions.size)
 
-    def mass_in(self, left: float, right: float, closed: bool = False) -> float:
-        """Mass of ``(left, right]`` (default) or ``[left, right]``."""
-        pos = self.positions
+    def mass_in(self, left, right, closed: bool = False):
+        """Mass of ``(left, right]`` (default) or ``[left, right]``; arrays of ends give an array."""
+        pos, masses = self.positions, self.masses.tolist()
         lo = np.searchsorted(pos, left, side="left" if closed else "right")
         hi = np.searchsorted(pos, right, side="right")
-        return float(math.fsum(self.masses[lo:hi]))
+        # one fsum per interval, so that every mass is correctly rounded
+        sums = [math.fsum(masses[a:b]) for a, b in zip(lo.ravel().tolist(), hi.ravel().tolist())]
+        return sums[0] if lo.ndim == 0 else np.array(sums)
 
     def centered_indices(self) -> np.ndarray:
-        k0 = int(np.searchsorted(self.positions, 0.0, side="left"))
-        return np.arange(len(self)) - k0
+        return self._support.centered_indices()
 
     def to_dict(self) -> dict:
         out = {"atoms": np.column_stack((self.positions, self.masses)),
@@ -219,7 +217,7 @@ SAMPLES = "samples"
 class WeightTable:
     """Piecewise-constant function: ``values[i]`` on ``(breakpoints[i], breakpoints[i+1]]``.
 
-    ``kind="mu-weight"`` enforces values >= floor >= 1 and requires the
+    ``kind="mu-weight"`` enforces values >= 1 and requires the
     weight not to dip toward the window edges (min over the outer 10% of
     the span must be >= min over the inner 10%).  ``kind="samples"`` only
     requires nonnegative values and is used for plain density samples.
@@ -228,7 +226,6 @@ class WeightTable:
     breakpoints: np.ndarray
     values: np.ndarray
     kind: str = MU_WEIGHT
-    floor: float = 1.0
 
     def __post_init__(self) -> None:
         bks = np.asarray(self.breakpoints, dtype=float)
@@ -241,15 +238,11 @@ class WeightTable:
                 and (bks[1:] > bks[:-1]).all()):
             raise TypelabError("entries must be finite and breakpoints strictly increasing")
         if self.kind == MU_WEIGHT:
-            if self.floor < 1.0:
-                raise TypelabError("mu-weight floor must be >= 1")
-            if np.any(vals < self.floor):
-                raise TypelabError("mu-weight values must be >= floor")
-            span = bks[-1] - bks[0]
-            outer = vals[(_mids(bks) <= bks[0] + 0.1 * span) | (_mids(bks) >= bks[-1] - 0.1 * span)]
-            inner_lo = bks[0] + 0.45 * span
-            inner_hi = bks[0] + 0.55 * span
-            inner = vals[(_mids(bks) >= inner_lo) & (_mids(bks) <= inner_hi)]
+            if np.any(vals < 1.0):
+                raise TypelabError("mu-weight values must be >= 1")
+            mids, span = _mids(bks[:-1], bks[1:]), bks[-1] - bks[0]
+            outer = vals[(mids <= bks[0] + 0.1 * span) | (mids >= bks[-1] - 0.1 * span)]
+            inner = vals[(mids >= bks[0] + 0.45 * span) & (mids <= bks[0] + 0.55 * span)]
             if outer.size and inner.size and outer.min() < inner.min() - 1e-12 * abs(inner.min()):
                 raise TypelabError("mu-weight must not dip toward the window edges")
         elif self.kind == SAMPLES:
@@ -272,8 +265,11 @@ class WeightTable:
                 "kind": self.kind}
 
 
-def _mids(bks: np.ndarray) -> np.ndarray:
-    return 0.5 * (bks[:-1] + bks[1:])
+def _mids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``0.5 * (a + b)``, with ``a`` and ``b`` halved first where ``a + b`` overflows."""
+    with np.errstate(over="ignore"):
+        s = a + b
+    return np.where(np.isfinite(s), 0.5 * s, 0.5 * a + 0.5 * b)
 
 
 @dataclass(frozen=True)
@@ -410,7 +406,7 @@ def poisson_piece_contributions(pieces) -> np.ndarray:
     arr = np.asarray(pieces, dtype=float).reshape(-1, 3)
     u, v, owner = split_pieces_at_shells(arr[:, 0], arr[:, 1])
     contribs = arr[owner, 2] * (map_libm(math.atan, v) - map_libm(math.atan, u))
-    return np.column_stack((0.5 * (u + v), contribs))
+    return np.column_stack((_mids(u, v), contribs))
 
 
 # 0 and every dyadic shell boundary +-2^j (j >= 0) below the largest double

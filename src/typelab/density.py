@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     _SHELL_CUTS,
+    CONVERGENT,
     DIVERGENT,
     OutOfWindow,
     Partition,
@@ -128,7 +129,7 @@ def regularity_block_scan(seq: RealSequence, a: float,
     bad = blocks[(lefts != -1.0) & (np.abs(seq.count_in(lefts, rights) / lengths - a)
                                     > epsilon * max(a, 1.0) + 1.0 / lengths)]
     if not bad.size:
-        return SumVerdict(0.0, (), 0.0, "convergent", 0.0, note="no violating blocks")
+        return SumVerdict(0.0, (), 0.0, CONVERGENT, 0.0, note="no violating blocks")
     return replace(classify_family(bad), note=f"{len(bad)} violating blocks")
 
 
@@ -262,9 +263,9 @@ def _verdict_note(report: UniformityReport) -> str:
         parts.append(report.reason)
     if report.density is not None and not report.density.passed:
         parts.append(f"density dev {report.density.max_outer_deviation:.3g}")
-    if report.short_verdict is not None and report.short_verdict.classification != "convergent":
+    if report.short_verdict is not None and report.short_verdict.classification != CONVERGENT:
         parts.append(f"partition {report.short_verdict.classification}")
-    if report.energy_verdict is not None and report.energy_verdict.classification != "convergent":
+    if report.energy_verdict is not None and report.energy_verdict.classification != CONVERGENT:
         parts.append(f"energy {report.energy_verdict.classification}")
     return "; ".join(parts) or "fail"
 

@@ -251,8 +251,7 @@ def load_weight_table(doc) -> WeightTable:
     """``{"breakpoints": [...], "values": [...], "kind": optional}``"""
     return WeightTable(np.asarray(doc["breakpoints"], dtype=float),
                        np.asarray(doc["values"], dtype=float),
-                       doc.get("kind", "mu-weight"),
-                       float(doc.get("floor", 1.0 if doc.get("kind", "mu-weight") == "mu-weight" else 0.0)))
+                       doc.get("kind", "mu-weight"))
 
 
 @_loader("interval")

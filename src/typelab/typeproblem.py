@@ -29,6 +29,7 @@ from .core import (
     SumVerdict,
     TypelabError,
     WeightTable,
+    _mids,
     dist0,
     map_libm,
     poisson_piece_contributions,
@@ -199,7 +200,7 @@ def _counting_growth_summable(measure: DiscreteMeasure) -> bool:
     pos = measure.positions
     logs = map_libm(math.log, np.abs(measure.centered_indices()[:-1]) + 1.0)
     atans = map_libm(math.atan, pos)
-    verdict = shell_sum_verdict(0.5 * (pos[:-1] + pos[1:]), logs * (atans[1:] - atans[:-1]))
+    verdict = shell_sum_verdict(_mids(pos[:-1], pos[1:]), logs * (atans[1:] - atans[:-1]))
     return verdict.classification != DIVERGENT
 
 
@@ -311,19 +312,14 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
 
 
 def _levinson_thresholds(cuts: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    # a_n: the first cut where the tail mass drops to 3^-n of the total, n <= 64
-    total = float(tail[0]) if len(tail) else 0.0
-    if total <= 0:
+    # a_0 = 0 and a_n, n <= 64: the first cut where the nonincreasing tail drops to 3^-n
+    # of the total; they stop before the first a_n that does not grow or has tail 0
+    if tail[0] <= 0:
         return np.zeros(0)
-    out = [0.0]
-    for n in range(1, 65):
-        target = total * 3.0 ** (-n)
-        k = int(np.argmax(tail <= target))
-        a_n = float(cuts[min(k, len(cuts) - 1)])
-        if tail[k] <= 0 or a_n <= out[-1]:
-            break
-        out.append(a_n)
-    return np.asarray(out)
+    k = np.searchsorted(-tail, -tail[0] * map_libm(lambda n: 3.0 ** n, -np.arange(1.0, 65.0)))
+    a = np.concatenate(([0.0], cuts[k]))
+    stop = np.flatnonzero((tail[k] <= 0) | (a[1:] <= a[:-1]))
+    return a[:stop[0] + 1] if stop.size else a
 
 
 def hybrid_check(measure: DiscreteMeasure, intervals) -> TheoremVerdict:
@@ -335,12 +331,11 @@ def hybrid_check(measure: DiscreteMeasure, intervals) -> TheoremVerdict:
     put so little mass there.
     """
     lefts, rights = family_bounds(intervals)
-    terms = []
-    for left, right, at in zip(lefts.tolist(), rights.tolist(), dist0(lefts, rights).tolist()):
-        mass, length = measure.mass_in(left, right), right - left
-        val = length if mass <= 0.0 else min(length, max(0.0, math.log(1.0 / mass)))
-        terms.append((at, length * val))
-    verdict = poisson_tail_sum(terms)
+    mass, length = measure.mass_in(lefts, rights), rights - lefts
+    with np.errstate(over="ignore", divide="ignore"):  # poisson_tail_sum refuses an inf term
+        logs = np.maximum(0.0, map_libm(math.log, 1.0 / mass))
+        terms = length * np.where(mass <= 0.0, length, np.minimum(length, logs))
+    verdict = poisson_tail_sum(np.column_stack((dist0(lefts, rights), terms)))
     kind = MU_MUST_VANISH if verdict.classification == DIVERGENT else INCONCLUSIVE
     return TheoremVerdict("sparse-mass", True, Conclusion(kind), {"series": verdict})
 
@@ -356,7 +351,7 @@ def debranges_check(K: WeightTable, measure: DiscreteMeasure,
     """
     if float(np.min(K.values)) < 1.0:
         raise WeightBelowOne("weight must be >= 1")
-    mids = 0.5 * (K.breakpoints[:-1] + K.breakpoints[1:])
+    mids = _mids(K.breakpoints[:-1], K.breakpoints[1:])
     logv = np.log(K.values)
     slopes = np.abs(np.diff(logv)) / np.diff(mids)
     continuity_ok = bool(np.all(slopes <= modulus_of_continuity + 1e-12))
@@ -434,24 +429,29 @@ def borichev_sodin_compare(mu: DiscreteMeasure, nu: DiscreteMeasure, delta: floa
     """
     if not (delta > 0 and C > 0):  # also true on NaN
         raise TypelabError("delta and C must be positive")
-    xs = sorted(set(mu.positions.tolist())
-                | {0.5 * (a + b) for a, b in zip(mu.positions, mu.positions[1:])})
-    worst = None
-    for x in xs:
-        e = math.exp(-delta * abs(x))
-        lhs = mu.mass_in(x - e, x + e, closed=True)
-        rhs = C * (1.0 + abs(x)) ** l * (nu.mass_in(x - 2 * e, x + 2 * e, closed=True)
-                                         + math.exp(-2.0 * delta * abs(x)))
-        margin = rhs - lhs
-        if worst is None or margin < worst[1]:
-            worst = (x, margin)
-        if lhs > rhs * (1.0 + 1e-12):
-            return TheoremVerdict("exponential-domination", False,
-                                  Conclusion(INCONCLUSIVE),
-                                  {"failed_at": x, "lhs": lhs, "rhs": rhs})
+    pos = mu.positions
+    xs = np.unique(np.concatenate((pos, _mids(pos[:-1], pos[1:]))))
+    try:
+        grow = map_libm(lambda y: y ** l, 1.0 + np.abs(xs))
+    except OverflowError:
+        raise TypelabError(f"(1+|x|)^l overflows at l={l:g}") from None
+    # an overflow gives inf, and inf times a zero mass nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = map_libm(math.exp, -delta * np.abs(xs))
+        lhs = mu.mass_in(xs - e, xs + e, closed=True)
+        rhs = C * grow * (nu.mass_in(xs - 2 * e, xs + 2 * e, closed=True)
+                          + map_libm(math.exp, -2.0 * delta * np.abs(xs)))
+        failed = np.flatnonzero(lhs > rhs * (1.0 + 1e-12))
+    if failed.size:
+        k = failed[0]
+        return TheoremVerdict("exponential-domination", False, Conclusion(INCONCLUSIVE),
+                              {"failed_at": xs[k], "lhs": lhs[k], "rhs": rhs[k]})
+    margin = rhs - lhs
+    # the first strict minimum, which no nan margin replaces and a first nan keeps
+    k = 0 if np.isnan(margin[0]) else np.argmin(np.where(np.isnan(margin), np.inf, margin))
     return TheoremVerdict("exponential-domination", True, Conclusion(TYPE_ORDERING),
                           {"ordering": "type(mu) <= type(nu)",
-                           "worst_margin_at": worst[0], "worst_margin": worst[1]})
+                           "worst_margin_at": xs[k], "worst_margin": margin[k]})
 
 
 def duffin_schaeffer_check(measure: DiscreteMeasure, L: float, c: float) -> TheoremVerdict:
@@ -468,25 +468,24 @@ def duffin_schaeffer_check(measure: DiscreteMeasure, L: float, c: float) -> Theo
     lo, hi = -T + L, T - L
     if hi <= lo:
         raise InsufficientData("window too small for the requested L")
-    events = sorted({lo, hi}
-                    | {float(b) + s for b in measure.positions for s in (-L, L)
-                       if lo < b + s < hi})
-    worst = None
-    for u, v in zip(events, events[1:]):
-        x_mid = 0.5 * (u + v)
-        mass = measure.mass_in(x_mid - L, x_mid + L, closed=True)
-        # the floor c/(1+x^2) peaks at the piece's point nearest the origin
-        x_star = 0.0 if u <= 0.0 <= v else (u if u > 0.0 else v)
+    with np.errstate(over="ignore"):  # an event beyond the float range is outside (lo, hi)
+        shifted = np.concatenate((measure.positions - L, measure.positions + L))
+    events = np.unique(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
+    x_mid = _mids(events[:-1], events[1:])
+    mass = measure.mass_in(x_mid - L, x_mid + L, closed=True)
+    # the floor c/(1+x^2) peaks at each piece's point nearest the origin
+    x_star = np.clip(0.0, events[:-1], events[1:])
+    with np.errstate(over="ignore"):  # far from 0 the floor rounds to 0
         floor = c / (1.0 + x_star * x_star)
-        margin = mass - floor
-        if worst is None or margin < worst[1]:
-            worst = (x_mid, margin)
-        if mass <= floor:
-            return TheoremVerdict("window-mass-floor", False, Conclusion(INCONCLUSIVE),
-                                  {"failed_at": x_mid, "mass": mass, "floor": floor})
+    failed = np.flatnonzero(mass <= floor)
+    if failed.size:
+        k = failed[0]
+        return TheoremVerdict("window-mass-floor", False, Conclusion(INCONCLUSIVE),
+                              {"failed_at": x_mid[k], "mass": mass[k], "floor": floor[k]})
+    k = np.argmin(mass - floor)
     return TheoremVerdict("window-mass-floor", True,
                           Conclusion(TYPE_AT_LEAST, math.pi / L),
-                          {"worst_margin_at": worst[0], "worst_margin": worst[1]})
+                          {"worst_margin_at": x_mid[k], "worst_margin": mass[k] - floor[k]})
 
 
 def benedicks_conditions(partition: Partition, C1: float, C2: float, C3: float) -> TheoremVerdict:

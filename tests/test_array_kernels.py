@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,8 @@ from typelab.core import (
     SumVerdict,
     TypelabError,
     WeightTable,
+    _mids,
+    dist0,
     poisson_tail_sum,
     poisson_piece_contributions,
     shell_sum_verdict,
@@ -69,6 +72,7 @@ from typelab.energy import (
 from typelab.partitions import (
     SCALAR_PROBE,
     InsufficientData,
+    family_bounds,
     _grow_side,
     _min_length,
     classify_family,
@@ -85,6 +89,7 @@ from typelab.typeproblem import (
     TWO_PI,
     TYPE_AT_LEAST,
     TYPE_INFINITE,
+    TYPE_ORDERING,
     TYPE_ZERO,
     WEIGHT_BUDGET,
     BadAlternation,
@@ -94,10 +99,15 @@ from typelab.typeproblem import (
     TheoremVerdict,
     WeightBelowOne,
     _counting_growth_summable,
+    _levinson_thresholds,
     benedicks_conditions,
     beurling_gap_check,
+    borichev_sodin_compare,
     debranges_check,
+    duffin_schaeffer_check,
+    hybrid_check,
     krein_lm_check,
+    levinson_check,
     suffgen_bound,
     weight_filter_mask,
 )
@@ -671,6 +681,90 @@ def ref_krein_lm_check(density_samples, monotone_flag=True):
                                   Conclusion(TYPE_ZERO), evidence)
     return TheoremVerdict("density-log-summability", False,
                           Conclusion(INCONCLUSIVE), evidence)
+
+
+def ref_mass_in(measure, left, right, closed=False):
+    pos = measure.positions
+    lo = np.searchsorted(pos, left, side="left" if closed else "right")
+    hi = np.searchsorted(pos, right, side="right")
+    return float(math.fsum(measure.masses[lo:hi]))
+
+
+def ref_hybrid_check(measure, intervals):
+    lefts, rights = family_bounds(intervals)
+    terms = []
+    for left, right, at in zip(lefts.tolist(), rights.tolist(), dist0(lefts, rights).tolist()):
+        mass, length = ref_mass_in(measure, left, right), right - left
+        val = length if mass <= 0.0 else min(length, max(0.0, math.log(1.0 / mass)))
+        terms.append((at, length * val))
+    verdict = poisson_tail_sum(terms)
+    kind = MU_MUST_VANISH if verdict.classification == DIVERGENT else INCONCLUSIVE
+    return TheoremVerdict("sparse-mass", True, Conclusion(kind), {"series": verdict})
+
+
+def ref_borichev_sodin_compare(mu, nu, delta, C, l):
+    if not (delta > 0 and C > 0):
+        raise TypelabError("delta and C must be positive")
+    xs = sorted(set(mu.positions.tolist())
+                | {0.5 * (a + b) for a, b in zip(mu.positions, mu.positions[1:])})
+    worst = None
+    for x in xs:
+        e = math.exp(-delta * abs(x))
+        lhs = ref_mass_in(mu, x - e, x + e, closed=True)
+        rhs = C * (1.0 + abs(x)) ** l * (ref_mass_in(nu, x - 2 * e, x + 2 * e, closed=True)
+                                         + math.exp(-2.0 * delta * abs(x)))
+        margin = rhs - lhs
+        if worst is None or margin < worst[1]:
+            worst = (x, margin)
+        if lhs > rhs * (1.0 + 1e-12):
+            return TheoremVerdict("exponential-domination", False,
+                                  Conclusion(INCONCLUSIVE),
+                                  {"failed_at": x, "lhs": lhs, "rhs": rhs})
+    return TheoremVerdict("exponential-domination", True, Conclusion(TYPE_ORDERING),
+                          {"ordering": "type(mu) <= type(nu)",
+                           "worst_margin_at": worst[0], "worst_margin": worst[1]})
+
+
+def ref_duffin_schaeffer_check(measure, L, c):
+    if not (L > 0 and c > 0):
+        raise TypelabError("L and c must be positive")
+    T = measure.window
+    lo, hi = -T + L, T - L
+    if hi <= lo:
+        raise InsufficientData("window too small for the requested L")
+    events = sorted({lo, hi}
+                    | {float(b) + s for b in measure.positions for s in (-L, L)
+                       if lo < b + s < hi})
+    worst = None
+    for u, v in zip(events, events[1:]):
+        x_mid = 0.5 * (u + v)
+        mass = ref_mass_in(measure, x_mid - L, x_mid + L, closed=True)
+        x_star = 0.0 if u <= 0.0 <= v else (u if u > 0.0 else v)
+        floor = c / (1.0 + x_star * x_star)
+        margin = mass - floor
+        if worst is None or margin < worst[1]:
+            worst = (x_mid, margin)
+        if mass <= floor:
+            return TheoremVerdict("window-mass-floor", False, Conclusion(INCONCLUSIVE),
+                                  {"failed_at": x_mid, "mass": mass, "floor": floor})
+    return TheoremVerdict("window-mass-floor", True,
+                          Conclusion(TYPE_AT_LEAST, math.pi / L),
+                          {"worst_margin_at": worst[0], "worst_margin": worst[1]})
+
+
+def ref_levinson_thresholds(cuts, tail):
+    total = float(tail[0]) if len(tail) else 0.0
+    if total <= 0:
+        return np.zeros(0)
+    out = [0.0]
+    for n in range(1, 65):
+        target = total * 3.0 ** (-n)
+        k = int(np.argmax(tail <= target))
+        a_n = float(cuts[min(k, len(cuts) - 1)])
+        if tail[k] <= 0 or a_n <= out[-1]:
+            break
+        out.append(a_n)
+    return np.asarray(out)
 
 
 def outcome(fn, *args):
@@ -1255,7 +1349,163 @@ class TestConstructionKernels:
                                                                     partition, C)
 
 
+@st.composite
+def hybrid_cases(draw):
+    """Atoms on a grid, with subnormal, tiny and heavy masses, and disjoint intervals
+    on a grid, some touching, some empty of atoms and some of mass at least 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step, T = draw(st.sampled_from([0.25, 1.0, 3.5])), float(draw(st.integers(10, 2000)))
+    grid = np.arange(-T, T, step)
+    pos = np.unique(rng.choice(grid, size=draw(st.integers(1, 400))))
+    scale = draw(st.sampled_from([1e-3, 1.0, 5.0]))
+    masses = np.where(rng.uniform(size=pos.size) < 0.2,
+                      rng.choice([5e-324, 1e-310, 1e-300, 1.0, 2.5], pos.size),
+                      np.exp(rng.uniform(-700.0, 0.0, pos.size)) * scale)
+    ends = np.unique(rng.choice(grid, size=draw(st.integers(0, 120)) * 2))
+    rows = ends[:ends.size // 2 * 2].reshape(-1, 2)
+    if draw(st.booleans()) and rows.size:
+        rows[1:, 0] = rows[:-1, 1]  # each interval touches the one before
+    return DiscreteMeasure(pos, masses, T), rows
+
+
+@st.composite
+def domination_cases(draw):
+    """Two measures on a shared grid with atoms at +-T, so that the margins tie
+    where exp(-delta |x|) underflows, and constants that pass or fail."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step, T = draw(st.sampled_from([0.5, 1.0, 0.3])), float(draw(st.integers(5, 1500)))
+    grid = np.concatenate([np.arange(-T, T, step), [T]])
+
+    def measure():
+        pos = np.unique(np.concatenate([rng.choice(grid, size=draw(st.integers(1, 150))),
+                                        [-T, T] if draw(st.booleans()) else []]))
+        masses = np.exp(rng.uniform(draw(st.sampled_from([-5.0, -60.0])), 2.0, pos.size))
+        return DiscreteMeasure(pos, masses, T)
+
+    mu = measure()
+    nu = mu if draw(st.booleans()) else measure()
+    return (mu, nu, draw(st.sampled_from([1e-3, 0.05, 0.5, 1.0, 2.0])),
+            draw(st.sampled_from([1e-4, 0.01, 1.0, 2.0, 1e3])),
+            draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])))
+
+
+@st.composite
+def floor_cases(draw):
+    """Atoms on a grid that L and T are multiples of, so that the events ``b +- L``
+    coincide with each other and with ``+-(T - L)``, or off the grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = draw(st.sampled_from([0.5, 1.0]))
+    T = step * draw(st.integers(4, 3000))
+    L = step * draw(st.integers(1, 8))
+    grid = np.arange(-T, T + step / 2, step)
+    if draw(st.booleans()):
+        pos = np.unique(rng.choice(grid, size=draw(st.integers(1, 600))))
+    else:
+        pos = np.unique(rng.uniform(-T, T, draw(st.integers(1, 600))))
+    masses = np.exp(rng.uniform(draw(st.sampled_from([-3.0, -40.0])), 1.0, pos.size))
+    return (DiscreteMeasure(pos, masses, T), L,
+            draw(st.sampled_from([1e-300, 1e-12, 1e-3, 0.05, 0.5, 2.0])))
+
+
+@st.composite
+def tail_measures(draw):
+    """Positive atoms whose tail masses plateau (a mass below half an ulp of the
+    tail beyond it), fall below every target 3^-n, or give all 64 thresholds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["plateau", "few", "geometric", "random"]))
+    if kind == "plateau":
+        masses = rng.choice([1.0, 1e-17, 1e-30, 0.5], n)
+    elif kind == "few":
+        masses = rng.uniform(0.1, 1.0, min(n, 4))
+    elif kind == "geometric":
+        masses = 2.0 ** -np.arange(float(n) + 110)
+    else:
+        masses = np.exp(rng.uniform(-700.0, 5.0, n))
+    T = float(masses.size + 1)
+    pos = np.arange(1.0, masses.size + 1.0)
+    if draw(st.booleans()):  # atoms on the negative side too
+        pos, masses = np.concatenate([-pos[::-1], pos]), np.concatenate([masses, masses])
+    return DiscreteMeasure(pos, masses, T)
+
+
 class TestCheckerKernels:
+    @given(measures(), st.lists(st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500.0)),
+                                max_size=40), st.booleans())
+    @example(DiscreteMeasure(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0),
+             [(-1.0, 1.0), (0.0, 0.0), (1.0, -1.0), (-2.0, -1.0), (1.0, 2.0)], True)
+    @settings(max_examples=200, deadline=None)
+    def test_mass_in_takes_arrays_of_ends(self, measure, ends, closed):
+        lefts, rights = np.array(ends, dtype=float).reshape(-1, 2).T
+        got = measure.mass_in(lefts, rights, closed)
+        scalar = [measure.mass_in(l, r, closed) for l, r in zip(lefts, rights)]
+        assert all(type(m) is float for m in scalar)
+        assert bits(got) == bits(np.array(scalar, dtype=float))
+        assert scalar == [ref_mass_in(measure, l, r, closed) for l, r in zip(lefts, rights)]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=20))
+    @example([5e-324, 5e-324, 1.5e-323, -5e-324, 1e-308, 1e308, 1.7e308, -1.7e308, -1e308])
+    @settings(max_examples=300, deadline=None)
+    def test_midpoints_keep_their_bits(self, xs):
+        # 0.5 * (a + b) wherever a + b is finite; halving a and b first would
+        # round away the last bit of a subnormal
+        want = [0.5 * (a + b) if math.isfinite(a + b) else float((Fraction(a) + Fraction(b)) / 2)
+                for a, b in zip(xs, xs[1:])]
+        assert bits(_mids(np.array(xs[:-1]), np.array(xs[1:]))) == bits(np.array(want))
+
+    @given(hybrid_cases())
+    @example((DiscreteMeasure(np.array([-1.0, 0.5, 2.0]), np.array([5e-324, 2.0, 1e-310]), 4.0),
+              np.array([[-2.0, -1.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 3.0], [3.0, 4.0]])))
+    @settings(max_examples=200, deadline=None)
+    def test_hybrid_matches_loop(self, case):
+        assert printed(hybrid_check, *case) == printed(ref_hybrid_check, *case)
+
+    @given(domination_cases())
+    @example((DiscreteMeasure(np.array([-5e-324, 0.0, 1.0]), np.ones(3), 2.0),) * 2
+             + (1.0, 1e-4, 1.0))
+    @example((DiscreteMeasure(np.array([-1.0, -0.0, 5e-324]), np.ones(3), 2.0),) * 2
+             + (1.0, 1e3, 0.0))
+    # within the 1e-12 tolerance where exp(-delta |x|) underflows
+    @example((DiscreteMeasure(np.array([-1000.0, 1000.0]), np.ones(2), 1000.0),) * 2
+             + (1.0, 1.0 - 1e-13, 0.0))
+    # margins of inf C (1+|x|)^l times a zero mass are nan: first, and after a number
+    @example((DiscreteMeasure(np.array([-2e300, -1e300, 1e300, 2e300]), np.ones(4), 1e301),
+              DiscreteMeasure(np.array([0.0]), np.ones(1), 1e301), 1.0, 1e308, 0.5))
+    @example((DiscreteMeasure(np.array([-2e300, -1e300, 1e300, 2e300]), np.ones(4), 1e301),)
+             * 2 + (1.0, 1e308, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_borichev_sodin_matches_loop(self, case):
+        got = printed(borichev_sodin_compare, *case)
+        # the loop's numpy scalars warn where Python floats would not
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = printed(ref_borichev_sodin_compare, *case)
+        assert got == want
+
+    @given(floor_cases())
+    @example((DiscreteMeasure(np.array([-3.0, -1.0, 1.0, 3.0]), np.ones(4), 3.0), 2.0, 0.5))
+    @example((DiscreteMeasure(np.array([0.0]), np.ones(1), 2.0), 1.0, 0.5))
+    @example((DiscreteMeasure(np.array([0.0]), np.ones(1), 2.0), 2.0, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_duffin_schaeffer_matches_loop(self, case):
+        assert printed(duffin_schaeffer_check, *case) == printed(ref_duffin_schaeffer_check,
+                                                                   *case)
+
+    @given(tail_measures())
+    @example(DiscreteMeasure(np.array([-1.0]), np.ones(1), 2.0))
+    @example(DiscreteMeasure(np.array([1.0, 2.0]), np.array([1.0, 1e-17]), 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_levinson_thresholds_match_loop(self, measure):
+        got = printed(levinson_check, measure)
+        with mock.patch.object(typeproblem, "_levinson_thresholds", ref_levinson_thresholds):
+            assert got == printed(levinson_check, measure)
+
+    def test_levinson_thresholds_stop_at_64(self):
+        masses = 2.0 ** -np.arange(200.0)  # every target 3^-n at an atom of its own
+        tail = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
+        cuts = np.arange(201.0)
+        assert bits(_levinson_thresholds(cuts, tail)) == bits(ref_levinson_thresholds(cuts, tail))
+        assert len(_levinson_thresholds(cuts, tail)) == 65
+
     @given(sample_tables(), st.booleans())
     @example(WeightTable(np.array([-3.0, -1.0, 0.0]), np.array([0.0, 0.0]), "samples"), True)
     @example(WeightTable(np.array([0.0, 1.0, 3.0]), np.array([2.0, 1.0]), "samples"), True)

@@ -375,6 +375,32 @@ class TestInputValidation:
         argv = [measure_file if a == "MEASURE" else a for a in argv]
         assert exits_cleanly_with_2(argv + ["--input", doc], capsys)
 
+    # the midpoint of 1e308 and 1.7e308 overflowed to inf: a numpy warning, and
+    # a failure reported at -inf, outside every piece
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["theorem", "borichev-sodin", "--other", "DOC", "--l", "0"],
+                                      ["theorem", "duffin-schaeffer", "--L", "1", "--c", "1e-300"]])
+    def test_midpoints_near_float_range(self, tmp_path, argv, capsys):
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps({"atoms": [[-1.7e308, 0.5], [0, 1], [1e308, 2], [1.7e308, 1]],
+                                    "window": 1.7976931348623157e308}))
+        argv = [str(path) if a == "DOC" else a for a in argv]
+        assert main(argv + ["--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        evidence = json.loads(captured.out)["evidence"]
+        assert captured.err == "" and "inf" not in captured.out
+        if "failed_at" in evidence:  # inside the first piece, (-T, -1.7e308)
+            assert -1.7976931348623157e308 < evidence["failed_at"] < -1.7e308
+
+    @pytest.mark.parametrize("atoms, l", [(None, "1e308"), ([[-1e300, 1], [1e300, 1]], "2")])
+    def test_domination_growth_beyond_float_range(self, tmp_path, measure_file, atoms, l, capsys):
+        if atoms is not None:
+            measure_file = str(tmp_path / "far.json")
+            (tmp_path / "far.json").write_text(json.dumps({"atoms": atoms, "window": 1e301}))
+        assert main(["theorem", "borichev-sodin", "--input", measure_file,
+                     "--other", measure_file, "--l", l]) == 2
+        assert capsys.readouterr().err == f"error: (1+|x|)^l overflows at l={float(l):g}\n"
+
     def test_energy_interval_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"points": [-1e307, 0, 1e307], "window": 1e308}))
@@ -407,7 +433,7 @@ class TestInputValidation:
                lambda: Partition(np.array([-1.0, 0.0, nan])),
                lambda: WeightTable(np.array([0.0, 1.0, 2.0]), np.array([1.0, nan])),
                lambda: WeightTable(np.array([0.0, 1.0, 2.0]), np.array([inf, 1.0]),
-                                   kind="samples", floor=0.0)]
+                                   kind="samples")]
         for make in bad:
             with pytest.raises(TypelabError):
                 make()

@@ -247,6 +247,31 @@ def test_energy_near_float_range(workdir, points, window, interval):
     run_with_document(workdir, {"points": points, "window": window}, argv)
 
 
+# the midpoint of 1e308 and 1.7e308 once overflowed: a numpy warning, and a
+# Duffin-Schaeffer failure reported at -inf
+FAR_MEASURE = {"points": [-1.7e308, 0.0, 1e308, 1.7e308], "masses": [0.5, 1.0, 2.0, 1.0],
+               "window": 1.7976931348623157e308}
+
+
+@settings(FUZZ, max_examples=150)
+@given(points=st.lists(near_float_range, min_size=1, max_size=6, unique=True).map(sorted),
+       masses=st.lists(st.sampled_from([0.5, 1.0, 2.0, 1e-300, 5e-324]) | st.floats(1e-3, 10.0),
+                       min_size=6, max_size=6),
+       window=st.sampled_from([1e308, 1.7976931348623157e308, 1e307]),
+       interval=st.lists(near_float_range, min_size=2, max_size=2, unique=True).map(sorted))
+@example(**FAR_MEASURE, interval=[1e308, 1.5e308])
+@example(**FAR_MEASURE, interval=[-1.7e308, -1e308])
+def test_checkers_near_float_range(workdir, points, masses, window, interval):
+    intervals = workdir / "far-intervals.json"
+    intervals.write_text(json.dumps({"intervals": [interval]}))
+    doc = {"atoms": [list(atom) for atom in zip(points, masses)], "window": window}
+    for argv in (["theorem", "hybrid", "--intervals", str(intervals)],
+                 ["theorem", "borichev-sodin", "--other", "DOC", "--l", "0"],
+                 ["theorem", "duffin-schaeffer", "--L", "1", "--c", "1e-300"],
+                 ["theorem", "levinson"]):
+        run_with_document(workdir, doc, argv + ["--input", "DOC"])
+
+
 # the oracle's matrix grows with --a-max (about 32 rows per unit on the T=50
 # measure): 1e4 and above must meet the matrix cap before any allocation
 oracle_frequencies = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308",

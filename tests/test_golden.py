@@ -13,7 +13,11 @@ and the ``theorem-hybrid`` digest while ``hybrid_check`` still ran its
 own overlap check over ``Interval`` objects.  The ``construct-auxiliary-fill``,
 ``construct-alternating``, ``theorem-beurling-gap-sequence``,
 ``theorem-krein-lm-zero`` and ``theorem-debranges`` digests were taken while
-the constructions and the classical checkers still ran per-element loops.
+the constructions and the classical checkers still ran per-element loops,
+and the ``theorem-borichev-sodin``, ``theorem-borichev-sodin-fail``,
+``theorem-duffin-schaeffer`` and ``theorem-duffin-schaeffer-fail`` digests
+while those two checkers and ``hybrid_check`` still measured one interval
+at a time.
 The ``regularity-families`` and ``theorem-beurling-gap-union`` digests were
 taken while the dyadic blocks were still built one ``Interval`` at a time.
 A changed digest means a changed report, not a formatting detail.
@@ -84,6 +88,17 @@ GOLDEN = {
     "theorem-suffgen": (["theorem", "suffgen", "--input", "koosis", "--sequence", "arith",
                          "--d", "1.0"],
                         "c9d4bd3c7b6550486d49c32f8a3b61ad77ccc0d384b1c28a5b8ebc969b7b9c66"),
+    "theorem-borichev-sodin": (["theorem", "borichev-sodin", "--input", "koosis",
+                                "--other", "koosis"],
+                               "9ca21fae28ff18e3525313ebda89094db6cae2d726b6f0a27df3588c46b970a6"),
+    "theorem-borichev-sodin-fail": (["theorem", "borichev-sodin", "--input", "koosis",
+                                     "--other", "koosis", "--C", "0.01"],
+                                    "b3d933521cc24af8ef8a6f5a6ed4f21a64461d799ddb8728512f171b4b56a41a"),
+    "theorem-duffin-schaeffer": (["theorem", "duffin-schaeffer", "--input", "koosis",
+                                  "--L", "1", "--c", "1e-12"],
+                                 "9f010573113d538bc830d77a6bd89f1379ac74cf80d4233ce15786c77706ac1d"),
+    "theorem-duffin-schaeffer-fail": (["theorem", "duffin-schaeffer", "--input", "koosis"],
+                                      "d9cf44e06547000539f2b4b963699ee6e99adde0d64702298141aa08f27767b7"),
     "construct-benedicks": (["construct", "benedicks", "--param", "T=400"],
                             "249254426250d5340c1f38122c50538dedcc9c13820f18f7a2df212420620fe7"),
     "construct-auxiliary-fill": (["construct", "auxiliary", "--param", "d=0.013",
