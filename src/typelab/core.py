@@ -183,8 +183,9 @@ class DiscreteMeasure:
         if pos.shape != mas.shape:
             raise TypelabError("positions and masses must align")
         object.__setattr__(self, "_support", RealSequence(pos, self.window))  # its checks
-        if np.any(mas <= 0) or not np.all(np.isfinite(mas)):
-            raise TypelabError("masses must be positive and finite")
+        with np.errstate(over="ignore"):  # a finite measure has a finite total mass
+            if np.any(mas <= 0) or not np.isfinite(mas.sum()):
+                raise TypelabError("masses and their total must be positive and finite")
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -281,11 +282,12 @@ class SumVerdict:
     ``value_truncated == inner_sum + sum(shell sums)`` up to rounding.
     ``fit_ratio`` is the estimated geometric ratio between consecutive
     shell sums (``exp`` of the fitted slope), or None when no fit was made.
+    A verdict reached without its terms has no sums and says why in ``note``.
     """
 
-    value_truncated: float
+    value_truncated: float | None
     shell_sums: tuple[tuple[int, float], ...]
-    inner_sum: float
+    inner_sum: float | None
     classification: str
     fit_ratio: float | None = None
     note: str | None = None
@@ -312,7 +314,7 @@ def shell_sum_verdict(locations, values) -> SumVerdict:
     against the shell index by least squares over the outer half of the
     shell range.  The slope decides: <= -0.2 convergent, >= -0.05
     divergent, otherwise inconclusive; fewer than four nonempty shells is
-    always inconclusive.
+    always inconclusive (:func:`shell_count`).
     """
     locations = np.asarray(locations, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -332,15 +334,22 @@ def shell_sum_verdict(locations, values) -> SumVerdict:
     shell_sums = tuple((j, math.fsum(g.tolist())) for j, g in zip(js.tolist(), groups))
     inner_sum = math.fsum(values[inner].tolist())
 
-    classification, ratio = _classify_shells(shell_sums)
+    classification, ratio = _classify_shells(shell_sums, shell_count(locations))
     return SumVerdict(total, shell_sums, inner_sum, classification, ratio)
 
 
-def _classify_shells(shell_sums: tuple[tuple[int, float], ...]) -> tuple[str, float | None]:
-    if len(shell_sums) < MIN_SHELLS:
+def shell_count(locations) -> int:
+    """Number of distinct dyadic shells among ``locations`` with ``|x| >= 1``;
+    a series over fewer than :data:`MIN_SHELLS` is inconclusive, whatever its values."""
+    mags = np.abs(np.asarray(locations, dtype=float))
+    return int(np.unique(shell_index(mags[~(mags < 1.0)])).size)
+
+
+def _classify_shells(shell_sums: tuple, count: int) -> tuple[str, float | None]:
+    if count < MIN_SHELLS:
         return INCONCLUSIVE, None
     shells = shell_sums
-    if len(shells) > MIN_SHELLS:
+    if count > MIN_SHELLS:
         # the outermost shell is usually clipped by the window and would
         # bias the fit downward
         shells = shells[:-1]

@@ -30,7 +30,7 @@ from .core import (
     split_pieces_at_shells,
 )
 from .partitions import InsufficientData, classify_family, find_short_partition
-from .uniformity import UniformityReport, check_d_uniform
+from .uniformity import UniformityReport, _evaluate
 
 INTERIOR = "interior"
 EXTERIOR = "exterior"
@@ -230,7 +230,7 @@ def downward_scan(support: RealSequence, grid: list[float], skip_energy: bool,
         if len(selected) == 0:
             diagnostics.append((d, False, "selection empty"))
             continue
-        report = check_d_uniform(selected, d, partition, skip_energy=skip_energy)
+        report = _evaluate(selected, d, partition, "given", skip_energy, scan=True)
         passed, note = judge(selected, report)
         diagnostics.append((d, passed, note))
         if passed:

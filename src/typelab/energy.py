@@ -131,27 +131,30 @@ def energy_report(config, interval: Interval) -> EnergyReport:
     return EnergyReport(delta, energy, deficit, interval)
 
 
-def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                      lengths: np.ndarray) -> np.ndarray:
-    """Deficit of ``points[lo[i]:hi[i]]`` in an interval of length ``lengths[i]``, for every i.
-
-    ``points`` are sorted.  Gives the values :func:`energy_report` gives
-    interval by interval, and raises its error for the first interval that
-    has one: :class:`IntervalTooShort` below length 1,
-    :class:`DegenerateDistance` for two points closer than 1e-300.
-    """
-    delta = hi - lo
+def check_intervals(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    lengths: np.ndarray) -> None:
+    """Raise the error of the first interval that has one, in one pass over the gaps:
+    :class:`IntervalTooShort` below length 1, :class:`DegenerateDistance` for
+    two of its points closer than 1e-300."""
     # close[t]: gaps below the limit among the first t gaps
     close = np.concatenate([[0], np.cumsum(np.diff(points) < DEGENERATE_DISTANCE)])
-    two = delta >= 2
-    degenerate = np.zeros(delta.size, dtype=bool)
-    degenerate[two] = close[hi[two] - 1] > close[lo[two]]
+    degenerate = (hi - lo >= 2) & (close.take(hi - 1, mode="clip") > close.take(lo, mode="clip"))
     bad = np.flatnonzero((lengths < LEAST_LENGTH) | degenerate)
     if bad.size:
         first = bad[0]
         if lengths[first] < LEAST_LENGTH:
             raise IntervalTooShort(f"interval length {lengths[first]} < {LEAST_LENGTH:g}")
         raise DegenerateDistance("two points closer than 1e-300")
+
+
+def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+    """Deficit of ``points[lo[i]:hi[i]]`` in an interval of length ``lengths[i]``, for every i.
+
+    ``points`` are sorted.  Gives the values and errors (:func:`check_intervals`)
+    :func:`energy_report` gives interval by interval."""
+    check_intervals(points, lo, hi, lengths)
+    delta = hi - lo
     return delta * delta * map_libm(math.log, lengths) - interval_energies(points, lo, hi)
 
 

@@ -442,13 +442,14 @@ def borichev_sodin_compare(mu: DiscreteMeasure, nu: DiscreteMeasure, delta: floa
         rhs = C * grow * (nu.mass_in(xs - 2 * e, xs + 2 * e, closed=True)
                           + map_libm(math.exp, -2.0 * delta * np.abs(xs)))
         failed = np.flatnonzero(lhs > rhs * (1.0 + 1e-12))
+    if not np.isfinite(rhs).all():
+        raise TypelabError(f"C (1+|x|)^l (nu + e^2) overflows at C={C:g}, l={l:g}")
     if failed.size:
         k = failed[0]
         return TheoremVerdict("exponential-domination", False, Conclusion(INCONCLUSIVE),
                               {"failed_at": xs[k], "lhs": lhs[k], "rhs": rhs[k]})
     margin = rhs - lhs
-    # the first strict minimum, which no nan margin replaces and a first nan keeps
-    k = 0 if np.isnan(margin[0]) else np.argmin(np.where(np.isnan(margin), np.inf, margin))
+    k = np.argmin(margin)  # the first strict minimum
     return TheoremVerdict("exponential-domination", True, Conclusion(TYPE_ORDERING),
                           {"ordering": "type(mu) <= type(nu)",
                            "worst_margin_at": xs[k], "worst_margin": margin[k]})

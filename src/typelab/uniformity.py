@@ -16,14 +16,17 @@ import numpy as np
 
 from .core import (
     CONVERGENT,
+    INCONCLUSIVE,
+    MIN_SHELLS,
     Partition,
     PartitionIndex,
     RealSequence,
     SumVerdict,
     TypelabError,
     poisson_tail_sum,
+    shell_count,
 )
-from .energy import LEAST_LENGTH, interval_deficits
+from .energy import LEAST_LENGTH, check_intervals, interval_deficits
 from .partitions import InsufficientData, classify_family, find_short_partition
 
 # density condition tolerance: per-interval ratios must satisfy
@@ -50,7 +53,7 @@ class UniformityReport:
     d: float
     partition: Partition | None
     # rows of (count, length, ratio, deficit); deficit is None when the
-    # energy leg was skipped
+    # energy leg was skipped or its deficits were not computed
     per_interval: tuple[tuple[int, float, float, float | None], ...]
     density: DensityCheck | None
     energy_verdict: SumVerdict | None
@@ -124,14 +127,18 @@ def _energy_leg(seq: RealSequence, idx: PartitionIndex) -> tuple[SumVerdict, np.
 
 
 def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
-              skip_energy: bool) -> UniformityReport:
+              skip_energy: bool, scan: bool = False) -> UniformityReport:
     partition = merge_short_intervals(partition)
     short_v = classify_family(partition)
     idx = _covering_index(seq, partition)
     density = _density_leg(idx, d)
-    if skip_energy:
-        energy_v, deficits = None, [None] * len(partition)
-    else:
+    energy_v, deficits = None, [None] * len(partition)
+    if scan and not skip_energy and shell_count(idx.dist0) < MIN_SHELLS:
+        # energy and shortness verdicts on these locations are inconclusive: it fails
+        check_intervals(seq.points, idx.lo, idx.hi, idx.lengths)
+        energy_v = SumVerdict(None, (), None, INCONCLUSIVE,
+                              note=f"deficits not computed: fewer than {MIN_SHELLS} dyadic shells")
+    elif not skip_energy:
         energy_v, deficits = _energy_leg(seq, idx)
         deficits = deficits.tolist()
     rows = tuple(zip(idx.counts.tolist(), idx.lengths.tolist(), density.ratios, deficits))

@@ -33,6 +33,8 @@ from typelab.constructions import (
     auxiliary_sequence,
     benedicks_sequence,
     default_block_growth,
+    measure_from_weights,
+    perturb_exponential,
 )
 from typelab.core import (
     DIVERGENT,
@@ -51,13 +53,16 @@ from typelab.core import (
     split_at_shells,
     split_pieces_at_shells,
 )
+from typelab import density, uniformity
 from typelab.density import (
     EXCESS_RTOL,
     EXCESS_SLACK,
+    InteriorCertificate,
     _dyadic_blocks,
     _farthest_points,
     counting_function,
     exterior_density,
+    interior_density,
     regularity_block_scan,
     spread_selection,
     strong_regularity_defect,
@@ -109,9 +114,11 @@ from typelab.typeproblem import (
     krein_lm_check,
     levinson_check,
     suffgen_bound,
+    type_discrete,
+    type_separated,
     weight_filter_mask,
 )
-from typelab.uniformity import _energy_leg, check_d_uniform
+from typelab.uniformity import _energy_leg, _evaluate, check_d_uniform
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
 coords = st.floats(-1e300, 1e300, allow_nan=False)
@@ -707,12 +714,18 @@ def ref_borichev_sodin_compare(mu, nu, delta, C, l):
         raise TypelabError("delta and C must be positive")
     xs = sorted(set(mu.positions.tolist())
                 | {0.5 * (a + b) for a, b in zip(mu.positions, mu.positions[1:])})
+
+    def rhs_at(x, e):
+        return C * (1.0 + abs(x)) ** l * (ref_mass_in(nu, x - 2 * e, x + 2 * e, closed=True)
+                                          + math.exp(-2.0 * delta * abs(x)))
+
+    if not all(math.isfinite(rhs_at(x, math.exp(-delta * abs(x)))) for x in xs):
+        raise TypelabError(f"C (1+|x|)^l (nu + e^2) overflows at C={C:g}, l={l:g}")
     worst = None
     for x in xs:
         e = math.exp(-delta * abs(x))
         lhs = ref_mass_in(mu, x - e, x + e, closed=True)
-        rhs = C * (1.0 + abs(x)) ** l * (ref_mass_in(nu, x - 2 * e, x + 2 * e, closed=True)
-                                         + math.exp(-2.0 * delta * abs(x)))
+        rhs = rhs_at(x, e)
         margin = rhs - lhs
         if worst is None or margin < worst[1]:
             worst = (x, margin)
@@ -765,6 +778,31 @@ def ref_levinson_thresholds(cuts, tail):
             break
         out.append(a_n)
     return np.asarray(out)
+
+
+def ref_downward_scan(support, grid, skip_energy, judge):
+    """The downward scan with a full ``check_d_uniform``, Coulomb pass included,
+    for every candidate."""
+    diagnostics = []
+    value, certificate = 0.0, None
+    for d in reversed(grid):
+        try:
+            partition = find_short_partition(support, d)
+        except InsufficientData as exc:
+            diagnostics.append((d, False, f"partition: {exc}"))
+            continue
+        selected = spread_selection(support, partition, d)
+        if len(selected) == 0:
+            diagnostics.append((d, False, "selection empty"))
+            continue
+        report = check_d_uniform(selected, d, partition, skip_energy=skip_energy)
+        passed, note = judge(selected, report)
+        diagnostics.append((d, passed, note))
+        if passed:
+            value, certificate = d, InteriorCertificate(selected, partition, report)
+            break
+    diagnostics.sort(key=lambda t: t[0])
+    return tuple(diagnostics), value, certificate
 
 
 def outcome(fn, *args):
@@ -1210,6 +1248,65 @@ class TestBenedicksKernel:
         assert len(seen) >= 20
 
 
+# ---------------------------------------------------------------- density scan
+
+
+def energy_not_computed(report):
+    """Whether the scan classified ``report``'s energy leg without the Coulomb pass."""
+    v = report.energy_verdict
+    return v is not None and (v.note or "").startswith("deficits not computed")
+
+
+@st.composite
+def scan_cases(draw):
+    """A plain or perturbed lattice of density d0 and a grid that runs past d0."""
+    d0 = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    seq = arithmetic(d0, float(draw(st.integers(200, 3000))))
+    if draw(st.booleans()):
+        seq = perturb_exponential(seq, 1.0, draw(st.integers(0, 20)))
+    frac = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    top = math.floor(1.0 / frac) + draw(st.integers(1, 6))
+    return seq, [frac * d0 * k for k in range(1, top + 1)]
+
+
+class TestScanShortcut:
+    def test_estimators_match_full_scan(self):
+        """Interior density and both type scans print what a full check of every
+        candidate prints, on cases that reach the fewer-than-4-shell shortcut."""
+        skipped = []
+
+        def counted(*args, **kwargs):
+            report = _evaluate(*args, **kwargs)
+            skipped.append(energy_not_computed(report))
+            return report
+
+        @given(scan_cases())
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        def compare(case):
+            seq, grid = case
+            measure = measure_from_weights(seq, "polynomial", {"beta": 2.0})
+            runs = [(interior_density, seq), (type_discrete, measure), (type_separated, measure)]
+            with mock.patch.object(density, "_evaluate", counted):
+                got = [printed(fn, arg, grid) for fn, arg in runs]
+            with mock.patch.object(density, "downward_scan", ref_downward_scan), \
+                    mock.patch.object(typeproblem, "downward_scan", ref_downward_scan):
+                assert got == [printed(fn, arg, grid) for fn, arg in runs]
+
+        compare()
+        assert sum(skipped) >= 20
+
+    @pytest.mark.parametrize("points, breakpoints, error", [
+        # (-2, 0] holds a pair 8e-301 apart, (0, 0.5] is short: the first decides
+        ([-1e-300, -2e-301, 0.3], [-2.0, 0.0, 0.5], DegenerateDistance),
+        ([-0.3, 2e-301, 1e-300], [-0.5, 0.0, 2.0], IntervalTooShort)])
+    def test_shortcut_raises_the_energy_leg_error(self, points, breakpoints, error):
+        seq, partition = RealSequence(np.array(points), 0.5), Partition(np.array(breakpoints))
+        assert len(uniformity.merge_short_intervals(partition)) == 2
+        want = outcome(check_d_uniform, seq, 1.0, partition)
+        assert want[0] is error
+        assert outcome(lambda: _evaluate(seq, 1.0, partition, "given", False, scan=True)) == want
+
+
 # ---------------------------------------------------------------- constructions and checkers
 
 
@@ -1468,7 +1565,7 @@ class TestCheckerKernels:
     # within the 1e-12 tolerance where exp(-delta |x|) underflows
     @example((DiscreteMeasure(np.array([-1000.0, 1000.0]), np.ones(2), 1000.0),) * 2
              + (1.0, 1.0 - 1e-13, 0.0))
-    # margins of inf C (1+|x|)^l times a zero mass are nan: first, and after a number
+    # an inf C (1+|x|)^l, which gave nan margins times a zero mass, is refused
     @example((DiscreteMeasure(np.array([-2e300, -1e300, 1e300, 2e300]), np.ones(4), 1e301),
               DiscreteMeasure(np.array([0.0]), np.ones(1), 1e301), 1.0, 1e308, 0.5))
     @example((DiscreteMeasure(np.array([-2e300, -1e300, 1e300, 2e300]), np.ones(4), 1e301),)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from typelab import catalog
 from typelab.cli import main
 from typelab.serialize import canonical_json, render_csv
 
@@ -400,6 +401,34 @@ class TestInputValidation:
         assert main(["theorem", "borichev-sodin", "--input", measure_file,
                      "--other", measure_file, "--l", l]) == 2
         assert capsys.readouterr().err == f"error: (1+|x|)^l overflows at l={float(l):g}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu, nu, C, l", [
+        ("koosis", "koosis", "1e308", "1"),
+        ([[-2e300, 1], [-1e300, 1], [1e300, 1], [2e300, 1]], [[0, 1]], "1e308", "0.5")])
+    def test_domination_bound_beyond_float_range(self, tmp_path, mu, nu, C, l, capsys):
+        # C (1+|x|)^l overflowed to inf: a worst margin of "inf", or "nan"
+        # where it met a zero mass
+        paths = []
+        for name, atoms in (("mu", mu), ("nu", nu)):
+            doc = (canonical_json(catalog.koosis_measure(50.0)) if atoms == "koosis"
+                   else json.dumps({"atoms": atoms, "window": 2e300}))
+            (tmp_path / f"{name}.json").write_text(doc)
+            paths.append(str(tmp_path / f"{name}.json"))
+        assert main(["theorem", "borichev-sodin", "--input", paths[0], "--other", paths[1],
+                     "--C", C, "--l", l]) == 2
+        assert capsys.readouterr().err == (f"error: C (1+|x|)^l (nu + e^2) overflows at "
+                                           f"C={float(C):g}, l={float(l):g}\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_total_mass_beyond_float_range(self, tmp_path, capsys):
+        # the Levinson tail sum overflowed: a numpy warning, and thresholds from
+        # an infinite total
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps({"atoms": [[1, 1e308], [2, 1e308]], "window": 3}))
+        assert main(["theorem", "levinson", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: masses and their total must be "
+                                             "positive and finite\n")
 
     def test_energy_interval_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "seq.json"

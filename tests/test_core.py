@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typelab.core import (
+    INCONCLUSIVE,
+    MIN_SHELLS,
     DiscreteMeasure,
     Interval,
     NegativeTerm,
@@ -15,6 +17,7 @@ from typelab.core import (
     WeightTable,
     dist0,
     poisson_tail_sum,
+    shell_count,
     shell_sum_verdict,
     split_at_shells,
 )
@@ -168,3 +171,12 @@ class TestShellMachinery:
     def test_fewer_than_four_shells_inconclusive(self):
         v = shell_sum_verdict([1.0, 2.5, 5.0], [1.0, 1.0, 1.0])
         assert v.classification == "inconclusive"
+
+    @given(weighted_terms())
+    @settings(max_examples=150)
+    def test_shell_count_is_the_number_of_shell_sums(self, terms):
+        locs, vals = zip(*terms)
+        v = shell_sum_verdict(locs, vals)
+        assert shell_count(locs) == len(v.shell_sums)
+        if shell_count(locs) < MIN_SHELLS:
+            assert v.classification == INCONCLUSIVE

@@ -272,6 +272,36 @@ def test_checkers_near_float_range(workdir, points, masses, window, interval):
         run_with_document(workdir, doc, argv + ["--input", "DOC"])
 
 
+# C (1+|x|)^l overflowed to inf without an error: a worst margin of "inf",
+# or "nan" where it met a zero mass
+@settings(FUZZ, max_examples=150)
+@given(mu=st.just("measure") | st.lists(near_float_range, min_size=1, max_size=6, unique=True),
+       nu=st.just("measure") | st.lists(near_float_range, min_size=1, max_size=6, unique=True),
+       C=option_values, l=option_values)
+@example(mu="measure", nu="measure", C="1e308", l="1")
+@example(mu=[-2e300, -1e300, 1e300, 2e300], nu=[0.0], C="1e308", l="0.5")
+def test_domination_constants(workdir, mu, nu, C, l):
+    paths = []
+    for name, points in (("mu", mu), ("nu", nu)):
+        if points != "measure":
+            atoms = [[x, 1.0] for x in sorted(points)]
+            (workdir / f"{name}.json").write_text(json.dumps({"atoms": atoms, "window": 2e300}))
+        paths.append(str(workdir / f"{name if points != 'measure' else 'measure'}.json"))
+    run(["theorem", "borichev-sodin", "--input", paths[0], "--other", paths[1],
+         f"--C={C}", f"--l={l}"])
+
+
+# a total mass beyond the float range overflowed the Levinson tail sum
+@FUZZ
+@given(masses=st.lists(st.sampled_from([1.0, 1e307, 1e308, 1.7e308]) | st.floats(1e-3, 1e308),
+                       min_size=1, max_size=6))
+@example(masses=[1e308, 1e308])
+def test_total_mass(workdir, masses):
+    atoms = [[k + 1.0, m] for k, m in enumerate(masses)]
+    run_with_document(workdir, {"atoms": atoms, "window": len(masses) + 1.0},
+                      ["theorem", "levinson", "--input", "DOC"])
+
+
 # the oracle's matrix grows with --a-max (about 32 rows per unit on the T=50
 # measure): 1e4 and above must meet the matrix cap before any allocation
 oracle_frequencies = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308",

@@ -20,6 +20,15 @@ while those two checkers and ``hybrid_check`` still measured one interval
 at a time.
 The ``regularity-families`` and ``theorem-beurling-gap-union`` digests were
 taken while the dyadic blocks were still built one ``Interval`` at a time.
+The ``density-interior-pert-small``, ``type-pert-small`` and
+``uniform-pert-small`` digests were taken while the downward scan still
+computed the Coulomb energies of every candidate.  On the T = 1000
+perturbed lattice some failing scan candidates have a partition over fewer
+than four dyadic shells, which the scan now classifies without that pass
+(``test_scan_goldens_reach_the_shortcut``), and so do some on the T = 26
+``type-selection-empty`` input; the T = 2000 inputs never give one.
+``uniform-pert-small`` prints the deficits of a greedy partition over two
+shells, so it pins ``check_d_uniform`` itself.
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -28,7 +37,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from typelab import catalog
+from typelab import catalog, density, uniformity
 from typelab.cli import main
 from typelab.constructions import (
     alternating_partition,
@@ -118,6 +127,13 @@ GOLDEN = {
                  "1fc203b55be891bf36809c414c08c28b823dbd156593178e77a47a87711c8e11"),
     "uniform-csv": (["uniform", "--input", "pert", "--d", "1.0", "--format", "csv"],
                     "1216807d812b47c76a731a321457eb3309b26db17e9144920ecb0c0b04e76347"),
+    "density-interior-pert-small": (["density", "--input", "pert-small", "--kind", "interior"]
+                                    + GRID,
+                                    "4a26e2913a4891580372b5586b2771de95a9f2d3a6f86b4bcd9ae732067e76f5"),
+    "type-pert-small": (["type", "--input", "pert-small-poly"],
+                        "e0ebcd6f5a540da3f504734eb3c90bf2b794e6988b82402f62e801cd6e15e898"),
+    "uniform-pert-small": (["uniform", "--input", "pert-small", "--d", "1.05"],
+                           "b6bcc5fa95bf29fd3c678ab7a08a845d8c8e90e299d19957d6fa481f533161a4"),
 }
 
 
@@ -152,9 +168,12 @@ def _mu_weight() -> WeightTable:
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     arith = arithmetic(1.0, T)
+    pert_small = perturb_exponential(arithmetic(1.0, 1000.0), 1.0, 1)
     docs = {"koosis": catalog.koosis_measure(T), "arith": arith,
             "pert": perturb_exponential(arithmetic(1.0, T), 1.0, 3),
             "short-partition": find_short_partition(arith, 1.0),
+            "pert-small": pert_small,
+            "pert-small-poly": measure_from_weights(pert_small, "polynomial", {"beta": 2.0}),
             # the weight filter keeps |x| <= 7, whose partition intervals are too
             # short to select a point at d <= 0.4: the "selection empty" note
             "super-exp": measure_from_weights(arithmetic(1.0, 26.0), "super-exponential"),
@@ -178,3 +197,27 @@ def test_stdout_bytes_unchanged(name, documents, capsys):
     assert main([documents.get(a, a) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the scan goldens: True where some failing candidate's partition spans fewer
+# than four dyadic shells, so that it is classified without its Coulomb pass
+SCAN_SHORTCUT = {"density-interior-pert-small": True, "type-pert-small": True,
+                 "density-interior-arith": False, "density-interior-pert": False,
+                 "type": False, "type-csv": False, "type-selection-empty": True,
+                 "type-separated": False}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SHORTCUT))
+def test_scan_goldens_reach_the_shortcut(name, documents, capsys, monkeypatch):
+    skipped = []
+
+    def counted(*args, **kwargs):
+        report = uniformity._evaluate(*args, **kwargs)
+        skipped.append(report.energy_verdict is not None
+                       and report.energy_verdict.value_truncated is None)
+        return report
+
+    monkeypatch.setattr(density, "_evaluate", counted)
+    assert main([documents.get(a, a) for a in GOLDEN[name][0]]) == 0
+    capsys.readouterr()
+    assert any(skipped) == SCAN_SHORTCUT[name]
