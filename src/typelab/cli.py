@@ -135,7 +135,7 @@ def _cmd_type(args):
     measure = load_measure(args.input)
     grid = _parse_grid(args.grid) if args.grid else None
     estimate = type_separated if args.separated else type_discrete
-    return estimate(measure, grid, denominator=args.denominator)
+    return estimate(measure, grid)
 
 
 def _beurling_gap(args):
@@ -230,9 +230,6 @@ def _cmd_oracle(args):
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(render_curve_csv(curve))
-    if args.format == "csv":
-        sys.stdout.write(render_curve_csv(curve))
-        return 0
     return {"knee": curve.knee, "max_curvature": curve.max_curvature,
             "extended_used": curve.extended_used, "sigma_min_first": float(curve.sigma_min[0]),
             "sigma_min_last": float(curve.sigma_min[-1]), "csv": args.csv}
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="measure JSON document")
     p.add_argument("--separated", action="store_true")
     p.add_argument("--grid", help="density grid, start:stop:step or comma list")
-    p.add_argument("--denominator", choices=("index", "location"), default="index")
 
     p = command("theorem", _cmd_theorem, "classical checker verdicts")
     p.add_argument("name", choices=tuple(_THEOREMS))

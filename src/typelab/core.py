@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the classes of a SumVerdict.  inconclusive never certifies a bound: a check
+# that needs a summable series (a short family) needs convergent, and one that
+# needs a divergent series (a long family) needs divergent
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"

@@ -4,9 +4,9 @@ The interior estimator is a certified lower bound: it exhibits a
 subsequence and a partition passing the d-uniformity verdict at the
 reported density, found by :func:`downward_scan`, the one downward grid
 search (the type estimators run it too).  The exterior estimator is an
-upper bound: it finds the smallest target density for which no long
-family of dyadic blocks carries an irreparable count excess (points can
-always be added, never removed).
+upper bound: it finds the smallest target density for which the dyadic
+blocks carrying an irreparable count excess form a family certified short
+(points can always be added, never removed).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     _SHELL_CUTS,
     CONVERGENT,
-    DIVERGENT,
     OutOfWindow,
     Partition,
     RealSequence,
@@ -35,9 +34,8 @@ from .uniformity import UniformityReport, _evaluate
 INTERIOR = "interior"
 EXTERIOR = "exterior"
 
-# excess tolerance mirrors the density-condition tolerance: a block of
-# length L is over target a when count - a*L > max(0.05*a*L, 2)
-EXCESS_RTOL = 0.05
+# a block of length L is over target a when count - a*L > EXCESS_SLACK; a
+# larger, relative slack would read an upper bound on its unsafe side
 EXCESS_SLACK = 2.0
 
 
@@ -274,8 +272,9 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
     """Upper bound for the exterior Beurling-Malliavin density.
 
     A target ``a`` is feasible when the dyadic blocks whose point count
-    irreparably exceeds ``a * length`` form at most a short family: deficits
-    can always be repaired by adding points, excesses cannot be removed.
+    irreparably exceeds ``a * length`` form a family certified short (no
+    blocks, or a ``convergent`` verdict): deficits can always be repaired by
+    adding points, excesses cannot be removed.
     Reports the smallest feasible grid value; raises :class:`TypelabError`
     when none is, since the grid then bounds nothing.
     """
@@ -291,7 +290,7 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
             feasible, note = True, "no excess blocks"
         else:
             verdict = classify_family(excess)
-            feasible = verdict.classification != DIVERGENT
+            feasible = verdict.classification == CONVERGENT
             note = f"excess family {verdict.classification} ({len(excess)} blocks)"
         diagnostics.append((a, feasible, note))
         if feasible and value is None:
@@ -308,8 +307,7 @@ def _excess_blocks(seq: RealSequence, a: float) -> np.ndarray:
     lefts, rights = blocks.T
     lengths = rights - lefts
     with np.errstate(over="ignore"):  # an infinite target is never exceeded
-        return blocks[seq.count_in(lefts, rights) - a * lengths
-                      > np.maximum(EXCESS_RTOL * a * lengths, EXCESS_SLACK)]
+        return blocks[seq.count_in(lefts, rights) - a * lengths > EXCESS_SLACK]
 
 
 def _dyadic_blocks(T: float) -> np.ndarray:

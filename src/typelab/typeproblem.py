@@ -6,10 +6,11 @@ sequence of density d certifies type ``2 pi d``.
 
 The discrete estimator is a certified lower bound.  Atoms whose log-weight
 penalty exceeds a per-shell budget are dropped so that the retained
-penalty series is summable by construction; the surviving support then
-goes through ``density.downward_scan``, the one downward grid search the
-interior density runs too, where a candidate passes when its spread-out
-subsequence is d-uniform and its retained log-weight series converges.
+penalty series is summable on a support of bounded density; the surviving
+support then goes through ``density.downward_scan``, the one downward grid
+search the interior density runs too, where a candidate passes when its
+spread-out subsequence is d-uniform and its retained log-weight series
+converges.
 """
 
 from __future__ import annotations
@@ -37,15 +38,16 @@ from .core import (
     shell_index,
     shell_sum_verdict,
 )
-from .density import density_grid, downward_scan
+from .density import _verdict_note, density_grid, downward_scan
 from .partitions import InsufficientData, classify_family, family_bounds
 from .uniformity import UniformityReport, check_d_uniform
 
 TWO_PI = 2.0 * math.pi
 
-# weight filter: atom with centered index n in dyadic shell j survives when
-# max(0, -log w) / (1 + n^2) <= WEIGHT_BUDGET * 2^(-1.5 j); retained shell
-# totals are then bounded by a geometric sequence of ratio 2^(-1/2)
+# weight filter: atom of mass m at x in dyadic shell j (2^j <= |x| < 2^(j+1))
+# survives when max(0, -log(m / |mu|)) / (1 + x^2) <= WEIGHT_BUDGET * 2^(-1.5 j);
+# on a support with O(2^j) atoms per shell the retained shell totals are then
+# bounded by a geometric sequence of ratio 2^(-1/2)
 WEIGHT_BUDGET = 8.0
 
 # desk-scale stand-in for "separated by some c > 0"
@@ -115,39 +117,35 @@ class TypeEstimate:
     diagnostics: tuple[tuple[float, bool, str], ...] = ()
 
 
-def _log_weight_penalties(measure: DiscreteMeasure, denominator: str) -> np.ndarray:
-    pen = np.maximum(0.0, -np.log(measure.masses))
-    if denominator == "index":
-        n = measure.centered_indices().astype(float)
-    elif denominator == "location":
-        n = measure.positions
-    else:
-        raise TypelabError("denominator must be 'index' or 'location'")
-    return pen / (1.0 + n * n), n
+def _log_weight_penalties(measure: DiscreteMeasure) -> np.ndarray:
+    # max(0, -log(m / |mu|)) / (1 + x^2): the same for c mu as for mu, and
+    # free of the atom's rank in the support, which added atoms would shift
+    pen = np.maximum(0.0, math.log(math.fsum(measure.masses.tolist())) - np.log(measure.masses))
+    x = measure.positions
+    with np.errstate(over="ignore"):  # past |x| = 1.3e154 the penalty rounds to 0
+        return pen / (1.0 + x * x)
 
 
-def weight_filter_mask(measure: DiscreteMeasure, denominator: str = "index") -> np.ndarray:
+def weight_filter_mask(measure: DiscreteMeasure) -> np.ndarray:
     """Atoms surviving the per-shell log-weight budget :data:`WEIGHT_BUDGET`."""
-    penalties, n = _log_weight_penalties(measure, denominator)
-    outer = np.abs(n) >= 1.0
-    shells, where = np.unique(shell_index(np.abs(n[outer])), return_inverse=True)
+    penalties, x = _log_weight_penalties(measure), measure.positions
+    outer = np.abs(x) >= 1.0
+    shells, where = np.unique(shell_index(np.abs(x[outer])), return_inverse=True)
     caps = np.array([WEIGHT_BUDGET * 2.0 ** (-1.5 * j) for j in shells.tolist()])
     keep = np.ones(len(measure), dtype=bool)
     keep[outer] = ~(penalties[outer] > caps[where])
     return keep
 
 
-def weight_sum_verdict(measure: DiscreteMeasure, positions,
-                       denominator: str = "index") -> SumVerdict:
+def weight_sum_verdict(measure: DiscreteMeasure, positions) -> SumVerdict:
     """Convergence verdict of the retained log-weight penalty series.
 
-    ``sum max(0, -log w(n)) / (1 + n^2)`` over the atoms at ``positions``;
-    convergent means the signed series ``sum log w(n)/(1+n^2)`` stays above
-    minus infinity.
+    ``sum max(0, -log(w(x) / |mu|)) / (1 + x^2)`` over the atoms at
+    ``positions``; convergent means the signed series
+    ``sum log w(x)/(1+x^2)`` stays above minus infinity.
     """
-    penalties, n = _log_weight_penalties(measure, denominator)
     wanted = np.isin(measure.positions, np.asarray(positions))
-    return shell_sum_verdict(n[wanted], penalties[wanted])
+    return shell_sum_verdict(measure.positions[wanted], _log_weight_penalties(measure)[wanted])
 
 
 def _default_d_grid(measure: DiscreteMeasure) -> list[float]:
@@ -156,31 +154,32 @@ def _default_d_grid(measure: DiscreteMeasure) -> list[float]:
     return [step * k for k in range(1, 27)]  # up to 1.3x the gross density
 
 
-def _scan_type(measure: DiscreteMeasure, d_grid, denominator: str, skip_energy: bool,
-               method: str, two_sided: bool) -> TypeEstimate:
+def _scan_type(measure: DiscreteMeasure, d_grid, separated: bool) -> TypeEstimate:
+    # a separated support makes the energy leg automatic and the value two-sided
     if len(measure) < 2:
         raise InsufficientData("need at least 2 atoms")
+    method = "separated-scan" if separated else "discrete-scan"
     grid = density_grid(d_grid if d_grid is not None else _default_d_grid(measure))
-    mask = weight_filter_mask(measure, denominator)
+    mask = weight_filter_mask(measure)
     if not np.any(mask):
-        return TypeEstimate(0.0, None, method, two_sided,
+        return TypeEstimate(0.0, None, method, separated,
                             ((grid[0], False, "weight filter removed every atom"),))
     support = RealSequence(measure.positions[mask], measure.window, "weight-filtered")
     weights: list[SumVerdict] = []
 
     def judge(selected: RealSequence, report: UniformityReport) -> tuple[bool, str]:
         if not report.overall:
-            return False, "uniformity fail"
-        weights.append(weight_sum_verdict(measure, selected.points, denominator))
+            return False, _verdict_note(report)
+        weights.append(weight_sum_verdict(measure, selected.points))
         cls = weights[-1].classification
         return cls == CONVERGENT, "pass" if cls == CONVERGENT else f"weight sum {cls}"
 
-    diagnostics, d, hit = downward_scan(support, grid, skip_energy, judge)
+    diagnostics, d, hit = downward_scan(support, grid, separated, judge)
     cert = None if hit is None else TypeCertificate(hit.subsequence, weights[-1], hit.report)
-    return TypeEstimate(TWO_PI * d, cert, method, two_sided, diagnostics)
+    return TypeEstimate(TWO_PI * d, cert, method, separated, diagnostics)
 
 
-def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "index") -> TypeEstimate:
+def type_discrete(measure: DiscreteMeasure, d_grid=None) -> TypeEstimate:
     """Certified lower bound on the type of a discrete measure.
 
     Scans the density grid downward; each candidate needs a d-uniform
@@ -188,8 +187,7 @@ def type_discrete(measure: DiscreteMeasure, d_grid=None, denominator: str = "ind
     log-weight series is summable.  Returns ``2 pi d`` for the largest
     passing ``d`` (0 when none passes), with the full certificate.
     """
-    est = _scan_type(measure, d_grid, denominator,
-                     skip_energy=False, method="discrete-scan", two_sided=False)
+    est = _scan_type(measure, d_grid, separated=False)
     growth = (0.0, _counting_growth_summable(measure), "log-counting-function Poisson-summable")
     return replace(est, diagnostics=est.diagnostics + (growth,))
 
@@ -204,7 +202,7 @@ def _counting_growth_summable(measure: DiscreteMeasure) -> bool:
     return verdict.classification != DIVERGENT
 
 
-def type_separated(measure: DiscreteMeasure, d_grid=None, denominator: str = "index") -> TypeEstimate:
+def type_separated(measure: DiscreteMeasure, d_grid=None) -> TypeEstimate:
     """Two-sided type estimate for a measure on a separated support.
 
     Separation (checked: consecutive gaps at least :data:`SEPARATION_GAP`) makes the
@@ -215,8 +213,7 @@ def type_separated(measure: DiscreteMeasure, d_grid=None, denominator: str = "in
     gaps = np.diff(measure.positions)
     if gaps.size and float(np.min(gaps)) < SEPARATION_GAP:
         raise NotSeparated(f"min gap {float(np.min(gaps)):.3g} below {SEPARATION_GAP:.3g}")
-    return _scan_type(measure, d_grid, denominator,
-                      skip_energy=True, method="separated-scan", two_sided=True)
+    return _scan_type(measure, d_grid, separated=True)
 
 
 def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,

@@ -55,7 +55,6 @@ from typelab.core import (
 )
 from typelab import density, uniformity
 from typelab.density import (
-    EXCESS_RTOL,
     EXCESS_SLACK,
     InteriorCertificate,
     _dyadic_blocks,
@@ -227,18 +226,16 @@ def ref_grow_side(points, T, d, scale):
     return bks
 
 
-def ref_weight_filter_mask(measure, denominator, budget=WEIGHT_BUDGET):
-    pen = np.maximum(0.0, -np.log(measure.masses))
-    n = (measure.centered_indices().astype(float) if denominator == "index"
-         else measure.positions)
-    penalties = pen / (1.0 + n * n)
+def ref_weight_filter_mask(measure, budget=WEIGHT_BUDGET):
+    log_total = math.log(math.fsum(measure.masses.tolist()))
+    pen = np.maximum(0.0, log_total - np.log(measure.masses))
     keep = np.ones(len(measure), dtype=bool)
-    for i, (p, ni) in enumerate(zip(penalties, n)):
-        ax = abs(ni)
+    for i, (p, x) in enumerate(zip(pen.tolist(), measure.positions.tolist())):
+        ax = abs(x)
         if ax < 1.0:
             continue
         j = math.frexp(ax)[1] - 1
-        if p > budget * 2.0 ** (-1.5 * j):
+        if p / (1.0 + x * x) > budget * 2.0 ** (-1.5 * j):
             keep[i] = False
     return keep
 
@@ -362,12 +359,11 @@ def ref_dyadic_blocks(T):
 def ref_excess_blocks(seq, a):
     T = seq.window
     out = [iv for iv in ref_dyadic_blocks(T)
-           if seq.count_in(iv.left, iv.right) - a * iv.length
-           > max(EXCESS_RTOL * a * iv.length, EXCESS_SLACK)]
+           if seq.count_in(iv.left, iv.right) - a * iv.length > EXCESS_SLACK]
     # the innermost block (-1, 1] is checked as a whole
     if T >= 1.0:
         count = seq.count_in(-1.0, 1.0)
-        if count - 2 * a > max(2 * EXCESS_RTOL * a, EXCESS_SLACK):
+        if count - 2 * a > EXCESS_SLACK:
             out.append(Interval(-1.0, 1.0))
     return out
 
@@ -1041,13 +1037,12 @@ class TestEstimatorKernels:
             got = None
         assert got == (expected if len(expected) > 4 else None)
 
-    @given(measures(), st.sampled_from(["index", "location"]),
-           st.sampled_from([WEIGHT_BUDGET, 0.01, 100.0]))
+    @given(measures(), st.sampled_from([WEIGHT_BUDGET, 0.01, 100.0]))
     @settings(max_examples=150, deadline=None)
-    def test_weight_filter_matches(self, measure, denominator, budget):
+    def test_weight_filter_matches(self, measure, budget):
         with mock.patch.object(typeproblem, "WEIGHT_BUDGET", budget):
-            got = weight_filter_mask(measure, denominator)
-        assert np.array_equal(got, ref_weight_filter_mask(measure, denominator, budget))
+            got = weight_filter_mask(measure)
+        assert np.array_equal(got, ref_weight_filter_mask(measure, budget))
 
     @given(measures())
     @settings(max_examples=100, deadline=None)

@@ -101,6 +101,17 @@ class TestSubcommands:
         assert lines[0] == "a,sigma_min,cond"
         assert len(lines) == 25
 
+    def test_oracle_csv_format_prints_the_summary(self, measure_file, tmp_path, capsys):
+        # --csv FILE writes the curve; --format csv renders the summary as every command does
+        argv = ["oracle", "--input", measure_file, "--a-max", "12.6", "--steps", "24",
+                "--csv", str(tmp_path / "curve.csv")]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        code, csv_out = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        assert csv_out == render_csv(json.loads(out))
+        assert csv_out.startswith("key,value\n")
+
     def test_csv_format(self, seq_file, capsys):
         code, out = run_cli(["energy", "--input", seq_file, "--format", "csv"], capsys)
         assert code == 0
@@ -132,6 +143,9 @@ class TestExitCodes:
             {"check": "y", "status": "fail", "detail": "boom"},
         ])
         assert main(["suite"]) == 1
+
+    def test_type_has_no_denominator_option(self, measure_file, capsys):
+        assert main(["type", "--input", measure_file, "--denominator", "index"]) == 2
 
     def test_threads_only_where_read(self, measure_file, capsys, monkeypatch):
         import typelab.cli as cli

@@ -29,6 +29,12 @@ than four dyadic shells, which the scan now classifies without that pass
 ``type-selection-empty`` input; the T = 2000 inputs never give one.
 ``uniform-pert-small`` prints the deficits of a greedy partition over two
 shells, so it pins ``check_d_uniform`` itself.
+The five ``type`` digests (``type``, ``type-csv``, ``type-pert-small``,
+``type-selection-empty`` and ``type-separated``) were re-recorded when the
+weight penalty became ``max(0, -log(m / |mu|)) / (1 + x^2)``, by position
+rather than by index, which moves the certificate's weight sums but not a
+type value, and when a failing scan candidate's note began to name the leg
+that failed, as in ``density``, instead of reading "uniformity fail".
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -54,11 +60,11 @@ GRID = ["--grid", "0.1:2.0:0.1"]
 
 GOLDEN = {
     "type": (["type", "--input", "koosis"],
-             "7b0e8accea16774e4a436fa52db8c8736a383c63cebf12a72c3e73d4d06ad89e"),
+             "78be8ab89a2e9e9375196d2dc8e32d93a53870c151d96aac448b07138d6d4a47"),
     "type-selection-empty": (["type", "--input", "super-exp", "--grid", "0.05:1.3:0.05"],
-                             "19eb4018e77cca55881c2aa381f57e753ccaa8003efa36a3783517f15d0766a6"),
+                             "9252e9a612153552d2c577096428222c5c62b2e43943d71f1bafcb7daa8f85e9"),
     "type-separated": (["type", "--input", "koosis", "--separated"],
-                       "89952c54d0a5730530e7e07bdc2f5a99429314b307ce046a63b1354ac8c968e9"),
+                       "5e4700bc3b68261a85c2a8a60e3f07d794e63a27de8e484b832dbbfa47e4bc16"),
     "regularity": (["regularity", "--input", "pert", "--a", "1"],
                    "b33164fd6523ab870ecd8e5cf3c4c705073b9d7d101d730a04ffc8cb3a7b85a0"),
     "regularity-families": (["regularity", "--input", "pert", "--a", "0.7", "--scan", "families"],
@@ -124,14 +130,14 @@ GOLDEN = {
                            "--weight", "mu-weight"],
                           "f6aca943bb739df1ff0e17967e8bcd0226cb76d0e3415db164c0c675bd9b2972"),
     "type-csv": (["type", "--input", "koosis", "--format", "csv"],
-                 "1fc203b55be891bf36809c414c08c28b823dbd156593178e77a47a87711c8e11"),
+                 "cd9882bd136746d54de0d18f5f6561b60a16a1fda3bf45db07a7be0cf8b2ccbb"),
     "uniform-csv": (["uniform", "--input", "pert", "--d", "1.0", "--format", "csv"],
                     "1216807d812b47c76a731a321457eb3309b26db17e9144920ecb0c0b04e76347"),
     "density-interior-pert-small": (["density", "--input", "pert-small", "--kind", "interior"]
                                     + GRID,
                                     "4a26e2913a4891580372b5586b2771de95a9f2d3a6f86b4bcd9ae732067e76f5"),
     "type-pert-small": (["type", "--input", "pert-small-poly"],
-                        "e0ebcd6f5a540da3f504734eb3c90bf2b794e6988b82402f62e801cd6e15e898"),
+                        "ddf90d73826cb3f76f99a972007fa04601b2e4d3dbbdad06bc59e5e1903b5131"),
     "uniform-pert-small": (["uniform", "--input", "pert-small", "--d", "1.05"],
                            "b6bcc5fa95bf29fd3c678ab7a08a845d8c8e90e299d19957d6fa481f533161a4"),
 }

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from typelab import catalog
 from typelab.constructions import arithmetic, measure_from_weights
@@ -35,6 +37,7 @@ from typelab.typeproblem import (
 )
 
 D_GRID = [0.05 * k for k in range(1, 27)]
+WIDE_GRID = [0.05 * k for k in range(1, 51)]
 T = 1000.0
 
 
@@ -74,11 +77,41 @@ DILATION_DEFECT = pytest.mark.xfail(
                         "dilated copy turns inconclusive and the type reads 0")
 
 
+def both_types(measure, grid):
+    return [est(measure, grid).lower_bound_type for est in (type_discrete, type_separated)]
+
+
 class TestTypeSymmetries:
+    @pytest.mark.parametrize("family", ["koosis_measure", "mixed_parity_measure"])
+    @given(st.floats(-30.0, 30.0))
+    @example(-10.0)
+    @example(3.0)
+    @settings(max_examples=5, deadline=None)
+    def test_scaling_keeps_type(self, family, log10_c):
+        # L^2(c mu) = L^2(mu) with an equivalent norm
+        m = getattr(catalog, family)(600.0)
+        scaled = DiscreteMeasure(m.positions, m.masses * 10.0 ** log10_c, m.window)
+        assert both_types(scaled, D_GRID) == both_types(m, D_GRID)
+
+    @pytest.mark.parametrize("family", ["koosis_measure", "mixed_parity_measure"])
+    @pytest.mark.parametrize("weight", [
+        lambda x: np.exp(-np.abs(x)), lambda x: (1.0 + x * x) ** -2.0, np.ones_like],
+        ids=["light", "heavy", "unit"])
+    def test_adding_atoms_does_not_lower_type(self, family, weight):
+        # mu <= nu gives T(mu) <= T(nu): atoms added at the midpoints
+        m = getattr(catalog, family)(600.0)
+        mids = 0.5 * (m.positions[1:] + m.positions[:-1])
+        pos = np.concatenate([m.positions, mids])
+        order = np.argsort(pos)
+        more = DiscreteMeasure(pos[order], np.concatenate([m.masses, weight(mids)])[order],
+                               m.window)
+        base = both_types(m, WIDE_GRID)
+        assert base[0] > 0.0
+        assert all(got >= want for got, want in zip(both_types(more, WIDE_GRID), base))
+
     @pytest.mark.parametrize("family, s", [
         ("koosis_measure", 0.5), ("koosis_measure", 2.0), ("koosis_measure", 4.0),
-        ("mixed_parity_measure", 0.5),
-        pytest.param("mixed_parity_measure", 2.0, marks=DILATION_DEFECT),
+        ("mixed_parity_measure", 0.5), ("mixed_parity_measure", 2.0),
         pytest.param("mixed_parity_measure", 4.0, marks=DILATION_DEFECT)])
     def test_dilation_divides_type(self, family, s):
         # x -> s x divides the type by s; at a power of two s the grid d / s and
