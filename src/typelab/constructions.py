@@ -56,6 +56,8 @@ def arithmetic(d: float, T: float) -> RealSequence:
         raise TypelabError(f"arithmetic progression of density {d:g} on [-{T:g}, {T:g}] "
                            f"would have more than {ARITHMETIC_MAX_POINTS} points")
     kmax = int(math.floor(d * T + 1e-9))
+    while kmax / d > T:     # the slack may take a point just outside [-T, T]
+        kmax -= 1
     pts = np.arange(-kmax, kmax + 1, dtype=float) / d
     return RealSequence(pts, T, f"arithmetic(d={d:g})")
 

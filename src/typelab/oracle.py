@@ -7,7 +7,9 @@ L2 of a truncated measure corresponds to a near-null vector of the matrix
 
 with ``lam_j`` a trapezoid-quadrature grid on ``[0, a]``: for a unit
 coefficient vector, ``|A f|^2`` approximates the integral of the squared
-annihilation residual over the frequency interval.  Below the transition
+annihilation residual over the frequency interval.  The probe factors a real
+matrix with the same singular values (see :func:`annihilation_matrix`): half
+the bytes and about a quarter of the flops of the complex SVD.  Below the transition
 frequency the smallest singular value collapses (a genuine annihilator of
 the infinite measure truncates well); above it the value is pinned near
 ``sqrt(a * min mass)``.  The knee of the log residual curve therefore
@@ -35,7 +37,7 @@ REFUSAL_RATIO = 1e-14        # below this min sigma_min/sigma_max a hidden knee 
 KNEE_THRESHOLD = 2.0         # natural-log units of curvature required to call a knee
 DEFAULT_FREQ_DENSITY = 8.0
 EXTENDED_DPS = 40            # decimal digits of the extended-precision Gram solve
-# most cells of an annihilation matrix a scan builds (64 MB of complex128): four
+# most cells of an annihilation matrix a scan builds (32 MB of float64): four
 # times the 1927 x 481 matrix of the koosis T=240 measure at a = 12.6
 MATRIX_MAX_CELLS = 4e6
 # environment variables that set the BLAS threads of a process, in the order read
@@ -81,11 +83,14 @@ def default_freq_count(measure: DiscreteMeasure, a: float,
 
 
 def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> np.ndarray:
-    """Quadrature-weighted exponential-moment matrix on ``[0, a]``.
+    """Quadrature-weighted exponential-moment matrix on ``[0, a]``, in real form.
 
-    Rows are trapezoid nodes, columns atoms; a unit-norm null direction of
-    the matrix is a unit function in L2 of the measure whose exponential
-    moments nearly vanish on the whole interval.
+    Scaling column ``m`` of the complex matrix ``A`` by ``exp(-i a t_m / 2)``
+    centres the nodes at ``mu_j = lam_j - a/2``, so that rows ``j`` and
+    ``M-1-j`` are conjugate; ``[1 1; -i i] / sqrt(2)`` on each pair gives rows
+    ``sqrt(2 q_j m) cos(mu_j t)`` and ``sqrt(2 q_j m) sin(mu_j t)``, and an odd
+    middle row (``mu = 0``) is ``sqrt(h m)``.  Both maps are unitary, so this
+    float64 matrix has the singular values of ``A`` for any positions.
     """
     if a <= 0:
         raise DegenerateGrid("frequency interval must have positive length")
@@ -95,8 +100,11 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     h = a / (freq_count - 1)
     q = np.full(freq_count, h)
     q[0] = q[-1] = 0.5 * h
-    phases = np.exp(1j * lam[:, None] * measure.positions[None, :])
-    return np.sqrt(q)[:, None] * phases * np.sqrt(measure.masses)[None, :]
+    half = freq_count // 2
+    theta = (lam[:half] - 0.5 * a)[:, None] * measure.positions[None, :]
+    rows = np.concatenate([np.cos(theta), np.sin(theta), np.ones((freq_count % 2, len(measure)))])
+    weights = np.concatenate([2.0 * q[:half], 2.0 * q[:half], q[half:freq_count - half]])
+    return np.sqrt(weights)[:, None] * rows * np.sqrt(measure.masses)[None, :]
 
 
 def _usable_cpus() -> int:

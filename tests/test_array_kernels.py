@@ -3,7 +3,8 @@
 The ``ref_*`` functions are the former per-element implementations, kept
 here as oracles.  Reports are byte-identical only if every float the array
 code produces equals the one the loop produced, so the comparisons below
-use ``==``, never ``approx``.
+use ``==``, never ``approx`` (save the oracle's real form, which matches the
+complex matrix it replaced only to rounding).
 """
 
 import contextlib
@@ -117,6 +118,7 @@ from typelab.typeproblem import (
     type_separated,
     weight_filter_mask,
 )
+from typelab.oracle import annihilation_matrix
 from typelab.uniformity import _energy_leg, _evaluate, check_d_uniform
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
@@ -799,6 +801,16 @@ def ref_downward_scan(support, grid, skip_energy, judge):
             break
     diagnostics.sort(key=lambda t: t[0])
     return tuple(diagnostics), value, certificate
+
+
+def ref_annihilation_matrix(measure, a, freq_count):
+    """The complex matrix ``sqrt(q_j) exp(i lam_j t_m) sqrt(mass_m)``."""
+    lam = np.linspace(0.0, a, freq_count)
+    h = a / (freq_count - 1)
+    q = np.full(freq_count, h)
+    q[0] = q[-1] = 0.5 * h
+    phases = np.exp(1j * lam[:, None] * measure.positions[None, :])
+    return np.sqrt(q)[:, None] * phases * np.sqrt(measure.masses)[None, :]
 
 
 def outcome(fn, *args):
@@ -1519,6 +1531,33 @@ def tail_measures(draw):
     if draw(st.booleans()):  # atoms on the negative side too
         pos, masses = np.concatenate([-pos[::-1], pos]), np.concatenate([masses, masses])
     return DiscreteMeasure(pos, masses, T)
+
+
+@st.composite
+def oracle_cases(draw):
+    """An asymmetric measure, a frequency interval and a row count, 2 and 3 included."""
+    xs = np.unique(np.asarray(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30))))
+    logm = draw(st.lists(st.floats(-20.0, 3.0), min_size=xs.size, max_size=xs.size))
+    freq_count = draw(st.sampled_from([2, 3]) | st.integers(4, 80))
+    return DiscreteMeasure(xs, np.exp(np.asarray(logm)), 50.0), draw(st.floats(0.01, 10.0)), freq_count
+
+
+class TestOracleKernel:
+    # the real form is the complex matrix under unitary maps, so the two agree
+    # to rounding, not bit for bit
+    @given(oracle_cases())
+    @example((DiscreteMeasure(np.array([-3.0, 0.5, 7.0]), np.array([1.0, 1e-6, 5.0]), 50.0),
+              4.0, 2))
+    @example((DiscreteMeasure(np.array([-3.0, 0.5, 7.0]), np.array([1.0, 1e-6, 5.0]), 50.0),
+              4.0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_real_form_has_the_complex_singular_values(self, case):
+        measure, a, freq_count = case
+        real = annihilation_matrix(measure, a, freq_count)
+        assert real.dtype == np.float64 and real.shape == (freq_count, len(measure))
+        s_real = np.linalg.svd(real, compute_uv=False)
+        s_ref = np.linalg.svd(ref_annihilation_matrix(measure, a, freq_count), compute_uv=False)
+        assert np.max(np.abs(s_real - s_ref)) <= 1e-12 * s_ref[0]
 
 
 class TestCheckerKernels:

@@ -36,6 +36,13 @@ class TestArithmetic:
         assert len(seq) == 11
         assert np.allclose(np.diff(seq.points), 2.0)
 
+    @pytest.mark.parametrize("d, T, last", [(0.5, 513.9999999999999, 512.0),
+                                            (1.0, 99.9999999995, 99.0), (1.0, 100.0, 100.0)])
+    def test_window_edge(self, d, T, last):
+        # the rounding slack of d*T must not take the point k/d just past T
+        seq = arithmetic(d, T)
+        assert seq.points[-1] == last and seq.points[0] == -last
+
 
 class TestPerturbExponential:
     def test_large_rate_is_identity_away_from_origin(self):

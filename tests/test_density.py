@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typelab.constructions import arithmetic, perturb_exponential
@@ -214,6 +214,7 @@ class TestExteriorDensity:
     # 2-point excess slack is below one step of the 0.01 grid
     @given(st.sampled_from([0.5, 1.0, 1.5]), st.floats(512.0, 1000.0),
            st.none() | st.integers(0, 2 ** 32 - 1))
+    @example(0.5, 513.9999999999999, None)  # d*T just below an integer
     @settings(max_examples=20, deadline=None)
     def test_exterior_bounds_lattice_density(self, d, T, seed):
         seq = arithmetic(d, T)

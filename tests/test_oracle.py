@@ -17,6 +17,7 @@ from typelab.oracle import (
     default_freq_count,
     residual_scan,
 )
+from typelab.suite import bundle_curves
 
 
 def sigma_min(measure, a, freq_count=None):
@@ -55,19 +56,22 @@ class TestAnnihilationMatrix:
         assert 0.5 * abs(g[0]) ** 2 + 2.0 * abs(g[1]) ** 2 == pytest.approx(1.0)
 
     def test_gram_consistency(self):
+        # the column Gram of the real form is that of the complex matrix
+        # after the centring phases: sqrt(m_m m_n) sum_j q_j cos(mu_j (t_n - t_m))
         m = catalog.koosis_measure(10.0)
         a = 2.0
         M = default_freq_count(m, a)
-        A = annihilation_matrix(m, a, M)
-        lam = np.linspace(0.0, a, M)
+        C = annihilation_matrix(m, a, M)
+        assert C.dtype == np.float64 and C.shape == (M, len(m))
+        mu = np.linspace(0.0, a, M) - a / 2
         h = a / (M - 1)
         q = np.full(M, h)
         q[0] = q[-1] = h / 2
-        gram = A @ A.conj().T
-        j, k = 3, M - 5
-        direct = math.sqrt(q[j] * q[k]) * np.sum(
-            m.masses * np.exp(1j * (lam[j] - lam[k]) * m.positions))
-        assert gram[j, k] == pytest.approx(direct, rel=1e-12)
+        gram = C.T @ C
+        t = m.positions
+        for i, k in ((3, len(m) - 5), (0, len(m) - 1), (7, 7)):
+            direct = math.sqrt(m.masses[i] * m.masses[k]) * np.sum(q * np.cos(mu * (t[k] - t[i])))
+            assert gram[i, k] == pytest.approx(direct, rel=1e-12)
 
     def test_matches_exact_gram(self):
         m = catalog.koosis_measure(30.0)
@@ -116,6 +120,11 @@ class TestResidualScan:
         curve = residual_scan(m, grid)
         assert curve.knee is not None
         assert abs(curve.knee - 2 * math.pi) <= 0.25 * 2 * math.pi
+
+    def test_bundle_knees_pinned(self):
+        # the knees of the suite's oracle bundle, as the complex matrix gave them
+        knees = [curve.knee for _, curve in bundle_curves(1)]
+        assert knees == [5.8078125, 2.70703125, 5.90625]
 
     def test_no_knee_single_atom(self):
         m = DiscreteMeasure(np.array([0.0]), np.array([1.0]), 1.0)
