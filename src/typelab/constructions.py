@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COUNT_ROUNDING,
     DiscreteMeasure,
     Partition,
     RealSequence,
@@ -28,22 +29,6 @@ ARITHMETIC_MAX_POINTS = 1_000_000
 BENEDICKS_CONSTANTS = (8.0, 8.0, 0.4)
 
 
-class WeightUnbounded(TypelabError):
-    pass
-
-
-class BadL(TypelabError):
-    pass
-
-
-class UnknownFamily(TypelabError):
-    pass
-
-
-class ConditionsFailed(TypelabError):
-    pass
-
-
 def arithmetic(d: float, T: float) -> RealSequence:
     """Arithmetic progression of density ``d``: points ``k/d`` with ``|k/d| <= T``.
 
@@ -55,7 +40,7 @@ def arithmetic(d: float, T: float) -> RealSequence:
     if 2.0 * d * T + 1.0 > ARITHMETIC_MAX_POINTS:
         raise TypelabError(f"arithmetic progression of density {d:g} on [-{T:g}, {T:g}] "
                            f"would have more than {ARITHMETIC_MAX_POINTS} points")
-    kmax = int(math.floor(d * T + 1e-9))
+    kmax = int(math.floor(d * T + COUNT_ROUNDING))
     while kmax / d > T:     # the slack may take a point just outside [-T, T]
         kmax -= 1
     pts = np.arange(-kmax, kmax + 1, dtype=float) / d
@@ -137,12 +122,12 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     if epsilon <= 0:
         raise TypelabError("epsilon must be positive")
     if L < 1.0 / epsilon:
-        raise BadL(f"need L >= 1/epsilon = {1.0 / epsilon}")
+        raise TypelabError(f"need L >= 1/epsilon = {1.0 / epsilon}")
     if len(B) < 3:
         raise TypelabError("base sequence needs at least 3 points")
     wb = np.atleast_1d(w.evaluate(B.points))
     if np.any(~np.isfinite(wb)) or np.any(wb <= 0):
-        raise WeightUnbounded("weights must be positive and finite")
+        raise TypelabError("weights must be positive and finite")
 
     b = B.points
     gaps_left = b[1:-1] - b[:-2]
@@ -150,7 +135,7 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     l = np.minimum(np.minimum(gaps_left, gaps_right), wb[1:-1])
     centers = b[1:-1]
     if np.any(l / 3.0 <= 4.0 * np.spacing(np.abs(centers))):
-        raise WeightUnbounded(
+        raise TypelabError(
             "pair widths fall below the float spacing of the base points; "
             "shrink the window or raise the weights")
     pairs = np.empty(2 * centers.size)
@@ -204,8 +189,8 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     growing number of cells; each block of length ``|J|`` receives
     ``floor(C |J|)`` points inside the union of its even intervals, spaced
     so that the margins and all inner gaps carry equal measure of that
-    union.  Fails with :class:`ConditionsFailed` when the alternating
-    partition does not satisfy the admissibility conditions at
+    union.  Fails with the failing conditions when the alternating partition
+    does not satisfy the admissibility conditions at
     :data:`BENEDICKS_CONSTANTS`.  ``C`` must be finite and positive, and the
     sequence, about ``C`` times the partition's span, at most
     :data:`CONSTRUCTION_MAX_SIZE` points.
@@ -221,7 +206,7 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     verdict = benedicks_conditions(partition, *BENEDICKS_CONSTANTS)
     if not verdict.applicable:
         series = verdict.evidence["odd_length_series"].classification
-        raise ConditionsFailed(str(verdict.evidence["failures"] or [f"odd-length series {series}"]))
+        raise TypelabError(str(verdict.evidence["failures"] or [f"odd-length series {series}"]))
 
     i0 = int(np.flatnonzero(bks == 0.0)[0])
     n_min = -i0
@@ -239,7 +224,7 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
         n -= default_block_growth(n)
         marks.insert(0, n)
     if len(marks) < 2:
-        raise ConditionsFailed("partition too small to form one block")
+        raise TypelabError("partition too small to form one block")
 
     # block k spans the breakpoints at[k]..at[k + 1]; every other one starts an even interval
     at = i0 + 2 * np.asarray(marks)
@@ -288,7 +273,7 @@ def weight_families(name: str, params: dict | None, indices) -> np.ndarray:
         c = float(params.get("c", 1.0))
         even = np.mod(np.abs(n), 2) < 0.5
         return np.where(even, np.exp(-c * np.abs(n)), (1.0 + n * n) ** (-beta))
-    raise UnknownFamily(f"unknown weight family {name!r}")
+    raise TypelabError(f"unknown weight family {name!r}")
 
 
 def measure_from_weights(support: RealSequence, name: str,

@@ -35,25 +35,15 @@ SLOPE_CONVERGENT = -0.2
 SLOPE_DIVERGENT = -0.05
 MIN_SHELLS = 4
 
+# a count meets d * length when it is at least d * length - COUNT_ROUNDING (its rounding)
+COUNT_ROUNDING = 1e-9
+# points a count may stray from d * length: the density leg's tolerance, a block's excess
+SLACK_POINTS = 2.0
+
 
 class TypelabError(Exception):
-    """Base class for all domain errors raised by this package."""
-
-
-class EmptyInput(TypelabError):
-    pass
-
-
-class DuplicatePoint(TypelabError):
-    pass
-
-
-class OutOfWindow(TypelabError):
-    pass
-
-
-class NegativeTerm(TypelabError):
-    pass
+    """Input this package refuses; the CLI prints it and exits 2.  Callers catch
+    only its subclasses ``InsufficientData`` and ``IllConditioned``."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +84,9 @@ class RealSequence:
             raise TypelabError("window must be positive and finite")
         if pts.size:
             if np.any(pts[1:] <= pts[:-1]):
-                raise DuplicatePoint("points must be strictly increasing")
+                raise TypelabError("points must be strictly increasing")
             if not np.max(np.abs(pts)) <= self.window:
-                raise OutOfWindow("points must be finite and lie in [-T, T]")
+                raise TypelabError("points must be finite and lie in [-T, T]")
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -182,7 +172,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mas)
         if pos.size == 0:
-            raise EmptyInput("measure needs at least one atom")
+            raise TypelabError("measure needs at least one atom")
         if pos.shape != mas.shape:
             raise TypelabError("positions and masses must align")
         object.__setattr__(self, "_support", RealSequence(pos, self.window))  # its checks
@@ -324,7 +314,7 @@ def shell_sum_verdict(locations, values) -> SumVerdict:
     if locations.shape != values.shape:
         raise TypelabError("locations and values must align")
     if np.any(values < 0):
-        raise NegativeTerm("series terms must be nonnegative")
+        raise TypelabError("series terms must be nonnegative")
 
     total = math.fsum(values.tolist())
     mags = np.abs(locations)
@@ -399,7 +389,7 @@ def poisson_tail_sum(terms) -> SumVerdict:
     """
     locs, vals = np.asarray(terms, dtype=float).reshape(-1, 2).T
     if np.any(vals < 0):
-        raise NegativeTerm("poisson_tail_sum requires nonnegative values")
+        raise TypelabError("poisson_tail_sum requires nonnegative values")
     if not np.isfinite(vals).all():
         raise TypelabError("a term of the Poisson series is beyond the float range")
     with np.errstate(over="ignore"):  # past |x| = 1.3e154 the weight rounds to 0

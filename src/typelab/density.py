@@ -19,7 +19,8 @@ import numpy as np
 from .core import (
     _SHELL_CUTS,
     CONVERGENT,
-    OutOfWindow,
+    COUNT_ROUNDING,
+    SLACK_POINTS,
     Partition,
     RealSequence,
     SumVerdict,
@@ -33,10 +34,6 @@ from .uniformity import UniformityReport, _evaluate
 
 INTERIOR = "interior"
 EXTERIOR = "exterior"
-
-# a block of length L is over target a when count - a*L > EXCESS_SLACK; a
-# larger, relative slack would read an upper bound on its unsafe side
-EXCESS_SLACK = 2.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ def counting_function(seq: RealSequence, x):
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= seq.window):
-        raise OutOfWindow(f"|{x}| exceeds the window {seq.window}")
+        raise TypelabError(f"|{x}| exceeds the window {seq.window}")
     pts = seq.points
     # points in (-inf, x] minus those in (-inf, 0] for x >= 0, in (-inf, 0) for x < 0
     zero_rank = np.where(xs < 0, np.searchsorted(pts, 0.0, side="left"),
@@ -143,7 +140,7 @@ def spread_selection(seq: RealSequence, partition: Partition, d: float) -> RealS
     pts = seq.points
     idx = partition.index(pts)
     m = idx.counts
-    k = np.floor(d * idx.lengths + 1e-9)
+    k = np.floor(d * idx.lengths + COUNT_ROUNDING)
     keep = np.zeros(pts.size, dtype=bool)
     # the intervals are contiguous: they hold points lo[0] .. hi[-1] - 1 in turn
     keep[idx.lo[0]:idx.hi[-1]] = np.repeat(k >= m, m)
@@ -306,8 +303,9 @@ def _excess_blocks(seq: RealSequence, a: float) -> np.ndarray:
     blocks = _dyadic_blocks(seq.window)
     lefts, rights = blocks.T
     lengths = rights - lefts
+    # an absolute slack: a larger, relative one would read an upper bound on its unsafe side
     with np.errstate(over="ignore"):  # an infinite target is never exceeded
-        return blocks[seq.count_in(lefts, rights) - a * lengths > EXCESS_SLACK]
+        return blocks[seq.count_in(lefts, rights) - a * lengths > SLACK_POINTS]
 
 
 def _dyadic_blocks(T: float) -> np.ndarray:

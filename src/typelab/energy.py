@@ -30,18 +30,6 @@ _BLOCK = 256
 _BATCH_TERMS = 1 << 18
 
 
-class TooFewPoints(TypelabError):
-    pass
-
-
-class IntervalTooShort(TypelabError):
-    pass
-
-
-class DegenerateDistance(TypelabError):
-    pass
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Point count, energy and uniformity deficit of one interval."""
@@ -61,20 +49,20 @@ def _as_points(config) -> np.ndarray:
 def coulomb_energy(config) -> float:
     """Sum of ``log|x_k - x_l|`` over ordered pairs of distinct points.
 
-    Points must be pairwise distinct; a gap below 1e-300 raises
-    :class:`DegenerateDistance` instead of poisoning downstream deficits
-    with -inf, and points spanning more than the float range raise
-    :class:`TypelabError` instead of overflowing.
+    Points must be pairwise distinct: a gap below 1e-300 raises
+    :class:`TypelabError` instead of poisoning downstream deficits with
+    -inf, and so do points spanning more than the float range, instead of
+    overflowing.
     """
     pts = np.sort(_as_points(config))
     n = pts.size
     if n < 2:
-        raise TooFewPoints("coulomb energy needs at least 2 points")
+        raise TypelabError("coulomb energy needs at least 2 points")
     if not math.isfinite(float(pts[-1]) - float(pts[0])):
         raise TypelabError("points span more than the float range")
     gaps = np.diff(pts)
     if np.min(gaps) < DEGENERATE_DISTANCE:
-        raise DegenerateDistance("two points closer than 1e-300")
+        raise TypelabError("two points closer than 1e-300")
 
     if n <= _MATRIX_LIMIT:
         rows, cols = np.triu_indices(n, k=1)
@@ -101,7 +89,7 @@ def grid_energy_closed_form(delta: int, d: float) -> float:
     via log-gamma, avoiding factorial overflow.
     """
     if delta < 2:
-        raise TooFewPoints("closed form needs delta >= 2")
+        raise TypelabError("closed form needs delta >= 2")
     if d <= 0:
         raise TypelabError("grid density d must be positive")
     terms = [math.lgamma(m) + math.lgamma(delta - m + 1) for m in range(1, delta + 1)]
@@ -120,7 +108,7 @@ def energy_report(config, interval: Interval) -> EnergyReport:
         raise TypelabError(f"interval ({interval.left:g}, {interval.right:g}] "
                            "is longer than the float range")
     if interval.length < LEAST_LENGTH:
-        raise IntervalTooShort(f"interval length {interval.length} < {LEAST_LENGTH:g}")
+        raise TypelabError(f"interval length {interval.length} < {LEAST_LENGTH:g}")
     pts = np.sort(_as_points(config))
     lo = np.searchsorted(pts, interval.left, side="right")
     hi = np.searchsorted(pts, interval.right, side="right")
@@ -134,8 +122,7 @@ def energy_report(config, interval: Interval) -> EnergyReport:
 def check_intervals(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     lengths: np.ndarray) -> None:
     """Raise the error of the first interval that has one, in one pass over the gaps:
-    :class:`IntervalTooShort` below length 1, :class:`DegenerateDistance` for
-    two of its points closer than 1e-300."""
+    it is shorter than 1, or two of its points are closer than 1e-300."""
     # close[t]: gaps below the limit among the first t gaps
     close = np.concatenate([[0], np.cumsum(np.diff(points) < DEGENERATE_DISTANCE)])
     degenerate = (hi - lo >= 2) & (close.take(hi - 1, mode="clip") > close.take(lo, mode="clip"))
@@ -143,8 +130,8 @@ def check_intervals(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     if bad.size:
         first = bad[0]
         if lengths[first] < LEAST_LENGTH:
-            raise IntervalTooShort(f"interval length {lengths[first]} < {LEAST_LENGTH:g}")
-        raise DegenerateDistance("two points closer than 1e-300")
+            raise TypelabError(f"interval length {lengths[first]} < {LEAST_LENGTH:g}")
+        raise TypelabError("two points closer than 1e-300")
 
 
 def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,

@@ -44,10 +44,6 @@ MATRIX_MAX_CELLS = 4e6
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-class DegenerateGrid(TypelabError):
-    pass
-
-
 class IllConditioned(TypelabError):
     """The conditioning collapse hides the transition; extended precision is required."""
 
@@ -93,9 +89,9 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     float64 matrix has the singular values of ``A`` for any positions.
     """
     if a <= 0:
-        raise DegenerateGrid("frequency interval must have positive length")
+        raise TypelabError("frequency interval must have positive length")
     if freq_count < 2:
-        raise DegenerateGrid("need at least 2 frequency rows")
+        raise TypelabError("need at least 2 frequency rows")
     lam = np.linspace(0.0, a, freq_count)
     h = a / (freq_count - 1)
     q = np.full(freq_count, h)
@@ -157,7 +153,7 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
     """
     grid = [float(a) for a in a_grid]
     if not grid or any(a <= 0 for a in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DegenerateGrid("a-grid must be positive and strictly increasing")
+        raise TypelabError("a-grid must be positive and strictly increasing")
     if threads < 1:
         raise TypelabError(f"threads must be at least 1, got {threads}")
     cells = _freq_rows(measure, grid[-1], freq_density) * len(measure)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     CONVERGENT,
+    COUNT_ROUNDING,
     Partition,
     RealSequence,
     SumVerdict,
@@ -26,23 +27,15 @@ from .energy import LEAST_LENGTH
 SCALAR_PROBE = 4  # points _first_reach tests as floats before its array chunks
 
 
-class OverlappingIntervals(TypelabError):
-    pass
-
-
 class InsufficientData(TypelabError):
-    pass
-
-
-class NotShort(TypelabError):
-    pass
+    """Too few points; the density and uniformity scans skip a candidate that raises it."""
 
 
 def family_bounds(family) -> tuple[np.ndarray, np.ndarray]:
     """``(lefts, rights)`` of a disjoint family, a :class:`Partition`, intervals or
     an array of ``(left, right)`` rows, ordered by left end; raises
-    :class:`OverlappingIntervals` naming the first overlapping pair, and
-    :class:`TypelabError` for a member longer than the float range."""
+    :class:`TypelabError` for a member longer than the float range, and one
+    naming the first overlapping pair."""
     if isinstance(family, Partition):
         return family.breakpoints[:-1], family.breakpoints[1:]
     if not isinstance(family, np.ndarray):
@@ -57,8 +50,8 @@ def family_bounds(family) -> tuple[np.ndarray, np.ndarray]:
     overlap = np.flatnonzero(lefts[1:] < rights[:-1])
     if overlap.size:
         i = overlap[0]
-        raise OverlappingIntervals(f"({lefts[i]}, {rights[i]}] overlaps "
-                                   f"({lefts[i + 1]}, {rights[i + 1]}]")
+        raise TypelabError(f"({lefts[i]}, {rights[i]}] overlaps "
+                           f"({lefts[i + 1]}, {rights[i + 1]}]")
     return lefts, rights
 
 
@@ -102,7 +95,7 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
         if xmin >= T:
             break
         reach = int(points.searchsorted(xmin, "right"))
-        nxt = (xmin if reach - base >= d * L - 1e-9
+        nxt = (xmin if reach - base >= d * L - COUNT_ROUNDING
                else _first_reach(points, stop, d, b, base, xmin))
         if nxt is None or nxt >= T:
             break
@@ -131,13 +124,13 @@ def _first_reach(points: np.ndarray, stop: int, d: float, b: float, base: int,
     lo = int(points.searchsorted(xmin, "left"))
     for k in range(lo, min(lo + SCALAR_PROBE, stop)):
         p = points.item(k)
-        if k - base + 1 >= d * (p - b) - 1e-9:
+        if k - base + 1 >= d * (p - b) - COUNT_ROUNDING:
             return p
     k, size = lo + SCALAR_PROBE, 64
     while k < stop:
         pk = points[k:min(k + size, stop)]
         ks = np.arange(k, k + pk.size)
-        hits = np.flatnonzero(ks - base + 1 >= d * (pk - b) - 1e-9)
+        hits = np.flatnonzero(ks - base + 1 >= d * (pk - b) - COUNT_ROUNDING)
         if hits.size:
             return float(pk[hits[0]])
         k += size
@@ -183,7 +176,7 @@ def short2I_diagnostic(family, C: float) -> SumVerdict:
         raise TypelabError("dilation factor must exceed 1")
     base = classify_family(family)
     if base.classification != CONVERGENT:
-        raise NotShort(f"input family classifies {base.classification}, not short")
+        raise TypelabError(f"input family classifies {base.classification}, not short")
 
     lefts, rights = family_bounds(family)
     lengths = rights - lefts

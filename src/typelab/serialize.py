@@ -27,7 +27,7 @@ def format_float(x: float) -> str:
 
 
 BULK_MIN_SIZE = 256  # float arrays, and lists of at least this many cells or rows, in one pass
-ARRAY_KEYS = ("points", "atoms", "breakpoints", "values", "intervals")  # read in one pass
+PAIR_KEYS = ("atoms", "intervals")  # [[a, b], ...] rows, read in one pass
 # % conversions: [non-finite, other finite, integral, None] x [inside, first, last, whole] of a row
 _SPECS = np.array([[s, "[" + s, s + "]", "[" + s + "]"]
                    for s in ('"%s"', "%.12g", "%d", "%.0snull")], object)
@@ -152,53 +152,36 @@ def _reject_constant(name: str):
     raise TypelabError(f"non-finite JSON constant {name} is not accepted")
 
 
-def _parse_numbers(raw: bytes) -> np.ndarray | None:
-    """An array body ``n, n, ...`` or ``[a, b], [c, d], ...`` as ``np.asarray`` makes it of
-    ``json``'s list, bit for bit; None unless it is JSON in typelab's spacing, all finite."""
-    pairs = raw.startswith(b"[")
-    unit = b"[, ], " if pairs else b", "
+def _parse_pairs(raw: bytes) -> np.ndarray | None:
+    """An array body ``[a, b], [c, d], ...`` as ``np.asarray`` makes it of ``json``'s
+    list, bit for bit; None unless it is pairs in typelab's spacing that json reads."""
     skeleton = raw.translate(None, b"0123456789-+.eE") + b", "
-    if skeleton != unit * (len(skeleton) // len(unit)):
+    if skeleton != b"[, ], " * (len(skeleton) // 6):
         return None  # another character or spacing, or rows that are not pairs
-    body = (raw.translate(None, b"[]") if pairs else raw) + b","
-    a = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(a == 44)
-    starts = np.concatenate(([0], ends[:-1] + 2))
-    lead = starts + (a[starts] == 45)  # first digit, past a minus sign
-    digit = lambda x: (x >= 48) & (x <= 57)  # noqa: E731
-    if (not digit(a[lead]).all() or (digit(a[lead + 1]) & (a[lead] == 48)).any()
-            or not digit(a[np.flatnonzero(a == 46) + 1]).all()):
-        return None  # a sign, point or leading zero that json refuses
-    try:
-        values = np.fromstring(body, float, sep=",")
-    except ValueError:  # what the checks above let through and the parser refuses
+    try:  # json reads the numbers, without the rows' brackets
+        return np.asarray(json.loads(b"[" + raw.translate(None, b"[]") + b"]"),
+                          dtype=float).reshape(-1, 2)
+    except (ValueError, OverflowError):  # json refuses, or an int beyond the float range
         return None
-    if values.size != starts.size or not np.isfinite(values).all():
-        return None
-    # json reads the integer -0 as 0: an integer zero is "0" or "-0" (no leading
-    # zeros), and a zero with a point or exponent takes at least three characters
-    values[(ends - starts <= 2) & (values == 0.0)] = 0.0
-    return values.reshape(-1, 2) if pairs else values
 
 
 def load_document(path: str) -> dict:
-    """The JSON document at ``path``: ``ARRAY_KEYS`` arrays by ``_parse_numbers``
-    where it vouches for them, all else by ``json``, with the same values and errors."""
+    """The JSON document at ``path``: ``PAIR_KEYS`` rows by ``_parse_pairs`` where
+    it vouches for them, all else by ``json``, with the same values and errors."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     pieces, arrays, end = [], [], 0
-    at = text.find('": [')
+    at = text.find('": [[')
     while at >= 0:
         key, hi = text[text.rfind('"', 0, at) + 1:at], at
-        if key in ARRAY_KEYS:  # to its first "]", where the search goes on: each byte once
-            nested = text.startswith("[", at + 4)
-            hi = text.find("]]" if nested else "]", at + 4) + nested
-            values = _parse_numbers(text[at + 4:hi].encode()) if hi > at else None
+        if key in PAIR_KEYS:  # to its first "]]", where the search goes on: each byte once
+            hi = text.find("]]", at + 4) + 1
+            values = _parse_pairs(text[at + 4:hi].encode()) if hi > at else None
             if values is not None:
                 pieces += [text[end:at + 3], "NaN"]
                 arrays.append((key, values))
                 end = hi + 1
-        at = text.find('": [', max(hi, at + 1))
+        at = text.find('": [[', max(hi, at + 1))
     if arrays:
         # json reads each array as a NaN standing for it: it must be its key's one value
         slots = [values for _, values in reversed(arrays)]

@@ -63,26 +63,6 @@ MU_MUST_VANISH = "mu_must_vanish"
 TYPE_ORDERING = "type_ordering"
 
 
-class NotSeparated(TypelabError):
-    pass
-
-
-class NotUniform(TypelabError):
-    pass
-
-
-class EmptyNeighborhood(TypelabError):
-    pass
-
-
-class WeightBelowOne(TypelabError):
-    pass
-
-
-class BadAlternation(TypelabError):
-    pass
-
-
 @dataclass(frozen=True)
 class Conclusion:
     kind: str
@@ -212,7 +192,7 @@ def type_separated(measure: DiscreteMeasure, d_grid=None) -> TypeEstimate:
     """
     gaps = np.diff(measure.positions)
     if gaps.size and float(np.min(gaps)) < SEPARATION_GAP:
-        raise NotSeparated(f"min gap {float(np.min(gaps)):.3g} below {SEPARATION_GAP:.3g}")
+        raise TypelabError(f"min gap {float(np.min(gaps)):.3g} below {SEPARATION_GAP:.3g}")
     return _scan_type(measure, d_grid, separated=True)
 
 
@@ -227,7 +207,7 @@ def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,
     """
     report = check_d_uniform(A, d, partition)
     if not report.overall:
-        raise NotUniform(f"A is not d-uniform at d={d}")
+        raise TypelabError(f"A is not d-uniform at d={d}")
     pts = A.points
     if pts.size < 3:
         raise InsufficientData("need at least 3 points for neighbourhoods")
@@ -238,7 +218,7 @@ def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,
     empty = np.flatnonzero(his <= los)
     if empty.size:
         x, e = centers[empty[0]], eps[empty[0]]
-        raise EmptyNeighborhood(f"zero mass in ({x - e}, {x + e})")
+        raise TypelabError(f"zero mass in ({x - e}, {x + e})")
     logs = np.array([math.log(math.fsum(measure.masses[lo:hi]))
                      for lo, hi in zip(los.tolist(), his.tolist())])
     idx = A.centered_indices()[1:-1].astype(float)
@@ -347,7 +327,7 @@ def debranges_check(K: WeightTable, measure: DiscreteMeasure,
     of ``log K`` divergent.  All four met means the measure must vanish.
     """
     if float(np.min(K.values)) < 1.0:
-        raise WeightBelowOne("weight must be >= 1")
+        raise TypelabError("weight must be >= 1")
     mids = _mids(K.breakpoints[:-1], K.breakpoints[1:])
     logv = np.log(K.values)
     slopes = np.abs(np.diff(logv)) / np.diff(mids)
@@ -503,7 +483,7 @@ def benedicks_conditions(partition: Partition, C1: float, C2: float, C3: float) 
     bks = partition.breakpoints
     zero_idx = np.flatnonzero(np.abs(bks) < 1e-12)
     if zero_idx.size != 1:
-        raise BadAlternation("alternating partition needs 0 as a breakpoint")
+        raise TypelabError("alternating partition needs 0 as a breakpoint")
     i0 = int(zero_idx[0])
     # index n is position i0 + n; I_n = (a_n, a_{n+1}] has length lengths[i0 + n].
     # Only a_0 lies within 1e-12 of 0, so no odd |a_n| below is 0.

@@ -18,6 +18,7 @@ from .core import (
     CONVERGENT,
     INCONCLUSIVE,
     MIN_SHELLS,
+    SLACK_POINTS,
     Partition,
     PartitionIndex,
     RealSequence,
@@ -30,14 +31,9 @@ from .energy import LEAST_LENGTH, check_intervals, interval_deficits
 from .partitions import InsufficientData, classify_family, find_short_partition
 
 # density condition tolerance: per-interval ratios must satisfy
-# |count/length - d| <= max(DENSITY_RTOL * d, DENSITY_SLACK / length)
+# |count/length - d| <= max(DENSITY_RTOL * d, SLACK_POINTS / length)
 # over the outer half of the intervals
 DENSITY_RTOL = 0.05
-DENSITY_SLACK = 2.0
-
-
-class WindowMismatch(TypelabError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def merge_short_intervals(partition: Partition) -> Partition:
 def _covering_index(seq: RealSequence, partition: Partition) -> PartitionIndex:
     bks = partition.breakpoints
     if bks[0] > -seq.window or bks[-1] < seq.window:
-        raise WindowMismatch("partition does not cover the sequence window")
+        raise TypelabError("partition does not cover the sequence window")
     return partition.index(seq.points)
 
 
@@ -106,7 +102,7 @@ def _density_leg(idx: PartitionIndex, d: float) -> DensityCheck:
     comply; the inner half is finite-scale noise.
     """
     ratios = idx.counts / idx.lengths
-    tol = np.maximum(DENSITY_RTOL * d, DENSITY_SLACK / idx.lengths)
+    tol = np.maximum(DENSITY_RTOL * d, SLACK_POINTS / idx.lengths)
     dev = np.abs(ratios - d)
     max_dev = 0.0
     passed = True

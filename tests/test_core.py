@@ -10,7 +10,6 @@ from typelab.core import (
     MIN_SHELLS,
     DiscreteMeasure,
     Interval,
-    NegativeTerm,
     Partition,
     RealSequence,
     TypelabError,
@@ -46,7 +45,7 @@ class TestPoissonTailSum:
         assert v.classification == "inconclusive"
 
     def test_negative_value_rejected(self):
-        with pytest.raises(NegativeTerm):
+        with pytest.raises(TypelabError, match="requires nonnegative values"):
             poisson_tail_sum([(1.0, -1.0)])
 
     def test_shell_decomposition_adds_up(self):

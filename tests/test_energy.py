@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from typelab.core import Interval, TypelabError
 from typelab.energy import (
-    DegenerateDistance,
-    IntervalTooShort,
-    TooFewPoints,
     coulomb_energy,
     energy_report,
     grid_energy_closed_form,
@@ -40,11 +37,11 @@ class TestCoulombEnergy:
         assert coulomb_energy([0.0, 1.0, 2.0]) == pytest.approx(2 * math.log(2))
 
     def test_needs_two_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TypelabError, match="needs at least 2 points"):
             coulomb_energy([1.0])
 
     def test_degenerate_distance(self):
-        with pytest.raises(DegenerateDistance):
+        with pytest.raises(TypelabError, match="closer than 1e-300"):
             coulomb_energy([0.0, 1e-320, 1.0])
 
     @pytest.mark.filterwarnings("error")
@@ -121,7 +118,7 @@ class TestEnergyReport:
         assert rep.delta == 2
 
     def test_interval_too_short(self):
-        with pytest.raises(IntervalTooShort):
+        with pytest.raises(TypelabError, match="interval length 0.5 < 1"):
             energy_report(np.arange(10.0), Interval(0.0, 0.5))
 
     def test_clustered_pair_inflates_deficit(self):

@@ -5,8 +5,6 @@ from typelab.constructions import arithmetic
 from typelab.core import Interval, RealSequence, TypelabError
 from typelab.partitions import (
     InsufficientData,
-    NotShort,
-    OverlappingIntervals,
     classify_family,
     find_short_partition,
     short2I_diagnostic,
@@ -34,7 +32,7 @@ class TestClassifyFamily:
         assert classify_family([Interval(1.0, 2.0)]).classification == "inconclusive"
 
     def test_overlap_rejected(self):
-        with pytest.raises(OverlappingIntervals):
+        with pytest.raises(TypelabError, match=r"\(0.0, 2.0\] overlaps \(1.0, 3.0\]"):
             classify_family([Interval(0.0, 2.0), Interval(1.0, 3.0)])
 
     def test_permutation_invariant(self):
@@ -111,7 +109,7 @@ class TestShort2I:
             short2I_diagnostic(geometric_family(lambda n: float(n)), C)
 
     def test_long_family_rejected(self):
-        with pytest.raises(NotShort):
+        with pytest.raises(TypelabError, match="classifies divergent, not short"):
             short2I_diagnostic(geometric_family(lambda n: 2.0 ** (n - 1)), 2.0)
 
     def test_greedy_partition_satisfies_diagnostic(self):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from typelab.constructions import arithmetic
-from typelab.core import Interval, Partition, RealSequence
-from typelab.energy import IntervalTooShort
+from typelab.core import Interval, Partition, RealSequence, TypelabError
 from typelab.partitions import find_short_partition
 from typelab.uniformity import (
-    WindowMismatch,
     _energy_leg,
     check_d_uniform,
     merge_short_intervals,
@@ -48,7 +46,7 @@ class TestCheckDensity:
     def test_window_mismatch(self):
         seq = arithmetic(1.0, 100.0)
         small = Partition(np.array([-50.0, 0.0, 50.0]))
-        with pytest.raises(WindowMismatch):
+        with pytest.raises(TypelabError, match="does not cover the sequence window"):
             check_d_uniform(seq, 1.0, small)
 
 
@@ -105,7 +103,7 @@ class TestCheckEnergy:
         # check_d_uniform merges the short interval first; the leg itself refuses it
         seq = arithmetic(1.0, 100.0)
         part = Partition(np.array([-100.0, 0.0, 0.5, 100.0]))
-        with pytest.raises(IntervalTooShort):
+        with pytest.raises(TypelabError, match="interval length 0.5 < 1"):
             _energy_leg(seq, part.index(seq.points))
 
 
