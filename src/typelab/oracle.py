@@ -9,11 +9,12 @@ with ``lam_j`` a trapezoid-quadrature grid on ``[0, a]``: for a unit
 coefficient vector, ``|A f|^2`` approximates the integral of the squared
 annihilation residual over the frequency interval.  The probe factors a real
 matrix with the same singular values (see :func:`annihilation_matrix`): half
-the bytes and about a quarter of the flops of the complex SVD.  Below the transition
-frequency the smallest singular value collapses (a genuine annihilator of
-the infinite measure truncates well); above it the value is pinned near
-``sqrt(a * min mass)``.  The knee of the log residual curve therefore
-estimates the transition without using any of the formula machinery.
+the bytes and about a quarter of the flops of the complex SVD, and a quarter again on
+a measure symmetric under ``x -> -x``, whose matrix splits into an even and an odd
+block (see :func:`_blocks`).  Below the transition frequency the smallest singular
+value collapses (a genuine annihilator of the infinite measure truncates well); above
+it the value is pinned near ``sqrt(a * min mass)``.  The knee of the log residual
+curve therefore estimates the transition without using any of the formula machinery.
 
 The probe is a heuristic instrument, not a certificate: measures whose
 smallest atom mass is at the working-precision floor hide their transition
@@ -78,6 +79,22 @@ def default_freq_count(measure: DiscreteMeasure, a: float,
     return int(_freq_rows(measure, a, freq_density))
 
 
+def _real_rows(a: float, freq_count: int, t: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's cos, sin and odd middle rows on ``[0, a]``, over columns ``t``."""
+    if a <= 0:
+        raise TypelabError("frequency interval must have positive length")
+    if freq_count < 2:
+        raise TypelabError("need at least 2 frequency rows")
+    h = a / (freq_count - 1)
+    q = np.full(freq_count, h)
+    q[0] = q[-1] = 0.5 * h
+    half = freq_count // 2
+    theta = (np.linspace(0.0, a, freq_count)[:half] - 0.5 * a)[:, None] * t[None, :]
+    rows = np.concatenate([np.cos(theta), np.sin(theta), np.ones((freq_count % 2, len(t)))])
+    weights = np.concatenate([2.0 * q[:half], 2.0 * q[:half], q[half:freq_count - half]])
+    return np.sqrt(weights)[:, None] * rows * col[None, :]
+
+
 def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> np.ndarray:
     """Quadrature-weighted exponential-moment matrix on ``[0, a]``, in real form.
 
@@ -88,19 +105,25 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     middle row (``mu = 0``) is ``sqrt(h m)``.  Both maps are unitary, so this
     float64 matrix has the singular values of ``A`` for any positions.
     """
-    if a <= 0:
-        raise TypelabError("frequency interval must have positive length")
-    if freq_count < 2:
-        raise TypelabError("need at least 2 frequency rows")
-    lam = np.linspace(0.0, a, freq_count)
-    h = a / (freq_count - 1)
-    q = np.full(freq_count, h)
-    q[0] = q[-1] = 0.5 * h
+    return _real_rows(a, freq_count, measure.positions, np.sqrt(measure.masses))
+
+
+def _blocks(measure: DiscreteMeasure, a: float, freq_count: int) -> list[np.ndarray]:
+    """Matrices whose singular values together are those of :func:`annihilation_matrix`.
+
+    On a measure exactly symmetric under ``x -> -x``, the orthogonal map
+    ``[1 1; 1 -1] / sqrt(2)`` on each mirror pair of columns leaves an even block
+    (cos and middle rows on ``t >= 0``) and an odd block (sin rows on ``t > 0``),
+    with column weights ``sqrt(2 m)`` (``2 m`` is at most the total mass, so
+    finite), ``sqrt(m)`` at ``t = 0``; other measures keep the full matrix.
+    """
+    t, m = measure.positions, measure.masses
+    if not (np.array_equal(t, -t[::-1]) and np.array_equal(m, m[::-1])):
+        return [annihilation_matrix(measure, a, freq_count)]
+    k, zero = len(t) // 2, len(t) % 2     # the columns t >= 0; one at t = 0 if n is odd
+    rows = _real_rows(a, freq_count, t[k:], np.sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]))
     half = freq_count // 2
-    theta = (lam[:half] - 0.5 * a)[:, None] * measure.positions[None, :]
-    rows = np.concatenate([np.cos(theta), np.sin(theta), np.ones((freq_count % 2, len(measure)))])
-    weights = np.concatenate([2.0 * q[:half], 2.0 * q[:half], q[half:freq_count - half]])
-    return np.sqrt(weights)[:, None] * rows * np.sqrt(measure.masses)[None, :]
+    return [np.delete(rows, np.s_[half:2 * half], axis=0), rows[half:2 * half, zero:]]
 
 
 def _usable_cpus() -> int:
@@ -125,12 +148,12 @@ def _worker_count(threads: int, tasks: int) -> int:
 
 
 def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> tuple[float, float]:
-    A = annihilation_matrix(measure, a, default_freq_count(measure, a, freq_density))
+    blocks = _blocks(measure, a, default_freq_count(measure, a, freq_density))
     try:
-        s = np.linalg.svd(A, compute_uv=False)
+        s = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in blocks])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise IllConditioned(f"SVD failed at a={a}") from exc
-    return float(s[-1]), float(s[0])
+    return float(s.min()), float(s.max())
 
 
 def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAULT_FREQ_DENSITY,
@@ -156,6 +179,8 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
         raise TypelabError("a-grid must be positive and strictly increasing")
     if threads < 1:
         raise TypelabError(f"threads must be at least 1, got {threads}")
+    if not freq_density > 0:
+        raise TypelabError(f"freq-density must be positive, got {freq_density:g}")
     cells = _freq_rows(measure, grid[-1], freq_density) * len(measure)
     if cells > MATRIX_MAX_CELLS:
         raise TypelabError(f"the annihilation matrix at a={grid[-1]:g} has {cells:.3g} cells, "

@@ -109,7 +109,7 @@ from typelab.typeproblem import (
     type_separated,
     weight_filter_mask,
 )
-from typelab.oracle import annihilation_matrix
+from typelab.oracle import _blocks, _sigma_extremes, annihilation_matrix, default_freq_count
 from typelab.uniformity import _energy_leg, _evaluate, check_d_uniform
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
@@ -1533,6 +1533,31 @@ def oracle_cases(draw):
     return DiscreteMeasure(xs, np.exp(np.asarray(logm)), 50.0), draw(st.floats(0.01, 10.0)), freq_count
 
 
+@st.composite
+def mirror_cases(draw):
+    """A measure symmetric under ``x -> -x``, with or without an atom at 0, a
+    frequency interval and a row count, 2 and 3 included."""
+    xs = np.unique(np.asarray(draw(st.lists(st.floats(0.0, 50.0, exclude_min=True),
+                                            max_size=15)), dtype=float))
+    zero = int(draw(st.booleans()) or xs.size == 0)
+    m = np.exp(np.asarray(draw(st.lists(st.floats(-20.0, 3.0), min_size=xs.size + zero,
+                                        max_size=xs.size + zero))))
+    positions = np.concatenate([-xs[::-1], np.zeros(zero), xs])
+    masses = np.concatenate([m[zero:][::-1], m[:zero], m[zero:]])
+    freq_count = draw(st.sampled_from([2, 3]) | st.integers(4, 80))
+    return DiscreteMeasure(positions, masses, 50.0), draw(st.floats(0.01, 10.0)), freq_count
+
+
+def block_singular_values(measure, a, freq_count):
+    blocks = _blocks(measure, a, freq_count)
+    return blocks, np.sort(np.concatenate([np.linalg.svd(B, compute_uv=False)
+                                           for B in blocks]))[::-1]
+
+
+MIRROR = DiscreteMeasure(np.array([-7.0, -0.5, 0.0, 0.5, 7.0]),
+                         np.array([5.0, 1e-6, 2.0, 1e-6, 5.0]), 50.0)
+
+
 class TestOracleKernel:
     # the real form is the complex matrix under unitary maps, so the two agree
     # to rounding, not bit for bit
@@ -1549,6 +1574,41 @@ class TestOracleKernel:
         s_real = np.linalg.svd(real, compute_uv=False)
         s_ref = np.linalg.svd(ref_annihilation_matrix(measure, a, freq_count), compute_uv=False)
         assert np.max(np.abs(s_real - s_ref)) <= 1e-12 * s_ref[0]
+
+    # the mirror map on each pair of columns is orthogonal, so the blocks
+    # have the full matrix's singular values, to rounding
+    @given(mirror_cases())
+    @example((MIRROR, 4.0, 2))
+    @example((MIRROR, 4.0, 3))
+    @example((DiscreteMeasure(np.array([-0.5, 0.5]), np.array([1e-6, 1e-6]), 50.0), 4.0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_blocks_have_the_full_singular_values(self, case):
+        measure, a, freq_count = case
+        blocks, s_blocks = block_singular_values(measure, a, freq_count)
+        assert len(blocks) == 2
+        s_full = np.linalg.svd(annihilation_matrix(measure, a, freq_count), compute_uv=False)
+        assert s_blocks.size == min(freq_count, len(measure)) == s_full.size
+        assert np.max(np.abs(s_blocks - s_full)) <= 1e-12 * s_full[0]
+
+    def test_single_atom_at_zero_has_no_odd_columns(self):
+        measure = DiscreteMeasure(np.array([0.0]), np.array([2.0]), 1.0)
+        for freq_count in (2, 3, 9):
+            blocks, s = block_singular_values(measure, 3.0, freq_count)
+            assert [B.shape for B in blocks] == [(freq_count - freq_count // 2, 1),
+                                                 (freq_count // 2, 0)]
+            assert s.tolist() == pytest.approx([math.sqrt(3.0 * 2.0)], rel=1e-12)
+
+    def test_one_ulp_off_takes_the_full_matrix(self):
+        masses = MIRROR.masses.copy()
+        masses[1] = np.nextafter(masses[1], np.inf)
+        measure = DiscreteMeasure(MIRROR.positions, masses, MIRROR.window)
+        for a in (0.5, 4.0, 9.0):
+            freq_count = default_freq_count(measure, a)
+            full = annihilation_matrix(measure, a, freq_count)
+            (only,) = _blocks(measure, a, freq_count)
+            assert bits(only) == bits(full)
+            s = np.linalg.svd(full, compute_uv=False)
+            assert bits(_sigma_extremes(measure, a, 8.0)) == bits((float(s[-1]), float(s[0])))
 
 
 class TestCheckerKernels:

@@ -47,6 +47,9 @@ REFUSED = [
     ("oracle-grid", {"m": MEASURE},
      ["oracle", "--input", "{m}", "--a-min", "-2", "--a-max", "1", "--steps", "3"],
      "a-grid must be positive and strictly increasing"),
+    ("oracle-freq-density", {"m": MEASURE},
+     ["oracle", "--input", "{m}", "--a-max", "8", "--steps", "8", "--freq-density", "-5"],
+     "freq-density must be positive, got -5"),
     ("overlap", {"i": {"intervals": [[0, 2], [1, 3]]}}, ["classify", "--intervals", "{i}"],
      "(0.0, 2.0] overlaps (1.0, 3.0]"),
     ("not-short", {"i": {"intervals": [[2.0 ** n, 2.0 ** n + 2.0 ** (n - 1)]

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from typelab.oracle import (
     default_freq_count,
     residual_scan,
 )
+from typelab.serialize import canonical_json, load_measure
 from typelab.suite import bundle_curves
 
 
@@ -152,6 +154,12 @@ class TestResidualScan:
         with pytest.raises(TypelabError):
             residual_scan(m, [1.0, 2.0], threads=threads)
 
+    @pytest.mark.parametrize("freq_density", [0.0, -5.0, math.nan])
+    def test_freq_density_not_positive_refused(self, freq_density):
+        m = catalog.koosis_measure(10.0)
+        with pytest.raises(TypelabError, match="freq-density must be positive"):
+            residual_scan(m, [1.0, 2.0], freq_density=freq_density)
+
     def test_matrix_cap(self, monkeypatch):
         m = DiscreteMeasure(np.array([0.0]), np.array([1.0]), 1.0)
         grid = np.linspace(0, 4.0, 9)[1:].tolist()
@@ -241,6 +249,53 @@ class TestResidualScan:
         double_floor = 1e-13 * curve.sigma_max.max()
         assert curve.sigma_min[0] < double_floor
         assert np.all(np.diff(curve.sigma_min) >= -1e-30)
+
+
+def _bundle_member(name, T):
+    return next(ex.measure for ex in catalog.oracle_separated_bundle(T) if ex.name == name)
+
+
+# `oracle --steps 64` on perfbench's oracle-probe inputs (the bundle at T=120
+# and koosis T=240) and on mixed parity at T=20 and 30: (measure, --a-max,
+# printed knee, printed sigma_min_last, max_curvature), as the full real
+# matrix gave them
+PINNED_READINGS = {
+    "koosis-unit-120": (lambda: _bundle_member("koosis-unit", 120.0), "12.6",
+                        "6.103125", "0.000246380261376", 17.7088134274),
+    "arith-half-120": (lambda: _bundle_member("arith-half", 120.0), "6.3",
+                       "2.90390625", "0.000696777983375", 11.4218075971),
+    "koosis-rescaled-120": (lambda: _bundle_member("koosis-rescaled", 120.0), "12.6",
+                            "6.103125", "2.05324892177e-06", 12.9213465118),
+    "koosis-240": (lambda: catalog.koosis_measure(240.0), "12.6",
+                   "6.3", "6.15859135701e-05", 16.3242259775),
+    "mixed-parity-20": (lambda: catalog.mixed_parity_measure(20.0), "12.6",
+                        "4.134375", "0.000161135592138", 4.5968601715),
+    "mixed-parity-30": (lambda: catalog.mixed_parity_measure(30.0), "12.6",
+                        "5.315625", "1.08566450717e-06", 4.39962986681),
+}
+
+
+class TestPinnedReadings:
+    """The knees and last residuals the oracle prints do not move with the
+    form of the matrix; max_curvature may, at rounding level."""
+
+    @pytest.mark.parametrize("name", list(PINNED_READINGS))
+    def test_printed_readings(self, name, tmp_path, capsys):
+        build, a_max, knee, last, curvature = PINNED_READINGS[name]
+        path = tmp_path / "measure.json"
+        path.write_text(canonical_json(build()), encoding="utf-8")
+        from typelab.cli import main
+
+        assert len(oracle._blocks(load_measure(str(path)), 1.0, 16)) == 2  # split, mirrored
+        assert main(["oracle", "--input", str(path), "--a-max", a_max, "--steps", "64"]) == 0
+        out = capsys.readouterr().out
+        assert f'"knee": {knee}, ' in out and f'"sigma_min_last": {last}}}' in out, out
+        assert json.loads(out)["max_curvature"] == pytest.approx(curvature, rel=1e-6)
+
+    def test_mixed_parity_60_ill_conditioned(self):
+        grid = [12.6 / 64 * k for k in range(1, 65)]
+        with pytest.raises(IllConditioned, match="no knee resolvable"):
+            residual_scan(catalog.mixed_parity_measure(60.0), grid)
 
 
 def check_worker_processes(tmp):
