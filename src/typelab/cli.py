@@ -230,9 +230,12 @@ def _cmd_oracle(args):
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(render_curve_csv(curve))
+    # a value below the clip floor is rounding noise: print the bound
+    first, last = (float(s) if s >= curve.clip_floor else f"<{curve.clip_floor:.3g}"
+                   for s in curve.sigma_min[[0, -1]])
     return {"knee": curve.knee, "max_curvature": curve.max_curvature,
-            "extended_used": curve.extended_used, "sigma_min_first": float(curve.sigma_min[0]),
-            "sigma_min_last": float(curve.sigma_min[-1]), "csv": args.csv}
+            "extended_used": curve.extended_used, "sigma_min_first": first,
+            "sigma_min_last": last, "csv": args.csv}
 
 
 def _cmd_suite(args) -> int:

@@ -327,7 +327,7 @@ def shell_sum_verdict(locations, values) -> SumVerdict:
     shell_sums = tuple((j, math.fsum(g.tolist())) for j, g in zip(js.tolist(), groups))
     inner_sum = math.fsum(values[inner].tolist())
 
-    classification, ratio = _classify_shells(shell_sums, shell_count(locations))
+    classification, ratio = _classify_shells(shell_sums)
     return SumVerdict(total, shell_sums, inner_sum, classification, ratio)
 
 
@@ -338,7 +338,8 @@ def shell_count(locations) -> int:
     return int(np.unique(shell_index(mags[~(mags < 1.0)])).size)
 
 
-def _classify_shells(shell_sums: tuple, count: int) -> tuple[str, float | None]:
+def _classify_shells(shell_sums: tuple) -> tuple[str, float | None]:
+    count = len(shell_sums)     # the nonempty shells, as shell_count counts them
     if count < MIN_SHELLS:
         return INCONCLUSIVE, None
     shells = shell_sums

@@ -18,8 +18,10 @@ curve therefore estimates the transition without using any of the formula machin
 
 The probe is a heuristic instrument, not a certificate: measures whose
 smallest atom mass is at the working-precision floor hide their transition
-below the measurable range, which is exactly what the extended-precision
-ladder is for.
+below the measurable range.  Extended precision recomputes the collapsed values
+by an SVD of the same blocks in mpmath (see :func:`_extended_sigma_min`); an SVD
+does not square the condition number as a Gram matrix would, so 40 digits resolve
+values far below the double-precision floor.
 """
 
 from __future__ import annotations
@@ -37,12 +39,16 @@ SVD_CUTOFF = 1e-12           # relative floor below which values are clipped for
 REFUSAL_RATIO = 1e-14        # below this min sigma_min/sigma_max a hidden knee is refused
 KNEE_THRESHOLD = 2.0         # natural-log units of curvature required to call a knee
 DEFAULT_FREQ_DENSITY = 8.0
-EXTENDED_DPS = 40            # decimal digits of the extended-precision Gram solve
+# decimal digits of the extended-precision SVD; it factors the matrix itself, so
+# rounding moves sigma_min by about 1e-40 * sigma_max, far below the clip floor
+EXTENDED_DPS = 40
+EXTENDED_CUTOFF = 1e-17      # relative clip floor of an extended-precision scan
 # most cells of an annihilation matrix a scan builds (32 MB of float64): four
 # times the 1927 x 481 matrix of the koosis T=240 measure at a = 12.6
 MATRIX_MAX_CELLS = 4e6
 # environment variables that set the BLAS threads of a process, in the order read
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+NUMPY_OPS = (np.cos, np.sin, np.sqrt)   # the elementwise cos, sin and sqrt of a float64 build
 
 
 class IllConditioned(TypelabError):
@@ -58,6 +64,7 @@ class ResidualCurve:
     conditioning: np.ndarray     # sigma_max / max(sigma_min, cutoff * sigma_max)
     max_curvature: float
     extended_used: bool
+    clip_floor: float            # values below it are noise; the knee is detected against it
 
 
 def _freq_rows(measure: DiscreteMeasure, a: float, freq_density: float) -> float:
@@ -79,20 +86,26 @@ def default_freq_count(measure: DiscreteMeasure, a: float,
     return int(_freq_rows(measure, a, freq_density))
 
 
-def _real_rows(a: float, freq_count: int, t: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """The trapezoid rule's cos, sin and odd middle rows on ``[0, a]``, over columns ``t``."""
+def _real_rows(a, freq_count: int, t: np.ndarray, col: np.ndarray, ops=NUMPY_OPS) -> np.ndarray:
+    """The trapezoid rule's cos, sin and odd middle rows on ``[0, a]``, over columns ``t``.
+
+    ``ops`` are the elementwise cos, sin and sqrt: numpy's in float64, or
+    mpmath's over object arrays, with ``a`` an ``mpf``, for the same rows deeper.
+    """
     if a <= 0:
         raise TypelabError("frequency interval must have positive length")
     if freq_count < 2:
         raise TypelabError("need at least 2 frequency rows")
+    cos, sin, sqrt = ops
     h = a / (freq_count - 1)
-    q = np.full(freq_count, h)
-    q[0] = q[-1] = 0.5 * h
     half = freq_count // 2
-    theta = (np.linspace(0.0, a, freq_count)[:half] - 0.5 * a)[:, None] * t[None, :]
-    rows = np.concatenate([np.cos(theta), np.sin(theta), np.ones((freq_count % 2, len(t)))])
-    weights = np.concatenate([2.0 * q[:half], 2.0 * q[:half], q[half:freq_count - half]])
-    return np.sqrt(weights)[:, None] * rows * col[None, :]
+    # nodes h j - a/2, in float64 bit for bit np.linspace(0, a, freq_count)[:half] - a/2
+    theta = (np.arange(half) * h - 0.5 * a)[:, None] * t[None, :]
+    rows = np.concatenate([cos(theta), sin(theta), np.ones((freq_count % 2, len(t)))])
+    pair = np.full(half, 2 * h)     # 2 q_j for each conjugate pair of nodes, h at the ends
+    pair[0] = h
+    weights = np.concatenate([pair, pair, np.full(freq_count % 2, h)])
+    return sqrt(weights)[:, None] * rows * col[None, :]
 
 
 def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> np.ndarray:
@@ -108,7 +121,7 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     return _real_rows(a, freq_count, measure.positions, np.sqrt(measure.masses))
 
 
-def _blocks(measure: DiscreteMeasure, a: float, freq_count: int) -> list[np.ndarray]:
+def _blocks(measure: DiscreteMeasure, a, freq_count: int, ops=NUMPY_OPS) -> list[np.ndarray]:
     """Matrices whose singular values together are those of :func:`annihilation_matrix`.
 
     On a measure exactly symmetric under ``x -> -x``, the orthogonal map
@@ -116,12 +129,13 @@ def _blocks(measure: DiscreteMeasure, a: float, freq_count: int) -> list[np.ndar
     (cos and middle rows on ``t >= 0``) and an odd block (sin rows on ``t > 0``),
     with column weights ``sqrt(2 m)`` (``2 m`` is at most the total mass, so
     finite), ``sqrt(m)`` at ``t = 0``; other measures keep the full matrix.
+    ``a`` and ``ops`` are as in :func:`_real_rows`.
     """
-    t, m = measure.positions, measure.masses
+    t, m, sqrt = measure.positions, measure.masses, ops[2]
     if not (np.array_equal(t, -t[::-1]) and np.array_equal(m, m[::-1])):
-        return [annihilation_matrix(measure, a, freq_count)]
+        return [_real_rows(a, freq_count, t, sqrt(m), ops)]
     k, zero = len(t) // 2, len(t) % 2     # the columns t >= 0; one at t = 0 if n is odd
-    rows = _real_rows(a, freq_count, t[k:], np.sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]))
+    rows = _real_rows(a, freq_count, t[k:], sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]), ops)
     half = freq_count // 2
     return [np.delete(rows, np.s_[half:2 * half], axis=0), rows[half:2 * half, zero:]]
 
@@ -147,6 +161,16 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, max(1, cpus // blas))
 
 
+def _extended_sigma_min(measure: DiscreteMeasure, a: float, freq_count: int) -> float:
+    """Smallest singular value of the :func:`_blocks` at :data:`EXTENDED_DPS` digits."""
+    import mpmath as mp
+
+    with mp.workdps(EXTENDED_DPS):
+        ops = tuple(np.frompyfunc(f, 1, 1) for f in (mp.cos, mp.sin, mp.sqrt))
+        return float(min(min(mp.svd_r(mp.matrix(B.tolist()), compute_uv=False))
+                         for B in _blocks(measure, mp.mpf(a), freq_count, ops) if B.size))
+
+
 def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> tuple[float, float]:
     blocks = _blocks(measure, a, default_freq_count(measure, a, freq_density))
     try:
@@ -167,8 +191,9 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
     never leaves the floor by a detectable corner and the conditioning
     ratio has collapsed below 1e-14, the scan refuses to guess and raises
     :class:`IllConditioned` unless extended precision is enabled, in which
-    case the collapsed values are recomputed from the exact
-    frequency-integrated Gram matrix at :data:`EXTENDED_DPS` digits.
+    case the collapsed values are recomputed by an mpmath SVD of the same
+    :func:`_blocks` at :data:`EXTENDED_DPS` digits, and the floor is
+    ``EXTENDED_CUTOFF * max sigma_max``; the curve carries the floor it used.
 
     ``threads`` is the largest number of worker processes that compute the
     singular values (see :func:`_worker_count`); with one, they are computed
@@ -200,18 +225,12 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
     sig = np.array([p[0] for p in pairs])
     smax = np.array([p[1] for p in pairs])
 
-    extended_used = False
-    floor_scale = float(smax.max())
-    if extended_precision:
-        collapsed = sig < SVD_CUTOFF * smax
-        if np.any(collapsed):
-            extended_used = True
-            for i in np.flatnonzero(collapsed):
-                sig[i] = _gram_sigma_min_extended(
-                    measure, grid[i], default_freq_count(measure, grid[i], freq_density))
-        clip_floor = floor_scale * 10.0 ** (-(EXTENDED_DPS // 2 - 3))
-    else:
-        clip_floor = SVD_CUTOFF * floor_scale
+    collapsed = np.flatnonzero(sig < SVD_CUTOFF * smax) if extended_precision else []
+    for i in collapsed:
+        sig[i] = _extended_sigma_min(measure, grid[i],
+                                     default_freq_count(measure, grid[i], freq_density))
+    extended_used = len(collapsed) > 0
+    clip_floor = (EXTENDED_CUTOFF if extended_precision else SVD_CUTOFF) * float(smax.max())
 
     knee, curvature = _detect_knee(np.asarray(grid), sig, clip_floor)
     min_ratio = float(np.min(sig / smax))
@@ -221,7 +240,7 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
             f"(min conditioning ratio {min_ratio:.2e}); rerun with extended precision")
     conditioning = smax / np.maximum(sig, SVD_CUTOFF * smax)
     return ResidualCurve(np.asarray(grid), sig, smax, knee, conditioning,
-                         curvature, extended_used)
+                         curvature, extended_used, clip_floor)
 
 
 def _detect_knee(grid: np.ndarray, sig: np.ndarray, clip_floor: float) -> tuple[float | None, float]:
@@ -241,36 +260,3 @@ def _detect_knee(grid: np.ndarray, sig: np.ndarray, clip_floor: float) -> tuple[
         # entering the plateau
         return 0.5 * float(interior[kmax] + interior[kmin]), curvature
     return float(interior[kmax]), curvature
-
-
-def _gram_sigma_min_extended(measure: DiscreteMeasure, a: float, freq_count: int) -> float:
-    """Smallest singular value via the trapezoid Gram matrix in mpmath.
-
-    The Gram entry has the closed form
-    ``sqrt(m_i m_j) * sum_k q_k exp(i lam_k (t_j - t_i))`` with the
-    frequency sum evaluated as a geometric series, so the extended solve
-    reproduces the double-precision quadrature exactly, just deeper.
-    """
-    import mpmath as mp
-
-    with mp.workdps(EXTENDED_DPS):
-        t = [mp.mpf(x) for x in measure.positions]
-        m = [mp.mpf(x) for x in measure.masses]
-        n = len(t)
-        h = mp.mpf(a) / (freq_count - 1)
-        G = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(i, n):
-                dt = t[j] - t[i]
-                if dt == 0:
-                    core = mp.mpf(a)
-                else:
-                    r = mp.expjpi(h * dt / mp.pi)  # exp(i h dt)
-                    geo = (r ** freq_count - 1) / (r - 1) if r != 1 else mp.mpf(freq_count)
-                    core = h * geo - h / 2 * (1 + r ** (freq_count - 1))
-                val = mp.sqrt(m[i] * m[j]) * core
-                G[i, j] = val
-                G[j, i] = mp.conj(val)
-        eigvals = mp.eighe(G, eigvals_only=True)
-        lam_min = min(mp.re(e) for e in eigvals)
-        return float(mp.sqrt(lam_min)) if lam_min > 0 else 0.0

@@ -40,6 +40,37 @@ def gram_sigma_min(measure, a):
     return math.sqrt(max(float(w[0]), 0.0))
 
 
+def ref_gram_sigma_min(measure, a, freq_count, dps):
+    """Smallest singular value of the trapezoid rule's complex Gram matrix in mpmath.
+
+    The Gram entry has the closed form ``sqrt(m_i m_j) * sum_k q_k exp(i lam_k (t_j - t_i))``
+    with the frequency sum evaluated as a geometric series.  The Gram matrix squares the
+    condition number, so it needs about twice the digits of the SVD it checks.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        t = [mp.mpf(x) for x in measure.positions]
+        m = [mp.mpf(x) for x in measure.masses]
+        n = len(t)
+        h = mp.mpf(a) / (freq_count - 1)
+        G = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                dt = t[j] - t[i]
+                if dt == 0:
+                    core = mp.mpf(a)
+                else:
+                    r = mp.expjpi(h * dt / mp.pi)  # exp(i h dt)
+                    geo = (r ** freq_count - 1) / (r - 1) if r != 1 else mp.mpf(freq_count)
+                    core = h * geo - h / 2 * (1 + r ** (freq_count - 1))
+                val = mp.sqrt(m[i] * m[j]) * core
+                G[i, j] = val
+                G[j, i] = mp.conj(val)
+        lam_min = min(mp.re(e) for e in mp.eighe(G, eigvals_only=True))
+        return float(mp.sqrt(lam_min)) if lam_min > 0 else 0.0
+
+
 class TestAnnihilationMatrix:
     def test_single_atom_column_norm(self):
         m = DiscreteMeasure(np.array([0.0]), np.array([1.0]), 1.0)
@@ -137,8 +168,8 @@ class TestResidualScan:
     def assert_same_curve(one, other):
         for field in ("a_values", "sigma_min", "sigma_max", "conditioning"):
             assert getattr(one, field).tobytes() == getattr(other, field).tobytes(), field
-        assert (one.knee, one.max_curvature, one.extended_used) == (
-            other.knee, other.max_curvature, other.extended_used)
+        assert (one.knee, one.max_curvature, one.extended_used, one.clip_floor) == (
+            other.knee, other.max_curvature, other.extended_used, other.clip_floor)
 
     def test_threads_identical(self):
         m = catalog.koosis_measure(40.0)
@@ -251,6 +282,47 @@ class TestResidualScan:
         assert np.all(np.diff(curve.sigma_min) >= -1e-30)
 
 
+GRID_64 = [12.6 / 64 * k for k in range(1, 65)]     # `oracle --a-max 12.6 --steps 64`
+
+
+class TestExtendedPrecision:
+    """The mpmath SVD of the blocks against the complex Gram matrix at 80 digits."""
+
+    @pytest.fixture(scope="class")
+    def mixed_20(self):
+        m = catalog.mixed_parity_measure(20.0)
+        return m, residual_scan(m, GRID_64, extended_precision=True)
+
+    def test_pinned_reading(self, mixed_20):
+        _, curve = mixed_20
+        assert curve.extended_used
+        assert curve.clip_floor == oracle.EXTENDED_CUTOFF * curve.sigma_max.max()
+        assert curve.knee == 3.346875
+        assert curve.max_curvature == pytest.approx(4.54061586826, rel=1e-6)
+
+    @pytest.mark.parametrize("index", [16, 18, 19])
+    def test_collapsed_values_match_the_gram_reference(self, mixed_20, index):
+        m, curve = mixed_20
+        a = GRID_64[index]
+        assert curve.clip_floor < curve.sigma_min[index] < oracle.SVD_CUTOFF * curve.sigma_max[index]
+        ref = ref_gram_sigma_min(m, a, default_freq_count(m, a), 80)
+        assert curve.sigma_min[index] == pytest.approx(ref, rel=1e-10)
+
+    def test_full_matrix_matches_the_gram_reference(self):
+        # one mass an ulp off: no mirror symmetry, so mpmath factors the full matrix
+        m = catalog.mixed_parity_measure(20.0)
+        masses = m.masses.copy()
+        masses[3] = np.nextafter(masses[3], 1.0)
+        off = DiscreteMeasure(m.positions, masses, m.window)
+        a = GRID_64[17]
+        M = default_freq_count(off, a)
+        assert len(oracle._blocks(off, a, M)) == 1
+        value = oracle._extended_sigma_min(off, a, M)
+        smax = np.linalg.norm(annihilation_matrix(off, a, M), 2)
+        assert oracle.EXTENDED_CUTOFF * smax < value < oracle.SVD_CUTOFF * smax
+        assert value == pytest.approx(ref_gram_sigma_min(off, a, M, 80), rel=1e-10)
+
+
 def _bundle_member(name, T):
     return next(ex.measure for ex in catalog.oracle_separated_bundle(T) if ex.name == name)
 
@@ -292,10 +364,21 @@ class TestPinnedReadings:
         assert f'"knee": {knee}, ' in out and f'"sigma_min_last": {last}}}' in out, out
         assert json.loads(out)["max_curvature"] == pytest.approx(curvature, rel=1e-6)
 
+    def test_stdout_does_not_move_with_blas_threads(self, tmp_path):
+        # sigma_min_first lies below the floor, where its digits move with BLAS
+        path = tmp_path / "measure.json"
+        path.write_text(canonical_json(catalog.koosis_measure(120.0)), encoding="utf-8")
+        argv = [sys.executable, "-m", "typelab", "oracle", "--input", str(path),
+                "--a-max", "12.6", "--steps", "64"]
+        unset = {k: v for k, v in os.environ.items() if k not in oracle.BLAS_THREAD_VARS}
+        outs = [subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+                for env in (dict(unset, OPENBLAS_NUM_THREADS="1"), unset)]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["sigma_min_first"].startswith("<")
+
     def test_mixed_parity_60_ill_conditioned(self):
-        grid = [12.6 / 64 * k for k in range(1, 65)]
         with pytest.raises(IllConditioned, match="no knee resolvable"):
-            residual_scan(catalog.mixed_parity_measure(60.0), grid)
+            residual_scan(catalog.mixed_parity_measure(60.0), GRID_64)
 
 
 def check_worker_processes(tmp):
@@ -319,6 +402,12 @@ def check_worker_processes(tmp):
     assert one.extended_used
     TestResidualScan.assert_same_curve(
         one, residual_scan(small, grid, extended_precision=True, threads=2))
+    mixed = catalog.mixed_parity_measure(20.0)
+    grid = GRID_64[15:19]
+    one = residual_scan(mixed, grid, extended_precision=True, threads=1)
+    assert one.extended_used
+    TestResidualScan.assert_same_curve(
+        one, residual_scan(mixed, grid, extended_precision=True, threads=2))
 
     path = os.path.join(tmp, "measure.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -99,6 +99,6 @@ class TestCanonicalForm:
 
         curve = ResidualCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25]),
                               np.array([1.0, 1.0]), None, np.array([2.0, 4.0]),
-                              0.0, False)
+                              0.0, False, 1e-12)
         text = render_curve_csv(curve)
         assert text.splitlines() == ["a,sigma_min,cond", "1,0.5,2", "2,0.25,4"]
