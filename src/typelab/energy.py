@@ -5,10 +5,14 @@ pairs ``k != l`` (every unordered pair counted twice, matching the per-point
 factorial closed form for arithmetic grids).  The deficit of a configuration
 inside an interval ``I`` is ``count^2 * log|I| - energy``; it is nonnegative
 whenever ``|I| >= 1`` and measures how far the points are from uniform.
+Up to 512 points the pairs come from one table built on first use: the last
+n(n-1)/2 entries of ``np.triu_indices(512, 1) - 512``, added to the end of n
+points, are ``np.triu_indices(n, 1)``.  Longer rows reuse one buffer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +50,17 @@ def _as_points(config) -> np.ndarray:
     return np.asarray(config, dtype=float)
 
 
+@functools.cache
+def _pair_table() -> tuple[np.ndarray, np.ndarray]:
+    return tuple(ix - _MATRIX_LIMIT for ix in np.triu_indices(_MATRIX_LIMIT, k=1))
+
+
+def _pair_logs(points: np.ndarray, ends, n: int) -> np.ndarray:
+    """``np.log`` of the pair gaps of the ``n`` points before each of ``ends``."""
+    rows, cols = (ix[ix.size - n * (n - 1) // 2:] for ix in _pair_table())
+    return np.log(points[ends + cols] - points[ends + rows])
+
+
 def coulomb_energy(config) -> float:
     """Sum of ``log|x_k - x_l|`` over ordered pairs of distinct points.
 
@@ -60,24 +75,22 @@ def coulomb_energy(config) -> float:
         raise TypelabError("coulomb energy needs at least 2 points")
     if not math.isfinite(float(pts[-1]) - float(pts[0])):
         raise TypelabError("points span more than the float range")
-    gaps = np.diff(pts)
-    if np.min(gaps) < DEGENERATE_DISTANCE:
+    if np.min(np.diff(pts)) < DEGENERATE_DISTANCE:
         raise TypelabError("two points closer than 1e-300")
 
     if n <= _MATRIX_LIMIT:
-        rows, cols = np.triu_indices(n, k=1)
         # numpy's pairwise (cascade) summation keeps the error compensated
         # and the reduction order fixed for a given size
-        return 2.0 * float(np.log(pts[cols] - pts[rows]).sum())
+        return 2.0 * float(_pair_logs(pts, n, n).sum())
 
     # row-blocked pairwise sum; fixed block size keeps the reduction order
     # independent of the execution environment
-    block_sums: list[float] = []
+    block_sums, row = [], np.empty(n - 1)
     for start in range(0, n - 1, _BLOCK):
-        stop = min(start + _BLOCK, n - 1)
         acc = 0.0
-        for i in range(start, stop):
-            acc += float(np.log(pts[i + 1:] - pts[i]).sum())
+        for i in range(start, min(start + _BLOCK, n - 1)):
+            gaps = np.subtract(pts[i + 1:], pts[i], out=row[:n - 1 - i])
+            acc += float(np.log(gaps, out=gaps).sum())
         block_sums.append(acc)
     return 2.0 * math.fsum(block_sums)
 
@@ -88,12 +101,12 @@ def grid_energy_closed_form(delta: int, d: float) -> float:
     Evaluates ``sum_m [lgamma(m) + lgamma(delta - m + 1)] - delta(delta-1) log d``
     via log-gamma, avoiding factorial overflow.
     """
-    if delta < 2:
-        raise TypelabError("closed form needs delta >= 2")
-    if d <= 0:
-        raise TypelabError("grid density d must be positive")
-    terms = [math.lgamma(m) + math.lgamma(delta - m + 1) for m in range(1, delta + 1)]
-    return math.fsum(terms) - delta * (delta - 1) * math.log(d)
+    if not isinstance(delta, (int, np.integer)) or delta < 2:
+        raise TypelabError(f"closed form needs an integer delta >= 2, got {delta!r}")
+    if not 0 < d < math.inf:
+        raise TypelabError(f"grid density d must be positive and finite, got {d!r}")
+    lg = [math.lgamma(m) for m in range(1, delta + 1)]
+    return math.fsum(a + b for a, b in zip(lg, reversed(lg))) - delta * (delta - 1) * math.log(d)
 
 
 def energy_report(config, interval: Interval) -> EnergyReport:
@@ -112,9 +125,8 @@ def energy_report(config, interval: Interval) -> EnergyReport:
     pts = np.sort(_as_points(config))
     lo = np.searchsorted(pts, interval.left, side="right")
     hi = np.searchsorted(pts, interval.right, side="right")
-    inside = pts[lo:hi]
-    delta = int(inside.size)
-    energy = coulomb_energy(inside) if delta >= 2 else 0.0
+    delta = int(hi - lo)
+    energy = coulomb_energy(pts[lo:hi]) if delta >= 2 else 0.0
     deficit = delta * delta * math.log(interval.length) - energy
     return EnergyReport(delta, energy, deficit, interval)
 
@@ -138,8 +150,8 @@ def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                       lengths: np.ndarray) -> np.ndarray:
     """Deficit of ``points[lo[i]:hi[i]]`` in an interval of length ``lengths[i]``, for every i.
 
-    ``points`` are sorted.  Gives the values and errors (:func:`check_intervals`)
-    :func:`energy_report` gives interval by interval."""
+    ``points`` are sorted within each interval.  Gives the values and errors
+    (:func:`check_intervals`) :func:`energy_report` gives interval by interval."""
     check_intervals(points, lo, hi, lengths)
     delta = hi - lo
     return delta * delta * map_libm(math.log, lengths) - interval_energies(points, lo, hi)
@@ -148,23 +160,20 @@ def interval_deficits(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def interval_energies(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:func:`coulomb_energy` of every ``points[lo[i]:hi[i]]`` (0 below two points).
 
-    ``points`` are sorted and their gaps already checked.  Up to 512
-    points, the pair logarithms of all intervals of one size come from one
-    ``np.log`` call, and each interval's row is summed on its own, as
-    the single-interval path sums it (a reduction over ``axis=1`` is free
-    to take another order).  Larger intervals take the row-blocked path
-    of :func:`coulomb_energy`.
+    ``points`` are sorted within each interval and their gaps already
+    checked.  Up to 512 points, the pair logarithms of all intervals of one
+    size come from one ``np.log`` call over the shared pair table, and each
+    interval's row is summed on its own, as :func:`coulomb_energy` sums it
+    (a reduction over ``axis=1`` is free to take another order).  Larger
+    intervals take the row-blocked path of :func:`coulomb_energy`.
     """
     sizes = hi - lo
     out = np.zeros(sizes.size)
     for n in np.unique(sizes[(sizes >= 2) & (sizes <= _MATRIX_LIMIT)]).tolist():
-        rows, cols = np.triu_indices(n, k=1)
         which = np.flatnonzero(sizes == n)
-        step = max(1, _BATCH_TERMS // rows.size)
+        step = max(1, _BATCH_TERMS // (n * (n - 1) // 2))
         for part in np.split(which, np.arange(step, which.size, step)):
-            at = lo[part, None]
-            logs = np.log(points[at + cols] - points[at + rows])
-            out[part] = [2.0 * float(row.sum()) for row in logs]
+            out[part] = [2.0 * float(row.sum()) for row in _pair_logs(points, hi[part, None], n)]
     for i in np.flatnonzero(sizes > _MATRIX_LIMIT).tolist():
         out[i] = coulomb_energy(points[lo[i]:hi[i]])
     return out

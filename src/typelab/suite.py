@@ -22,7 +22,7 @@ from .constructions import (
 )
 from .core import Interval, WeightTable
 from .density import interior_density
-from .energy import coulomb_energy, energy_report, grid_energy_closed_form
+from .energy import coulomb_energy, energy_report, grid_energy_closed_form, interval_deficits
 from .oracle import DEFAULT_FREQ_DENSITY, SVD_CUTOFF, IllConditioned, _sigma_extremes, residual_scan
 from .typeproblem import (
     TWO_PI,
@@ -56,16 +56,22 @@ def energy_closed_form() -> tuple[bool, str]:
 
 def deficit_positivity(seed: int, max_length: float, max_left: float,
                        max_points: int) -> tuple[bool, str]:
-    """Nonnegative deficits on 1000 random configurations, O(|I|^2) on grids."""
+    """Nonnegative deficits on 1000 random configurations in one pass, O(|I|^2) on grids."""
     rng = np.random.default_rng(seed)
-    min_deficit = math.inf
+    configs, bounds, lengths, offset = [], [], [], 0
     for _ in range(1000):
         length = rng.uniform(1.0, max_length)
         left = rng.uniform(-max_left, max_left)
         k = int(rng.integers(1, max_points))
         pts = np.unique(rng.uniform(left + 1e-9, left + length, size=k))
-        rep = energy_report(pts, Interval(left, left + length))
-        min_deficit = min(min_deficit, rep.deficit)
+        iv = Interval(left, left + length)
+        # the points in (left, right], as energy_report selects them
+        bounds.append(np.searchsorted(pts, [iv.left, iv.right], side="right") + offset)
+        configs.append(pts)
+        lengths.append(iv.length)
+        offset += pts.size
+    lo, hi = np.array(bounds).T
+    min_deficit = float(interval_deficits(np.concatenate(configs), lo, hi, np.array(lengths)).min())
     grid_ok = True
     detail = [f"min deficit {min_deficit:.3e}"]
     for delta in (10, 100, 1000, 10000):

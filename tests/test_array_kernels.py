@@ -52,7 +52,7 @@ from typelab.core import (
     split_at_shells,
     split_pieces_at_shells,
 )
-from typelab import density, uniformity
+from typelab import density, energy, uniformity
 from typelab.density import (
     InteriorCertificate,
     _dyadic_blocks,
@@ -65,8 +65,13 @@ from typelab.density import (
     strong_regularity_defect,
 )
 from typelab.energy import (
+    DEGENERATE_DISTANCE,
+    _BLOCK,
+    _MATRIX_LIMIT,
+    _as_points,
     coulomb_energy,
     energy_report,
+    interval_deficits,
     interval_energies,
 )
 from typelab.partitions import (
@@ -110,6 +115,7 @@ from typelab.typeproblem import (
     weight_filter_mask,
 )
 from typelab.oracle import _blocks, _sigma_extremes, annihilation_matrix, default_freq_count
+from typelab.suite import SUITE_DEFICIT_SCALE, deficit_positivity
 from typelab.uniformity import _energy_leg, _evaluate, check_d_uniform
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
@@ -312,6 +318,61 @@ def ref_energy_leg(seq, partition):
         deficits.append(rep.deficit)
         terms.append((ref_dist0(iv), max(rep.deficit, 0.0)))
     return deficits, poisson_tail_sum(terms)
+
+
+def ref_coulomb_energy(config) -> float:
+    """The former coulomb_energy, which built np.triu_indices(n, 1) on every call."""
+    pts = np.sort(_as_points(config))
+    n = pts.size
+    if n < 2:
+        raise TypelabError("coulomb energy needs at least 2 points")
+    if not math.isfinite(float(pts[-1]) - float(pts[0])):
+        raise TypelabError("points span more than the float range")
+    gaps = np.diff(pts)
+    if np.min(gaps) < DEGENERATE_DISTANCE:
+        raise TypelabError("two points closer than 1e-300")
+
+    if n <= _MATRIX_LIMIT:
+        rows, cols = np.triu_indices(n, k=1)
+        # numpy's pairwise (cascade) summation keeps the error compensated
+        # and the reduction order fixed for a given size
+        return 2.0 * float(np.log(pts[cols] - pts[rows]).sum())
+
+    # row-blocked pairwise sum; fixed block size keeps the reduction order
+    # independent of the execution environment
+    block_sums: list[float] = []
+    for start in range(0, n - 1, _BLOCK):
+        stop = min(start + _BLOCK, n - 1)
+        acc = 0.0
+        for i in range(start, stop):
+            acc += float(np.log(pts[i + 1:] - pts[i]).sum())
+        block_sums.append(acc)
+    return 2.0 * math.fsum(block_sums)
+
+
+def ref_deficit_positivity(seed, max_length, max_left, max_points):
+    """The former deficit-positivity row, one energy_report per random configuration;
+    its result and the deficits of those configurations."""
+    rng = np.random.default_rng(seed)
+    min_deficit = math.inf
+    deficits = []
+    for _ in range(1000):
+        length = rng.uniform(1.0, max_length)
+        left = rng.uniform(-max_left, max_left)
+        k = int(rng.integers(1, max_points))
+        pts = np.unique(rng.uniform(left + 1e-9, left + length, size=k))
+        rep = energy_report(pts, Interval(left, left + length))
+        min_deficit = min(min_deficit, rep.deficit)
+        deficits.append(rep.deficit)
+    grid_ok = True
+    detail = [f"min deficit {min_deficit:.3e}"]
+    for delta in (10, 100, 1000, 10000):
+        pts = np.arange(delta, dtype=float)
+        rep = energy_report(pts, Interval(-0.5, delta - 0.5))
+        ratio = rep.deficit / delta ** 2
+        grid_ok = grid_ok and ratio <= 2.0
+        detail.append(f"grid {delta}: deficit/D^2={ratio:.3f}")
+    return (min_deficit >= -1e-9 and grid_ok, "; ".join(detail)), deficits
 
 
 def ref_check_density(seq, partition, d):
@@ -1120,7 +1181,7 @@ class TestPartitionKernels:
         lo = np.array([0, n, n, 2 * n])
         hi = np.array([n, n, 2 * n, 3 * n])
         got = interval_energies(pts, lo, hi)
-        want = [coulomb_energy(pts[a:b]) if b - a >= 2 else 0.0 for a, b in zip(lo, hi)]
+        want = [ref_coulomb_energy(pts[a:b]) if b - a >= 2 else 0.0 for a, b in zip(lo, hi)]
         assert got.tolist() == want
 
     @given(gridded_cases(), st.sampled_from([(), (1e-310, 2e-310), (-2e-310, -1e-310),
@@ -1154,8 +1215,53 @@ class TestPartitionKernels:
         pts = np.cumsum(rng.uniform(0.01, 3.0, size=sum(sizes)))
         hi = np.cumsum(sizes)
         lo = hi - np.asarray(sizes)
-        want = [coulomb_energy(pts[a:b]) if b - a >= 2 else 0.0 for a, b in zip(lo, hi)]
+        want = [ref_coulomb_energy(pts[a:b]) if b - a >= 2 else 0.0 for a, b in zip(lo, hi)]
         assert interval_energies(pts, lo, hi).tolist() == want
+
+    def test_pair_table_slices_are_triu_indices(self):
+        rows, cols = energy._pair_table()
+        for n in range(2, _MATRIX_LIMIT + 1):
+            p = n * (n - 1) // 2
+            want_rows, want_cols = np.triu_indices(n, k=1)
+            assert np.array_equal(rows[-p:] + n, want_rows), n
+            assert np.array_equal(cols[-p:] + n, want_cols), n
+
+    @given(st.integers(2, 1100), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, -7.25, 1e6]))
+    @example(2, 0, 0.0)
+    @example(3, 1, -7.25)
+    @example(511, 2, 1e6)
+    @example(512, 3, 0.0)
+    @example(513, 4, -7.25)
+    @example(1024, 5, 1e6)
+    @settings(max_examples=60, deadline=None)
+    def test_coulomb_energy_matches_reference(self, n, seed, shift):
+        # sorted, unsorted and shifted inputs give the former function's float
+        rng = np.random.default_rng(seed)
+        pts = np.cumsum(rng.uniform(0.01, 3.0, size=n))
+        for config in (pts, rng.permutation(pts), pts + shift):
+            assert float.hex(coulomb_energy(config)) == float.hex(ref_coulomb_energy(config))
+        # a pair closer than 1e-300, and a span beyond the float range
+        for bad in ([pts[n // 2]], [1e-310, 2e-310], [-1e308, 1e308]):
+            config = rng.permutation(np.append(pts, bad))
+            got = outcome(coulomb_energy, config)
+            assert isinstance(got, str) and got == outcome(ref_coulomb_energy, config)
+
+    @pytest.mark.parametrize("scale", [SUITE_DEFICIT_SCALE, (1234, 60.0, 200.0, 40)])
+    def test_deficit_row_matches_loop(self, scale):
+        # the batched row: the loop's min deficit bits (each of its 1000
+        # deficits) and its detail string
+        batched = []
+
+        def spy(*args):
+            batched.append(interval_deficits(*args))
+            return batched[-1]
+
+        with mock.patch("typelab.suite.interval_deficits", spy):
+            got = deficit_positivity(*scale)
+        want, deficits = ref_deficit_positivity(*scale)
+        assert got == want
+        assert bits(batched[0].tolist()) == bits(deficits)
+        assert float.hex(float(batched[0].min())) == float.hex(min(deficits))
 
     @given(st.lists(st.floats(0.01, 1e6), min_size=1, max_size=40), st.integers(0, 40))
     @example([36.17805559993731], 1)  # its pow(x, 2) is not x * x

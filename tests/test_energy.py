@@ -93,6 +93,23 @@ class TestClosedForm:
                 brute = coulomb_energy(pts)
                 assert abs(brute - closed) <= 1e-9 * max(1.0, abs(closed)), (delta, d)
 
+    @pytest.mark.parametrize("delta, d", [(10, math.nan), (10, math.inf), (10, -math.inf),
+                                          (10, 0.0), (2.5, 1.0), (3.0, 1.0), (1, 1.0)])
+    def test_refuses_bad_arguments(self, delta, d):
+        with pytest.raises(TypelabError):
+            grid_energy_closed_form(delta, d)
+
+    def test_accepts_numpy_integers(self):
+        assert grid_energy_closed_form(np.int64(7), 2.0) == grid_energy_closed_form(7, 2.0)
+
+    def test_one_lgamma_per_term_matches_two(self):
+        # lgamma(m) + lgamma(delta - m + 1) for every m, bit for bit
+        for d in (0.5, 1.0, 2.0, 3.0):
+            for delta in range(2, 1001):
+                two = [math.lgamma(m) + math.lgamma(delta - m + 1) for m in range(1, delta + 1)]
+                want = math.fsum(two) - delta * (delta - 1) * math.log(d)
+                assert float.hex(grid_energy_closed_form(delta, d)) == float.hex(want), (delta, d)
+
     def test_101_points_tight(self):
         closed = grid_energy_closed_form(101, 1.0)
         brute = coulomb_energy(np.arange(101.0))
