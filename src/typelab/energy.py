@@ -133,14 +133,16 @@ def energy_report(config, interval: Interval) -> EnergyReport:
 
 def check_intervals(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     lengths: np.ndarray) -> None:
-    """Raise the error of the first interval that has one, in one pass over the gaps:
-    it is shorter than 1, or two of its points are closer than 1e-300."""
+    """Raise the error of the first interval that has one, in one pass over the gaps: a
+    length not finite or below 1, or two of its points closer than 1e-300."""
     # close[t]: gaps below the limit among the first t gaps
     close = np.concatenate([[0], np.cumsum(np.diff(points) < DEGENERATE_DISTANCE)])
     degenerate = (hi - lo >= 2) & (close.take(hi - 1, mode="clip") > close.take(lo, mode="clip"))
-    bad = np.flatnonzero((lengths < LEAST_LENGTH) | degenerate)
+    bad = np.flatnonzero(~(lengths >= LEAST_LENGTH) | (lengths == np.inf) | degenerate)
     if bad.size:
         first = bad[0]
+        if not math.isfinite(lengths[first]):
+            raise TypelabError(f"interval length {lengths[first]} is not finite")
         if lengths[first] < LEAST_LENGTH:
             raise TypelabError(f"interval length {lengths[first]} < {LEAST_LENGTH:g}")
         raise TypelabError("two points closer than 1e-300")

@@ -86,8 +86,8 @@ def default_freq_count(measure: DiscreteMeasure, a: float,
     return int(_freq_rows(measure, a, freq_density))
 
 
-def _real_rows(a, freq_count: int, t: np.ndarray, col: np.ndarray, ops=NUMPY_OPS) -> np.ndarray:
-    """The trapezoid rule's cos, sin and odd middle rows on ``[0, a]``, over columns ``t``.
+def _real_rows(a, freq_count: int, t: np.ndarray, col: np.ndarray, ops=NUMPY_OPS) -> tuple:
+    """The trapezoid rule's even (cos, odd middle) and odd (sin) rows on ``[0, a]``, over ``t``.
 
     ``ops`` are the elementwise cos, sin and sqrt: numpy's in float64, or
     mpmath's over object arrays, with ``a`` an ``mpf``, for the same rows deeper.
@@ -101,11 +101,15 @@ def _real_rows(a, freq_count: int, t: np.ndarray, col: np.ndarray, ops=NUMPY_OPS
     half = freq_count // 2
     # nodes h j - a/2, in float64 bit for bit np.linspace(0, a, freq_count)[:half] - a/2
     theta = (np.arange(half) * h - 0.5 * a)[:, None] * t[None, :]
-    rows = np.concatenate([cos(theta), sin(theta), np.ones((freq_count % 2, len(t)))])
-    pair = np.full(half, 2 * h)     # 2 q_j for each conjugate pair of nodes, h at the ends
-    pair[0] = h
-    weights = np.concatenate([pair, pair, np.full(freq_count % 2, h)])
-    return sqrt(weights)[:, None] * rows * col[None, :]
+    even = np.ones((freq_count - half, len(t)), dtype=theta.dtype)
+    cos(theta, out=even[:half])
+    odd = sin(theta)
+    # sqrt(2 q_j) for each conjugate pair of nodes, sqrt(h) at the ends and in the middle
+    scale = sqrt(np.where(np.arange(len(even)) % half, 2 * h, h))[:, None]
+    for rows in (even, odd):    # scaled in place, as scale * rows * col: the same bits
+        rows *= scale[:len(rows)]
+        rows *= col
+    return even, odd
 
 
 def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> np.ndarray:
@@ -118,7 +122,8 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     middle row (``mu = 0``) is ``sqrt(h m)``.  Both maps are unitary, so this
     float64 matrix has the singular values of ``A`` for any positions.
     """
-    return _real_rows(a, freq_count, measure.positions, np.sqrt(measure.masses))
+    even, odd = _real_rows(a, freq_count, measure.positions, np.sqrt(measure.masses))
+    return np.concatenate([even[:freq_count // 2], odd, even[freq_count // 2:]])
 
 
 def _blocks(measure: DiscreteMeasure, a, freq_count: int, ops=NUMPY_OPS) -> list[np.ndarray]:
@@ -133,11 +138,11 @@ def _blocks(measure: DiscreteMeasure, a, freq_count: int, ops=NUMPY_OPS) -> list
     """
     t, m, sqrt = measure.positions, measure.masses, ops[2]
     if not (np.array_equal(t, -t[::-1]) and np.array_equal(m, m[::-1])):
-        return [_real_rows(a, freq_count, t, sqrt(m), ops)]
+        even, odd = _real_rows(a, freq_count, t, sqrt(m), ops)
+        return [np.concatenate([even[:freq_count // 2], odd, even[freq_count // 2:]])]
     k, zero = len(t) // 2, len(t) % 2     # the columns t >= 0; one at t = 0 if n is odd
-    rows = _real_rows(a, freq_count, t[k:], sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]), ops)
-    half = freq_count // 2
-    return [np.delete(rows, np.s_[half:2 * half], axis=0), rows[half:2 * half, zero:]]
+    even, odd = _real_rows(a, freq_count, t[k:], sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]), ops)
+    return [even, odd[:, zero:]]
 
 
 def _usable_cpus() -> int:
@@ -180,6 +185,10 @@ def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> 
     return float(s.min()), float(s.max())
 
 
+def _sigma_share(measure: DiscreteMeasure, freq_density: float, share: list) -> list:
+    return [_sigma_extremes(measure, a, freq_density) for a in share]
+
+
 def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAULT_FREQ_DENSITY,
                   extended_precision: bool = False, threads: int = 1) -> ResidualCurve:
     """Smallest singular value across a frequency grid, with knee estimate.
@@ -195,12 +204,12 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
     :func:`_blocks` at :data:`EXTENDED_DPS` digits, and the floor is
     ``EXTENDED_CUTOFF * max sigma_max``; the curve carries the floor it used.
 
-    ``threads`` is the largest number of worker processes that compute the
-    singular values (see :func:`_worker_count`); with one, they are computed
-    in this process.
+    ``threads`` caps the worker processes (see :func:`_worker_count`); each computes the
+    singular values of one interleaved share of the grid, as one task.  With one worker, and
+    for the extended recomputation at any ``threads``, they are computed in this process.
     """
     grid = [float(a) for a in a_grid]
-    if not grid or any(a <= 0 for a in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+    if not grid or any(not a > 0 for a in grid) or any(not b > a for a, b in zip(grid, grid[1:])):
         raise TypelabError("a-grid must be positive and strictly increasing")
     if threads < 1:
         raise TypelabError(f"threads must be at least 1, got {threads}")
@@ -211,19 +220,18 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
         raise TypelabError(f"the annihilation matrix at a={grid[-1]:g} has {cells:.3g} cells, "
                            f"more than the cap of {MATRIX_MAX_CELLS:g}")
 
-    # numpy.linalg.svd holds the GIL, so the SVDs run in worker processes;
-    # map keeps grid order, so the curve does not depend on the worker count
+    # numpy.linalg.svd holds the GIL, so the SVDs run in worker processes
     workers = _worker_count(threads, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(partial(_sigma_extremes, measure, freq_density=freq_density),
-                                  grid))
+            shares = list(pool.map(partial(_sigma_share, measure, freq_density),
+                                   [grid[k::workers] for k in range(workers)]))
+        pairs = [shares[i % workers][i // workers] for i in range(len(grid))]
     else:
-        pairs = [_sigma_extremes(measure, a, freq_density) for a in grid]
-    sig = np.array([p[0] for p in pairs])
-    smax = np.array([p[1] for p in pairs])
+        pairs = _sigma_share(measure, freq_density, grid)
+    sig, smax = (np.array(v) for v in zip(*pairs))
 
     collapsed = np.flatnonzero(sig < SVD_CUTOFF * smax) if extended_precision else []
     for i in collapsed:

@@ -114,7 +114,14 @@ from typelab.typeproblem import (
     type_separated,
     weight_filter_mask,
 )
-from typelab.oracle import _blocks, _sigma_extremes, annihilation_matrix, default_freq_count
+from typelab.oracle import (
+    EXTENDED_DPS,
+    NUMPY_OPS,
+    _blocks,
+    _sigma_extremes,
+    annihilation_matrix,
+    default_freq_count,
+)
 from typelab.suite import SUITE_DEFICIT_SCALE, deficit_positivity
 from typelab.uniformity import _energy_leg, _evaluate, check_d_uniform
 
@@ -1664,6 +1671,41 @@ MIRROR = DiscreteMeasure(np.array([-7.0, -0.5, 0.0, 0.5, 7.0]),
                          np.array([5.0, 1e-6, 2.0, 1e-6, 5.0]), 50.0)
 
 
+def ref_blocks(measure, a, freq_count, ops):
+    """:func:`_blocks` built the direct way: every row of the trapezoid rule stacked as
+    cos, sin and middle rows, scaled by the row and then the column weights, and on a
+    mirrored measure the sin rows deleted from the even block."""
+    cos, sin, sqrt = ops
+    t, m = measure.positions, measure.masses
+    mirror = np.array_equal(t, -t[::-1]) and np.array_equal(m, m[::-1])
+    k = len(t) // 2 if mirror else 0
+    col = sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]) if mirror else sqrt(m)
+    h = a / (freq_count - 1)
+    half = freq_count // 2
+    theta = (np.arange(half) * h - 0.5 * a)[:, None] * t[k:][None, :]
+    rows = np.concatenate([cos(theta), sin(theta), np.ones((freq_count % 2, len(t) - k))])
+    pair = np.full(half, 2 * h)
+    pair[0] = h
+    weights = np.concatenate([pair, pair, np.full(freq_count % 2, h)])
+    rows = sqrt(weights)[:, None] * rows * col[None, :]
+    if not mirror:
+        return [rows]
+    return [np.delete(rows, np.s_[half:2 * half], axis=0), rows[half:2 * half, len(t) % 2:]]
+
+
+def mp_ops():
+    """mpmath's cos, sin and sqrt over object arrays, as the extended path takes them."""
+    import mpmath as mp
+
+    return tuple(np.frompyfunc(f, 1, 1) for f in (mp.cos, mp.sin, mp.sqrt))
+
+
+def one_ulp_off(measure):
+    masses = measure.masses.copy()
+    masses[1] = np.nextafter(masses[1], np.inf)
+    return DiscreteMeasure(measure.positions, masses, measure.window)
+
+
 class TestOracleKernel:
     # the real form is the complex matrix under unitary maps, so the two agree
     # to rounding, not bit for bit
@@ -1705,9 +1747,7 @@ class TestOracleKernel:
             assert s.tolist() == pytest.approx([math.sqrt(3.0 * 2.0)], rel=1e-12)
 
     def test_one_ulp_off_takes_the_full_matrix(self):
-        masses = MIRROR.masses.copy()
-        masses[1] = np.nextafter(masses[1], np.inf)
-        measure = DiscreteMeasure(MIRROR.positions, masses, MIRROR.window)
+        measure = one_ulp_off(MIRROR)
         for a in (0.5, 4.0, 9.0):
             freq_count = default_freq_count(measure, a)
             full = annihilation_matrix(measure, a, freq_count)
@@ -1715,6 +1755,28 @@ class TestOracleKernel:
             assert bits(only) == bits(full)
             s = np.linalg.svd(full, compute_uv=False)
             assert bits(_sigma_extremes(measure, a, 8.0)) == bits((float(s[-1]), float(s[0])))
+
+    # the rows are scaled in place, in the reference's order of operations, so
+    # every entry keeps its bits, in float64 and at EXTENDED_DPS digits
+    @pytest.mark.parametrize("measure, count", [
+        (MIRROR, 2),
+        (DiscreteMeasure(MIRROR.positions[[0, 1, 3, 4]], MIRROR.masses[[0, 1, 3, 4]], 50.0), 2),
+        (one_ulp_off(MIRROR), 1),
+    ], ids=["mirror-odd-n", "mirror-even-n", "ulp-off"])
+    @pytest.mark.parametrize("freq_count", [2, 3, 40, 41])
+    def test_blocks_keep_the_reference_bits(self, measure, count, freq_count):
+        import mpmath as mp
+
+        for a in (0.5, 4.0, 9.0):
+            got = _blocks(measure, a, freq_count)
+            assert len(got) == count
+            assert bits(got) == bits(ref_blocks(measure, a, freq_count, NUMPY_OPS))
+            with mp.workdps(EXTENDED_DPS):
+                got = _blocks(measure, mp.mpf(a), freq_count, mp_ops())
+                want = ref_blocks(measure, mp.mpf(a), freq_count, mp_ops())
+                assert [B.shape for B in got] == [B.shape for B in want]
+                assert all(type(v) is mp.mpf for B in got for v in B.flat)
+                assert [list(map(str, B.flat)) for B in got] == [list(map(str, B.flat)) for B in want]
 
 
 class TestCheckerKernels:

@@ -10,6 +10,7 @@ from typelab.energy import (
     coulomb_energy,
     energy_report,
     grid_energy_closed_form,
+    interval_deficits,
 )
 
 
@@ -166,3 +167,14 @@ class TestEnergyReport:
         for delta in (10, 100, 1000, 10_000):
             rep = energy_report(np.arange(float(delta)), Interval(-0.5, delta - 0.5))
             assert 0 <= rep.deficit <= 2.0 * delta ** 2
+
+
+class TestIntervalDeficits:
+    # energy_report refuses an interval longer than the float range; the
+    # batched path refuses its length too, rather than return inf or nan
+    @pytest.mark.parametrize("lengths", [[math.inf, math.nan], [2.0, math.nan],
+                                         [math.inf, 2.0], [-math.inf, 2.0]])
+    def test_non_finite_length_refused(self, lengths):
+        with pytest.raises(TypelabError, match="is not finite"):
+            interval_deficits(np.array([0.0, 1.0, 2.0]), np.array([0, 0]), np.array([3, 0]),
+                              np.array(lengths))

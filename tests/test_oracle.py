@@ -191,6 +191,18 @@ class TestResidualScan:
         with pytest.raises(TypelabError, match="freq-density must be positive"):
             residual_scan(m, [1.0, 2.0], freq_density=freq_density)
 
+    @pytest.mark.parametrize("grid", [[math.nan], [1.0, math.nan], [math.nan, 2.0]])
+    def test_nan_in_grid_refused(self, grid, monkeypatch):
+        # an input error, not the IllConditioned that suite.bundle_curves retries
+        # in extended precision; refused before any matrix or worker
+        import concurrent.futures
+
+        monkeypatch.setattr(oracle, "_blocks", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        with pytest.raises(TypelabError, match="a-grid must be positive") as exc:
+            residual_scan(catalog.koosis_measure(10.0), grid, threads=2)
+        assert not isinstance(exc.value, IllConditioned)
+
     def test_matrix_cap(self, monkeypatch):
         m = DiscreteMeasure(np.array([0.0]), np.array([1.0]), 1.0)
         grid = np.linspace(0, 4.0, 9)[1:].tolist()
@@ -396,6 +408,17 @@ def check_worker_processes(tmp):
     one = residual_scan(m, grid, threads=1)
     for threads in (2, 8):
         TestResidualScan.assert_same_curve(one, residual_scan(m, grid, threads=threads))
+    # shares of unequal length (12 + 11 values; 8 + 8 + 7 with a third worker,
+    # which four usable CPUs admit), and a grid of one value
+    usable_cpus = oracle._usable_cpus
+    oracle._usable_cpus = lambda: 4
+    try:
+        for grid in (np.linspace(0, 9.0, 24)[1:].tolist(), [9.0]):
+            one = residual_scan(m, grid, threads=1)
+            for threads in (2, 3):
+                TestResidualScan.assert_same_curve(one, residual_scan(m, grid, threads=threads))
+    finally:
+        oracle._usable_cpus = usable_cpus
     small = catalog.koosis_measure(10.0)
     grid = np.linspace(0, 4.0, 5)[1:].tolist()
     one = residual_scan(small, grid, extended_precision=True, threads=1)
