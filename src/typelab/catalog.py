@@ -35,25 +35,24 @@ class SeparatedExample:
     oracle_a_max: float
 
 
-def koosis_measure(T: float = 1000.0, beta: float = 2.0) -> DiscreteMeasure:
-    """Unit-spaced support with polynomial weights ``(1+n^2)^-beta``."""
-    return measure_from_weights(arithmetic(1.0, T), "polynomial", {"beta": beta})
+def koosis_measure(T: float) -> DiscreteMeasure:
+    """Unit-spaced support with polynomial weights ``(1+n^2)^-2``."""
+    return spaced_polynomial_measure(1.0, T)
 
 
-def spaced_polynomial_measure(d: float, T: float, beta: float = 2.0) -> DiscreteMeasure:
+def spaced_polynomial_measure(d: float, T: float) -> DiscreteMeasure:
     """Arithmetic support of density ``d`` with polynomial weights."""
-    return measure_from_weights(arithmetic(d, T), "polynomial", {"beta": beta})
+    return measure_from_weights(arithmetic(d, T), "polynomial", {"beta": 2.0})
 
 
-def mixed_parity_measure(T: float = 600.0) -> DiscreteMeasure:
+def mixed_parity_measure(T: float) -> DiscreteMeasure:
     """Exponential weights on even integers, polynomial on odd ones."""
     return measure_from_weights(arithmetic(1.0, T), "mixed", {"beta": 2.0, "c": 1.0})
 
 
-def oracle_separated_bundle(T: float = 60.0,
-                            formula_T: float = 1000.0) -> list[SeparatedExample]:
+def oracle_separated_bundle(T: float) -> list[SeparatedExample]:
     """Separated measures the completeness probe can cross-validate."""
-    two_pi = 2.0 * math.pi
+    two_pi, formula_T = 2.0 * math.pi, 1000.0
     return [
         SeparatedExample("koosis-unit", koosis_measure(T), koosis_measure(formula_T),
                          two_pi, 12.6),
@@ -66,22 +65,21 @@ def oracle_separated_bundle(T: float = 60.0,
     ]
 
 
-def benedicks_partition(T: float = 900.0, even_len: float = 1.0,
-                        odd_len: float = 2.0) -> Partition:
-    return alternating_partition(even_len, odd_len, T)
+def benedicks_partition(T: float) -> Partition:
+    return alternating_partition(1.0, 2.0, T)
 
 
-def long_gap_support(n_max: int = 13) -> list:
+def long_gap_support() -> list:
     """Union of intervals whose complement gaps form a long family."""
-    return [Interval(2.0 ** n + 2.0 ** (n - 1), 2.0 ** (n + 1)) for n in range(1, n_max + 1)]
+    return [Interval(2.0 ** n + 2.0 ** (n - 1), 2.0 ** (n + 1)) for n in range(1, 14)]
 
 
-def short_gap_support(n_max: int = 13) -> list:
+def short_gap_support() -> list:
     """Union of intervals whose complement gaps form a short family."""
-    return [Interval(2.0 ** n + n, 2.0 ** (n + 1)) for n in range(1, n_max + 1)]
+    return [Interval(2.0 ** n + n, 2.0 ** (n + 1)) for n in range(1, 14)]
 
 
-def fast_decay_measure(n_top: int = 6, T: float = 12.0) -> DiscreteMeasure:
+def fast_decay_measure() -> DiscreteMeasure:
     """Doubly exponential decay ``exp(-e^n)`` on the nonnegative integers."""
-    n = np.arange(0, n_top + 1, dtype=float)
-    return DiscreteMeasure(n, np.exp(-np.exp(n)), T, "fast-decay")
+    n = np.arange(0, 7, dtype=float)
+    return DiscreteMeasure(n, np.exp(-np.exp(n)), 12.0, "fast-decay")

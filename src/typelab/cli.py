@@ -25,13 +25,14 @@ from .constructions import (
 )
 from .core import Interval, TypelabError, WeightTable
 from .density import (
+    BLOCK_SCAN_EPSILON,
     exterior_density,
     interior_density,
     regularity_block_scan,
     strong_regularity_defect,
 )
 from .energy import coulomb_energy, energy_report
-from .oracle import residual_scan
+from .oracle import DEFAULT_FREQ_DENSITY, residual_scan
 from .partitions import classify_family, find_short_partition, short2I_diagnostic
 from .serialize import (
     canonical_json,
@@ -139,40 +140,45 @@ def _cmd_type(args):
 
 
 def _beurling_gap(args):
-    if args.intervals:
+    if (args.input is None) == (args.intervals is None):
+        raise TypelabError("theorem beurling-gap takes exactly one of --input and --intervals")
+    if args.intervals is not None:
         return beurling_gap_check(load_intervals(args.intervals))
-    if args.input:
-        return beurling_gap_check(load_sequence(args.input))
-    raise TypelabError("theorem beurling-gap requires --input or --intervals")
+    return beurling_gap_check(load_sequence(args.input))
 
 
-# theorem name -> (required options, checker)
+# theorem name -> (required options, {optional option: default}, checker)
 _THEOREMS = {
-    "beurling-gap": ((), _beurling_gap),
-    "levinson": (("input",), lambda a: levinson_check(load_measure(a.input))),
-    "hybrid": (("input", "intervals"), lambda a: hybrid_check(
+    "beurling-gap": ((), {"input": None, "intervals": None}, _beurling_gap),
+    "levinson": (("input",), {}, lambda a: levinson_check(load_measure(a.input))),
+    "hybrid": (("input", "intervals"), {}, lambda a: hybrid_check(
         load_measure(a.input), load_intervals(a.intervals))),
-    "debranges": (("input", "weight"), lambda a: debranges_check(
+    "debranges": (("input", "weight"), {"modulus": 1.0}, lambda a: debranges_check(
         load_weight_table(a.weight), load_measure(a.input), a.modulus)),
-    "krein-lm": (("weight",), lambda a: krein_lm_check(
+    "krein-lm": (("weight",), {"no_monotone": False}, lambda a: krein_lm_check(
         load_weight_table(a.weight), monotone_flag=not a.no_monotone)),
-    "borichev-sodin": (("input", "other"), lambda a: borichev_sodin_compare(
-        load_measure(a.input), load_measure(a.other), a.delta, a.C, a.l)),
-    "duffin-schaeffer": (("input",), lambda a: duffin_schaeffer_check(
+    "borichev-sodin": (("input", "other"), {"delta": 1.0, "C": 1.0, "l": 1.0}, lambda a: (
+        borichev_sodin_compare(load_measure(a.input), load_measure(a.other), a.delta, a.C, a.l))),
+    "duffin-schaeffer": (("input",), {"L": 1.0, "c": 0.5}, lambda a: duffin_schaeffer_check(
         load_measure(a.input), a.L, a.c)),
-    "benedicks": (("partition",), lambda a: benedicks_conditions(
-        load_partition(a.partition), a.c1, a.c2, a.c3)),
-    "suffgen": (("input", "sequence"), lambda a: suffgen_bound(
+    "benedicks": (("partition",), dict(zip(("c1", "c2", "c3"), BENEDICKS_CONSTANTS)),
+                  lambda a: benedicks_conditions(load_partition(a.partition), a.c1, a.c2, a.c3)),
+    "suffgen": (("input", "sequence"), {"d": 1.0}, lambda a: suffgen_bound(
         load_measure(a.input), load_sequence(a.sequence), a.d)),
 }
 
 
 def _cmd_theorem(args):
-    needs, check = _THEOREMS[args.name]
+    needs, defaults, check = _THEOREMS[args.name]
+    given = [key for key in vars(args) if key not in ("command", "func", "name", "format")]
+    unread = [f"--{key.replace('_', '-')}" for key in given
+              if key not in needs and key not in defaults]
+    if unread:
+        raise TypelabError(f"theorem {args.name} does not read {', '.join(unread)}")
     for needed in needs:
-        if getattr(args, needed) is None:
+        if needed not in given:
             raise TypelabError(f"theorem {args.name} requires --{needed}")
-    return check(args)
+    return check(argparse.Namespace(**{**defaults, **vars(args)}))
 
 
 def _cmd_rescale(args):
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--scan", choices=("integral", "families"), default="integral")
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=float, default=BLOCK_SCAN_EPSILON)
 
     p = command("uniform", _cmd_uniform, "d-uniformity verdict")
     p.add_argument("--input", required=True)
@@ -294,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="density grid, start:stop:step or comma list")
 
     p = command("theorem", _cmd_theorem, "classical checker verdicts")
+    p.argument_default = argparse.SUPPRESS  # an option not given is left out of the args
     p.add_argument("name", choices=tuple(_THEOREMS))
     p.add_argument("--input", help="measure or sequence JSON document")
     p.add_argument("--intervals")
@@ -301,16 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", help="second measure (borichev-sodin)")
     p.add_argument("--sequence", help="d-uniform sequence (suffgen)")
     p.add_argument("--partition")
-    p.add_argument("--modulus", type=float, default=1.0)
     p.add_argument("--no-monotone", action="store_true")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--l", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.5)
-    for name, default in zip(("--c1", "--c2", "--c3"), BENEDICKS_CONSTANTS):
-        p.add_argument(name, type=float, default=default)
-    p.add_argument("--d", type=float, default=1.0)
+    for name in ("--modulus", "--delta", "--C", "--l", "--L", "--c", "--c1", "--c2", "--c3", "--d"):
+        p.add_argument(name, type=float)
 
     p = command("rescale", _cmd_rescale, "divide masses by 1+|x|^alpha (type-invariant)")
     p.add_argument("--input", required=True)
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-min", type=float, default=0.0)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--freq-density", type=float, default=8.0)
+    p.add_argument("--freq-density", type=float, default=DEFAULT_FREQ_DENSITY)
     p.add_argument("--extended-precision", action="store_true")
     p.add_argument("--csv", help="write the residual curve CSV here")
     p.add_argument("--threads", type=int, default=1)

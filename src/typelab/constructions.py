@@ -20,6 +20,7 @@ from .core import (
     TypelabError,
     WeightTable,
 )
+from .typeproblem import benedicks_conditions
 
 # most intervals alternating_partition tiles, and most points benedicks_sequence places
 CONSTRUCTION_MAX_SIZE = 100_000
@@ -158,8 +159,7 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
 
     # base points reappear as pair midpoints, up to rounding
     scale = max(1.0, float(np.max(np.abs(b))))
-    matched = centers[np.isclose(centers[:, None], c_pts[None, :],
-                                 atol=1e-9 * scale, rtol=0.0).any(axis=1)]
+    matched = centers[_near_sorted(centers, c_pts, 1e-9 * scale)]
     widths = 2.0 * l / 3.0
     return AuxiliaryFamily(
         a_seq, c_seq,
@@ -169,6 +169,14 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
         widths,
         fill.size,
     )
+
+
+def _near_sorted(x: np.ndarray, ys: np.ndarray, atol: float) -> np.ndarray:
+    """``np.isclose(x[:, None], ys, atol=atol, rtol=0).any(axis=1)`` for a sorted, nonempty
+    ``ys``, from the two neighbours of each ``x`` in ``ys``: memory linear in the sizes."""
+    j = np.searchsorted(ys, x)
+    below, above = ys[np.maximum(j - 1, 0)], ys[np.minimum(j, ys.size - 1)]
+    return np.minimum(np.abs(x - below), np.abs(x - above)) <= atol
 
 
 @dataclass(frozen=True)
@@ -195,8 +203,6 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     sequence, about ``C`` times the partition's span, at most
     :data:`CONSTRUCTION_MAX_SIZE` points.
     """
-    from .typeproblem import benedicks_conditions  # deferred: avoids import cycle
-
     bks = partition.breakpoints
     if not (math.isfinite(C) and C > 0):
         raise TypelabError("point density C must be finite and positive")

@@ -253,11 +253,6 @@ class WeightTable:
         out = self.values[idx]
         return out if np.ndim(x) else float(out[0])
 
-    def to_dict(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(),
-                "values": self.values.tolist(),
-                "kind": self.kind}
-
 
 def _mids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``0.5 * (a + b)``, with ``a`` and ``b`` halved first where ``a + b`` overflows."""

@@ -34,6 +34,7 @@ from .uniformity import UniformityReport, _evaluate
 
 INTERIOR = "interior"
 EXTERIOR = "exterior"
+BLOCK_SCAN_EPSILON = 0.05  # default relative tolerance of regularity_block_scan
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def _defect_antideriv(x: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
 
 
 def regularity_block_scan(seq: RealSequence, a: float,
-                          epsilon: float = 0.05) -> SumVerdict:
+                          epsilon: float = BLOCK_SCAN_EPSILON) -> SumVerdict:
     """Family-scan variant of the regularity test.
 
     Collects the dyadic blocks whose count ratio misses ``a`` by more than

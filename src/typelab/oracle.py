@@ -112,7 +112,7 @@ def _real_rows(a, freq_count: int, t: np.ndarray, col: np.ndarray, ops=NUMPY_OPS
     return even, odd
 
 
-def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> np.ndarray:
+def annihilation_matrix(measure: DiscreteMeasure, a, freq_count: int, ops=NUMPY_OPS) -> np.ndarray:
     """Quadrature-weighted exponential-moment matrix on ``[0, a]``, in real form.
 
     Scaling column ``m`` of the complex matrix ``A`` by ``exp(-i a t_m / 2)``
@@ -120,9 +120,10 @@ def annihilation_matrix(measure: DiscreteMeasure, a: float, freq_count: int) -> 
     ``M-1-j`` are conjugate; ``[1 1; -i i] / sqrt(2)`` on each pair gives rows
     ``sqrt(2 q_j m) cos(mu_j t)`` and ``sqrt(2 q_j m) sin(mu_j t)``, and an odd
     middle row (``mu = 0``) is ``sqrt(h m)``.  Both maps are unitary, so this
-    float64 matrix has the singular values of ``A`` for any positions.
+    real matrix has the singular values of ``A`` for any positions.  ``a`` and
+    ``ops`` are as in :func:`_real_rows`.
     """
-    even, odd = _real_rows(a, freq_count, measure.positions, np.sqrt(measure.masses))
+    even, odd = _real_rows(a, freq_count, measure.positions, ops[2](measure.masses), ops)
     return np.concatenate([even[:freq_count // 2], odd, even[freq_count // 2:]])
 
 
@@ -138,8 +139,7 @@ def _blocks(measure: DiscreteMeasure, a, freq_count: int, ops=NUMPY_OPS) -> list
     """
     t, m, sqrt = measure.positions, measure.masses, ops[2]
     if not (np.array_equal(t, -t[::-1]) and np.array_equal(m, m[::-1])):
-        even, odd = _real_rows(a, freq_count, t, sqrt(m), ops)
-        return [np.concatenate([even[:freq_count // 2], odd, even[freq_count // 2:]])]
+        return [annihilation_matrix(measure, a, freq_count, ops)]
     k, zero = len(t) // 2, len(t) % 2     # the columns t >= 0; one at t = 0 if n is odd
     even, odd = _real_rows(a, freq_count, t[k:], sqrt(np.where(t[k:] > 0, 2.0, 1.0) * m[k:]), ops)
     return [even, odd[:, zero:]]

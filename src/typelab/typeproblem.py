@@ -196,8 +196,7 @@ def type_separated(measure: DiscreteMeasure, d_grid=None) -> TypeEstimate:
     return _scan_type(measure, d_grid, separated=True)
 
 
-def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,
-                  partition: Partition | None = None) -> TheoremVerdict:
+def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float) -> TheoremVerdict:
     """Lower type bound from neighbourhood masses along a d-uniform sequence.
 
     Each interior point of ``A`` gets the one-third-gap neighbourhood
@@ -205,7 +204,7 @@ def suffgen_bound(measure: DiscreteMeasure, A: RealSequence, d: float,
     neighbourhoods is Poisson-summable in the index, the type is at least
     ``2 pi d``.  Boundary points (missing a neighbour) are dropped.
     """
-    report = check_d_uniform(A, d, partition)
+    report = check_d_uniform(A, d)
     if not report.overall:
         raise TypelabError(f"A is not d-uniform at d={d}")
     pts = A.points

@@ -144,8 +144,8 @@ def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
                             ok, source, skip_energy)
 
 
-def check_d_uniform(seq: RealSequence, d: float, partition: Partition | None = None,
-                    skip_energy: bool = False) -> UniformityReport:
+def check_d_uniform(seq: RealSequence, d: float,
+                    partition: Partition | None = None) -> UniformityReport:
     """Full d-uniformity verdict for ``seq`` at density ``d``.
 
     With no partition supplied, the greedy candidate is tried first and, on
@@ -158,7 +158,7 @@ def check_d_uniform(seq: RealSequence, d: float, partition: Partition | None = N
     if d <= 0:
         raise TypelabError("d must be positive")
     if partition is not None:
-        return _evaluate(seq, d, partition, "given", skip_energy)
+        return _evaluate(seq, d, partition, "given", False)
 
     candidates = (("greedy", 1.0), ("greedy-doubled", 2.0))
     last: UniformityReport | None = None
@@ -167,11 +167,11 @@ def check_d_uniform(seq: RealSequence, d: float, partition: Partition | None = N
             cand = find_short_partition(seq, d, min_length_scale=scale)
         except InsufficientData:
             continue
-        report = _evaluate(seq, d, cand, source, skip_energy)
+        report = _evaluate(seq, d, cand, source, False)
         if report.overall:
             return report
         last = report
     if last is not None:
         return last
     return UniformityReport(d, None, (), None, None, None, False, "none",
-                            skip_energy, reason="partition-not-found")
+                            reason="partition-not-found")

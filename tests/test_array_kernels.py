@@ -26,6 +26,7 @@ from typelab.constructions import (
     AuxiliaryFamily,
     BenedicksFamily,
     _equal_measure_points,
+    _near_sorted,
     alternating_partition,
     arithmetic,
     auxiliary_sequence,
@@ -838,8 +839,8 @@ def ref_levinson_thresholds(cuts, tail):
 
 
 def ref_downward_scan(support, grid, skip_energy, judge):
-    """The downward scan with a full ``check_d_uniform``, Coulomb pass included,
-    for every candidate."""
+    """The downward scan with the full ``_evaluate`` of ``check_d_uniform`` on a
+    given partition, Coulomb pass included, for every candidate."""
     diagnostics = []
     value, certificate = 0.0, None
     for d in reversed(grid):
@@ -852,7 +853,7 @@ def ref_downward_scan(support, grid, skip_energy, judge):
         if len(selected) == 0:
             diagnostics.append((d, False, "selection empty"))
             continue
-        report = check_d_uniform(selected, d, partition, skip_energy=skip_energy)
+        report = _evaluate(selected, d, partition, "given", skip_energy)
         passed, note = judge(selected, report)
         diagnostics.append((d, passed, note))
         if passed:
@@ -1208,7 +1209,7 @@ class TestPartitionKernels:
     @settings(max_examples=200, deadline=None)
     def test_density_leg_matches_loop(self, case, d):
         seq, part = case
-        got = check_d_uniform(seq, d, part, skip_energy=True).density
+        got = _evaluate(seq, d, part, "given", True).density
         passed, max_dev, ratios = ref_check_density(seq, part, d)
         assert (got.passed, got.max_outer_deviation, list(got.ratios)) == (passed, max_dev, ratios)
 
@@ -1533,6 +1534,16 @@ class TestConstructionKernels:
     @settings(max_examples=300, deadline=None)
     def test_auxiliary_sequence_matches_loop(self, case):
         assert printed(auxiliary_sequence, *case) == printed(ref_auxiliary_sequence, *case)
+
+    @given(st.lists(st.integers(-40, 40), min_size=1), st.lists(st.integers(-40, 40)),
+           st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0]), st.floats(-1e3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_near_sorted_matches_all_pairs(self, ys, xs, atol, shift):
+        # quarter-integers put many distances at atol exactly; a shift rounds some of them
+        ys = np.sort(np.asarray(ys) / 4.0 + shift)
+        xs = np.asarray(xs, dtype=float) / 4.0 + shift
+        want = np.isclose(xs[:, None], ys[None, :], atol=atol, rtol=0.0).any(axis=1)
+        assert _near_sorted(xs, ys, atol).tolist() == want.tolist()
 
     @given(even_layouts())
     @example((np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0]), 5))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -108,6 +109,20 @@ class TestAuxiliarySequence:
         expected = (2.0 / 3.0) * np.minimum(1.0, np.exp(-np.abs(centers)))
         assert np.allclose(aux.pair_widths, expected, rtol=1e-12)
 
+    def test_matching_memory_is_linear(self):
+        # an all-pairs match of the 4e3 base points against the 8e3 pair
+        # midpoints would hold a 4e3 x 8e3 float64 temporary (256 MB)
+        base = arithmetic(1.0, 2000.0)
+        w = self._flat_weight(2000.0)
+        tracemalloc.start()
+        try:
+            aux = auxiliary_sequence(base, w, 0.05, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(aux.b_matched) == len(base) - 2
+        assert peak < 4e6
+
     def test_bad_L(self):
         base = arithmetic(1.0, 50.0)
         with pytest.raises(TypelabError, match="need L >= 1/epsilon"):
@@ -159,7 +174,7 @@ class TestBenedicksSequence:
 
     def test_conditions_failure(self):
         # odd length 0.3 is below C3 = 0.4 times the even length 1
-        part = catalog.benedicks_partition(600.0, 1.0, 0.3)
+        part = alternating_partition(1.0, 0.3, 600.0)
         with pytest.raises(TypelabError, match="condition 3 at"):
             benedicks_sequence(part, 0.5)
 

@@ -75,6 +75,18 @@ REFUSED = [
     ("partition-window", {"s": SEQ, "p": {"breakpoints": [-5, 0, 5]}},
      ["uniform", "--input", "{s}", "--d", "1", "--partition", "{p}"],
      "partition does not cover the sequence window"),
+    ("theorem-unread", {"m": MEASURE},
+     ["theorem", "levinson", "--input", "{m}", "--C", "5", "--sequence", "nonexistent.json",
+      "--L", "-3"],
+     "theorem levinson does not read --C, --sequence, --L"),
+    ("theorem-unread-default", {"m": MEASURE},
+     ["theorem", "duffin-schaeffer", "--input", "{m}", "--no-monotone", "--modulus", "1.0"],
+     "theorem duffin-schaeffer does not read --no-monotone, --modulus"),
+    ("beurling-gap-both", {"s": SEQ, "i": {"intervals": [[1, 2]]}},
+     ["theorem", "beurling-gap", "--input", "{s}", "--intervals", "{i}"],
+     "theorem beurling-gap takes exactly one of --input and --intervals"),
+    ("beurling-gap-neither", {}, ["theorem", "beurling-gap"],
+     "theorem beurling-gap takes exactly one of --input and --intervals"),
 ]
 
 

@@ -1,0 +1,57 @@
+"""The benchmark's hooks into the library.
+
+``perfbench`` wraps library functions by name and builds its inputs from the
+catalog with positional arguments, so a renamed or removed function, or a
+changed signature, breaks ``perfbench/run.py --trace 1`` or its set-up.  These
+tests load the benchmark's modules from their source, without writing to
+``perfbench``, and exercise both hooks.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+
+import typelab.cli  # noqa: F401  (imports every module the tracer patches)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name: str) -> types.ModuleType:
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # dataclasses look their module up while the class body is built
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def test_tracer_resolves_every_probe():
+    tracing = load("tracing")
+    svd = np.linalg.svd
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # a name that no longer resolves raises here
+        patched = {fn_name for _, fn_name, _ in tracer._patches}
+    finally:
+        tracer.uninstall()
+    probed = {fn for _, fn, _, _ in tracing.SPANS} | {fn for _, fn, _ in tracing.COUNTED}
+    assert probed | {"svd"} <= patched
+    assert np.linalg.svd is svd
+
+
+def test_workload_inputs_build(tmp_path):
+    workloads = load("workloads")
+    for name, make in workloads.WORKLOADS.items():
+        workload = make("smoke")
+        directory = tmp_path / name
+        directory.mkdir()
+        docs = workload.make_inputs(0, str(directory))
+        for job in workload.jobs + workload.checks + workload.records:
+            job.resolve(docs)  # every document a job names was written
+        assert all(Path(path).is_file() for path in docs.values())

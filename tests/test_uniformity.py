@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from typelab import catalog
 from typelab.constructions import arithmetic
 from typelab.core import Interval, Partition, RealSequence, TypelabError
 from typelab.partitions import find_short_partition
+from typelab.typeproblem import type_separated
 from typelab.uniformity import (
     _energy_leg,
+    _evaluate,
     check_d_uniform,
     merge_short_intervals,
 )
@@ -133,9 +136,13 @@ class TestCheckDUniform:
         assert rep.overall
 
     def test_energy_skip_mode(self):
+        # the separated type scan skips the energy leg of its candidates
         seq = arithmetic(1.0, 2000.0)
-        rep = check_d_uniform(seq, 1.0, skip_energy=True)
+        rep = _evaluate(seq, 1.0, find_short_partition(seq, 1.0), "greedy", True)
         assert rep.overall and rep.energy_skipped and rep.energy_verdict is None
+        assert all(row[3] is None for row in rep.per_interval)
+        cert = type_separated(catalog.koosis_measure(400.0), [1.0]).certificate
+        assert cert.uniformity.energy_skipped and cert.uniformity.energy_verdict is None
 
     def test_interior_certificate_consistency(self):
         # passing at d means the interior estimator reports at least d at
