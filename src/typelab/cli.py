@@ -25,14 +25,13 @@ from .constructions import (
 )
 from .core import Interval, TypelabError, WeightTable
 from .density import (
-    BLOCK_SCAN_EPSILON,
     exterior_density,
     interior_density,
     regularity_block_scan,
     strong_regularity_defect,
 )
 from .energy import coulomb_energy, energy_report
-from .oracle import DEFAULT_FREQ_DENSITY, residual_scan
+from .oracle import residual_scan
 from .partitions import classify_family, find_short_partition, short2I_diagnostic
 from .serialize import (
     canonical_json,
@@ -72,12 +71,25 @@ def _emit(args, payload) -> None:
         sys.stdout.write(canonical_json(payload) + "\n")
 
 
+def _floats(option: str, spec: str, sep: str, count: int = 0) -> list[float]:
+    """The numbers of ``spec`` split at ``sep``, ``count`` of them unless 0."""
+    parts = spec.split(sep)
+    try:
+        if count in (0, len(parts)):
+            return [float(p) for p in parts]
+    except ValueError:
+        pass
+    raise TypelabError(f"{option} {spec!r} is not {count or 'a list of'} numbers "
+                       f"separated by {sep!r}")
+
+
 def _parse_grid(spec: str) -> list[float]:
     """``start:stop:step`` or a comma-separated list, all finite."""
-    values = [float(p) for p in spec.split(":" if ":" in spec else ",")]
+    ranged = ":" in spec
+    values = _floats("--grid", spec, ":" if ranged else ",", 3 if ranged else 0)
     if not all(map(math.isfinite, values)):
         raise TypelabError(f"grid {spec!r} has a non-finite value")
-    if ":" not in spec:
+    if not ranged:
         return values
     start, stop, step = values
     if not step > 0:
@@ -96,7 +108,7 @@ def _parse_grid(spec: str) -> list[float]:
 def _cmd_energy(args):
     seq = load_sequence(args.input)
     if args.interval:
-        left, right = (float(p) for p in args.interval.split(","))
+        left, right = _floats("--interval", args.interval, ",", 2)
         return energy_report(seq, Interval(left, right))
     return {"energy": coulomb_energy(seq), "points": len(seq)}
 
@@ -122,7 +134,7 @@ def _cmd_density(args):
 def _cmd_regularity(args):
     seq = load_sequence(args.input)
     if args.scan == "families":
-        return regularity_block_scan(seq, args.a, args.epsilon)
+        return regularity_block_scan(seq, args.a)
     return strong_regularity_defect(seq, args.a)
 
 
@@ -193,7 +205,11 @@ def _cmd_construct(args) -> int:
 
     # each read pops its key, so that what is left over is what the family ignores
     def num(key: str, default: float) -> float:
-        return float(params.pop(key, default))
+        value = params.pop(key, default)
+        try:
+            return float(value)
+        except ValueError:
+            raise TypelabError(f"--param {key}={value} is not a number") from None
 
     family = args.family
     if family in ("alternating-partition", "benedicks"):
@@ -205,13 +221,16 @@ def _cmd_construct(args) -> int:
         # the other families build on an arithmetic progression
         obj = base = arithmetic(num("d", 1.0), num("T", 400.0 if family == "auxiliary" else 100.0))
         if family == "perturbed":
-            obj = perturb_exponential(base, num("c", 1.0), int(params.pop("seed", 0)))
+            seed = params.pop("seed", "0")
+            if not seed.isdecimal():  # digits only: int() reads it, and it is not negative
+                raise TypelabError(f"--param seed={seed} is not a non-negative integer")
+            obj = perturb_exponential(base, num("c", 1.0), int(seed))
         elif family == "auxiliary":
             w = WeightTable(np.array([-base.window, base.window]), np.array([num("w", 1.0)]))
             obj = auxiliary_sequence(base, w, num("epsilon", 0.05), num("L", 20.0))
         elif family == "weighted-measure":
             obj = measure_from_weights(base, params.pop("weights", "polynomial"),
-                                       {k: float(params.pop(k)) for k in ("beta", "c") if k in params})
+                                       {k: num(k, 0.0) for k in ("beta", "c") if k in params})
     if params:
         raise TypelabError(f"construct {family} does not read --param {sorted(params)[0]}")
     text = canonical_json(obj) + "\n"
@@ -230,8 +249,7 @@ def _cmd_oracle(args):
     measure = load_measure(args.input)
     step = (args.a_max - args.a_min) / args.steps
     grid = [args.a_min + step * k for k in range(1, args.steps + 1)]
-    curve = residual_scan(measure, grid, freq_density=args.freq_density,
-                          extended_precision=args.extended_precision,
+    curve = residual_scan(measure, grid, extended_precision=args.extended_precision,
                           threads=args.threads)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -287,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--scan", choices=("integral", "families"), default="integral")
-    p.add_argument("--epsilon", type=float, default=BLOCK_SCAN_EPSILON)
 
     p = command("uniform", _cmd_uniform, "d-uniformity verdict")
     p.add_argument("--input", required=True)
@@ -327,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-min", type=float, default=0.0)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--freq-density", type=float, default=DEFAULT_FREQ_DENSITY)
     p.add_argument("--extended-precision", action="store_true")
     p.add_argument("--csv", help="write the residual curve CSV here")
     p.add_argument("--threads", type=int, default=1)

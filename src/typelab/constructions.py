@@ -97,14 +97,10 @@ class AuxiliaryFamily:
 
     a_sequence: RealSequence      # pair points plus uniform gap fill
     c_sequence: RealSequence      # midpoints of consecutive A-points
-    b_matched: RealSequence       # base points recovered as midpoints
+    b_matched: RealSequence       # the interior base points, each a pair midpoint
     max_gap: float
     max_pair_width: float
-    pair_widths: np.ndarray       # aligned with the interior base points
     fill_count: int
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "pair_widths"}
 
 
 def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
@@ -114,8 +110,9 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     Around each interior base point ``b`` a pair ``b -+ l/3`` is placed,
     where ``l = min(gap left, gap right, w(b))``; gaps between consecutive
     pairs longer than ``L`` receive ``floor(gap/L)`` uniformly spaced fill
-    points.  Every base point is then exactly the midpoint of its pair, so
-    it reappears in the midpoint sequence C.
+    points.  Every interior base point is then the midpoint of its pair, up
+    to rounding, so it reappears in the midpoint sequence C; ``b_matched``
+    holds these points.
 
     Requires ``L >= 1/epsilon`` (fill spacing consistent with the gap bound), strictly
     positive finite weights and at most :data:`CONSTRUCTION_MAX_SIZE` fill points.
@@ -153,30 +150,12 @@ def auxiliary_sequence(B: RealSequence, w: WeightTable, epsilon: float,
     k = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m) + 1
     fill = lo[owner] + k * gap[owner] / (m[owner] + 1)
     a_pts = np.sort(np.concatenate([pairs, fill]))
-    a_seq = RealSequence(a_pts, B.window, "auxiliary-A")
     c_pts = 0.5 * (a_pts[:-1] + a_pts[1:])
-    c_seq = RealSequence(c_pts, B.window, "auxiliary-C")
-
-    # base points reappear as pair midpoints, up to rounding
-    scale = max(1.0, float(np.max(np.abs(b))))
-    matched = centers[_near_sorted(centers, c_pts, 1e-9 * scale)]
-    widths = 2.0 * l / 3.0
     return AuxiliaryFamily(
-        a_seq, c_seq,
-        RealSequence(matched, B.window, "auxiliary-B-matched"),
-        float(np.max(np.diff(a_pts))) if a_pts.size > 1 else 0.0,
-        float(np.max(widths)),
-        widths,
-        fill.size,
-    )
-
-
-def _near_sorted(x: np.ndarray, ys: np.ndarray, atol: float) -> np.ndarray:
-    """``np.isclose(x[:, None], ys, atol=atol, rtol=0).any(axis=1)`` for a sorted, nonempty
-    ``ys``, from the two neighbours of each ``x`` in ``ys``: memory linear in the sizes."""
-    j = np.searchsorted(ys, x)
-    below, above = ys[np.maximum(j - 1, 0)], ys[np.minimum(j, ys.size - 1)]
-    return np.minimum(np.abs(x - below), np.abs(x - above)) <= atol
+        RealSequence(a_pts, B.window, "auxiliary-A"),
+        RealSequence(c_pts, B.window, "auxiliary-C"),
+        RealSequence(centers, B.window, "auxiliary-B-matched"),
+        float(np.max(np.diff(a_pts))), float(np.max(2.0 * l / 3.0)), fill.size)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .uniformity import UniformityReport, _evaluate
 
 INTERIOR = "interior"
 EXTERIOR = "exterior"
-BLOCK_SCAN_EPSILON = 0.05  # default relative tolerance of regularity_block_scan
+BLOCK_SCAN_EPSILON = 0.05  # relative tolerance of regularity_block_scan
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ def strong_regularity_defect(seq: RealSequence, a: float) -> SumVerdict:
     counts = counting_function(seq, 0.5 * (lefts + rights))
     u, v, owner = split_pieces_at_shells(lefts, rights)
     c = counts[owner].astype(float)
-    # split where c - a x changes sign, at x = c / a
-    root = c / a if a > 0 else np.full_like(c, np.inf)
+    # split where c - a x changes sign, at x = c / a (infinite for a tiny a: no crossing)
+    with np.errstate(over="ignore"):
+        root = c / a if a > 0 else np.full_like(c, np.inf)
     cross = (u < root) & (root < v)
     u = np.concatenate([u, root[cross]])
     v = np.concatenate([np.where(cross, root, v), v[cross]])
@@ -105,25 +106,24 @@ def _defect_antideriv(x: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
     return c * map_libm(math.atan, x) - 0.5 * a * map_libm(math.log1p, x * x)
 
 
-def regularity_block_scan(seq: RealSequence, a: float,
-                          epsilon: float = BLOCK_SCAN_EPSILON) -> SumVerdict:
+def regularity_block_scan(seq: RealSequence, a: float) -> SumVerdict:
     """Family-scan variant of the regularity test.
 
     Collects the dyadic blocks whose count ratio misses ``a`` by more than
-    ``epsilon * max(a, 1)`` (plus the integer quantization slack) and
+    ``BLOCK_SCAN_EPSILON * max(a, 1)`` (plus the integer quantization slack) and
     classifies them: a divergent family of violations rules the sequence
     out as a-regular, while a short or inconclusive family is consistent
     with regularity.  The integral-defect form is the default instrument;
     this scan follows the primary definition directly.
     """
-    if a < 0 or epsilon <= 0:
-        raise TypelabError("need a >= 0 and epsilon > 0")
+    if a < 0:
+        raise TypelabError("need a >= 0")
     blocks = _dyadic_blocks(seq.window)
     lefts, rights = blocks.T
     lengths = rights - lefts
     # the innermost block (-1, 1] takes no part in this scan
     bad = blocks[(lefts != -1.0) & (np.abs(seq.count_in(lefts, rights) / lengths - a)
-                                    > epsilon * max(a, 1.0) + 1.0 / lengths)]
+                                    > BLOCK_SCAN_EPSILON * max(a, 1.0) + 1.0 / lengths)]
     if not bad.size:
         return SumVerdict(0.0, (), 0.0, CONVERGENT, 0.0, note="no violating blocks")
     return replace(classify_family(bad), note=f"{len(bad)} violating blocks")

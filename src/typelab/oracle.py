@@ -38,7 +38,7 @@ from .core import DiscreteMeasure, TypelabError
 SVD_CUTOFF = 1e-12           # relative floor below which values are clipped for knee detection
 REFUSAL_RATIO = 1e-14        # below this min sigma_min/sigma_max a hidden knee is refused
 KNEE_THRESHOLD = 2.0         # natural-log units of curvature required to call a knee
-DEFAULT_FREQ_DENSITY = 8.0
+DEFAULT_FREQ_DENSITY = 8.0   # quadrature rows per unit of frequency, at least
 # decimal digits of the extended-precision SVD; it factors the matrix itself, so
 # rounding moves sigma_min by about 1e-40 * sigma_max, far below the clip floor
 EXTENDED_DPS = 40
@@ -67,23 +67,22 @@ class ResidualCurve:
     clip_floor: float            # values below it are noise; the knee is detected against it
 
 
-def _freq_rows(measure: DiscreteMeasure, a: float, freq_density: float) -> float:
+def _freq_rows(measure: DiscreteMeasure, a: float) -> float:
     """:func:`default_freq_count` in floats, so that no finite ``a`` overflows it."""
     tmax = max(1.0, float(np.max(np.abs(measure.positions))))
     nyquist = np.ceil(a * 2.0 * tmax / math.pi) + 1.0
-    return float(max(4.0, np.ceil(freq_density * a), nyquist, len(measure) + 8.0))
+    return float(max(4.0, np.ceil(DEFAULT_FREQ_DENSITY * a), nyquist, len(measure) + 8.0))
 
 
-def default_freq_count(measure: DiscreteMeasure, a: float,
-                       freq_density: float = DEFAULT_FREQ_DENSITY) -> int:
-    """Row count resolving both the requested density and the integrand.
+def default_freq_count(measure: DiscreteMeasure, a: float) -> int:
+    """Row count resolving both :data:`DEFAULT_FREQ_DENSITY` and the integrand.
 
     The squared residual oscillates at scale ``pi / (2 max|t|)``, and a
     matrix with fewer rows than atoms has spurious exact null vectors, so
     the count is floored at both the Nyquist requirement and the atom
     count.
     """
-    return int(_freq_rows(measure, a, freq_density))
+    return int(_freq_rows(measure, a))
 
 
 def _real_rows(a, freq_count: int, t: np.ndarray, col: np.ndarray, ops=NUMPY_OPS) -> tuple:
@@ -176,8 +175,8 @@ def _extended_sigma_min(measure: DiscreteMeasure, a: float, freq_count: int) -> 
                          for B in _blocks(measure, mp.mpf(a), freq_count, ops) if B.size))
 
 
-def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> tuple[float, float]:
-    blocks = _blocks(measure, a, default_freq_count(measure, a, freq_density))
+def _sigma_extremes(measure: DiscreteMeasure, a: float) -> tuple[float, float]:
+    blocks = _blocks(measure, a, default_freq_count(measure, a))
     try:
         s = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in blocks])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -185,12 +184,12 @@ def _sigma_extremes(measure: DiscreteMeasure, a: float, freq_density: float) -> 
     return float(s.min()), float(s.max())
 
 
-def _sigma_share(measure: DiscreteMeasure, freq_density: float, share: list) -> list:
-    return [_sigma_extremes(measure, a, freq_density) for a in share]
+def _sigma_share(measure: DiscreteMeasure, share: list) -> list:
+    return [_sigma_extremes(measure, a) for a in share]
 
 
-def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAULT_FREQ_DENSITY,
-                  extended_precision: bool = False, threads: int = 1) -> ResidualCurve:
+def residual_scan(measure: DiscreteMeasure, a_grid, extended_precision: bool = False,
+                  threads: int = 1) -> ResidualCurve:
     """Smallest singular value across a frequency grid, with knee estimate.
 
     The knee statistic is the curvature (wide-stencil second difference) of
@@ -213,9 +212,7 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
         raise TypelabError("a-grid must be positive and strictly increasing")
     if threads < 1:
         raise TypelabError(f"threads must be at least 1, got {threads}")
-    if not freq_density > 0:
-        raise TypelabError(f"freq-density must be positive, got {freq_density:g}")
-    cells = _freq_rows(measure, grid[-1], freq_density) * len(measure)
+    cells = _freq_rows(measure, grid[-1]) * len(measure)
     if cells > MATRIX_MAX_CELLS:
         raise TypelabError(f"the annihilation matrix at a={grid[-1]:g} has {cells:.3g} cells, "
                            f"more than the cap of {MATRIX_MAX_CELLS:g}")
@@ -226,17 +223,16 @@ def residual_scan(measure: DiscreteMeasure, a_grid, freq_density: float = DEFAUL
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(partial(_sigma_share, measure, freq_density),
+            shares = list(pool.map(partial(_sigma_share, measure),
                                    [grid[k::workers] for k in range(workers)]))
         pairs = [shares[i % workers][i // workers] for i in range(len(grid))]
     else:
-        pairs = _sigma_share(measure, freq_density, grid)
+        pairs = _sigma_share(measure, grid)
     sig, smax = (np.array(v) for v in zip(*pairs))
 
     collapsed = np.flatnonzero(sig < SVD_CUTOFF * smax) if extended_precision else []
     for i in collapsed:
-        sig[i] = _extended_sigma_min(measure, grid[i],
-                                     default_freq_count(measure, grid[i], freq_density))
+        sig[i] = _extended_sigma_min(measure, grid[i], default_freq_count(measure, grid[i]))
     extended_used = len(collapsed) > 0
     clip_floor = (EXTENDED_CUTOFF if extended_precision else SVD_CUTOFF) * float(smax.max())
 

@@ -23,7 +23,7 @@ from .constructions import (
 from .core import Interval, WeightTable
 from .density import interior_density
 from .energy import coulomb_energy, energy_report, grid_energy_closed_form, interval_deficits
-from .oracle import DEFAULT_FREQ_DENSITY, SVD_CUTOFF, IllConditioned, _sigma_extremes, residual_scan
+from .oracle import SVD_CUTOFF, IllConditioned, _sigma_extremes, residual_scan
 from .typeproblem import (
     TWO_PI,
     beurling_gap_check,
@@ -160,7 +160,7 @@ def oracle_knee(curves) -> tuple[bool, str]:
         details.append(f"{ex.name}: knee {knee if knee is None else round(knee, 3)}"
                        f" vs {ex.expected_type:.3f}")
     m = catalog.koosis_measure(60.0)
-    s_pi, s_3pi = (_sigma_extremes(m, a, DEFAULT_FREQ_DENSITY)[0] for a in (math.pi, 3 * math.pi))
+    s_pi, s_3pi = (_sigma_extremes(m, a)[0] for a in (math.pi, 3 * math.pi))
     sep = s_pi / s_3pi
     ok = ok and sep <= 1e-2
     # a ratio below the relative SVD floor is rounding noise: print the bound
@@ -194,8 +194,12 @@ def constructions() -> tuple[bool, str]:
     w = WeightTable(np.array([-400.0, 400.0]), np.array([1.0]))
     aux = auxiliary_sequence(base, w, 0.05, 20.0)
     gap_ok = aux.max_gap <= 1.0 / 0.05 + aux.max_pair_width + 1e-9
-    widths_ok = bool(np.all(aux.pair_widths <= np.atleast_1d(w.evaluate(base.points[1:-1])) + 1e-12))
-    midpoints_ok = len(aux.b_matched) == len(base) - 2
+    inner, a_pts = base.points[1:-1], aux.a_sequence.points
+    # the A points on either side of each interior base point are its pair: no wider
+    # than w, and the C point between them is the base point, up to rounding
+    j = np.clip(np.searchsorted(a_pts, inner), 1, a_pts.size - 1)
+    widths_ok = bool(np.all(a_pts[j] - a_pts[j - 1] <= w.evaluate(inner) + 1e-12))
+    midpoints_ok = bool(np.all(np.abs(aux.c_sequence.points[j - 1] - inner) <= 1e-9 * base.window))
     ok = ok and gap_ok and widths_ok and midpoints_ok
     details.append(f"aux gaps<=1/eps+width: {gap_ok}; widths<=w: {widths_ok}; "
                    f"midpoints: {midpoints_ok}")

@@ -26,7 +26,6 @@ from typelab.constructions import (
     AuxiliaryFamily,
     BenedicksFamily,
     _equal_measure_points,
-    _near_sorted,
     alternating_partition,
     arithmetic,
     auxiliary_sequence,
@@ -565,13 +564,12 @@ def ref_auxiliary_sequence(B, w, epsilon, L):
     scale = max(1.0, float(np.max(np.abs(b))))
     matched = centers[np.isclose(centers[:, None], c_pts[None, :],
                                  atol=1e-9 * scale, rtol=0.0).any(axis=1)]
-    widths = 2.0 * l / 3.0
     return AuxiliaryFamily(
         RealSequence(a_pts, B.window, "auxiliary-A"),
         RealSequence(c_pts, B.window, "auxiliary-C"),
         RealSequence(matched, B.window, "auxiliary-B-matched"),
         float(np.max(np.diff(a_pts))) if a_pts.size > 1 else 0.0,
-        float(np.max(widths)), widths, len(fill))
+        float(np.max(2.0 * l / 3.0)), len(fill))
 
 
 def ref_benedicks_sequence(partition, C):
@@ -1535,16 +1533,6 @@ class TestConstructionKernels:
     def test_auxiliary_sequence_matches_loop(self, case):
         assert printed(auxiliary_sequence, *case) == printed(ref_auxiliary_sequence, *case)
 
-    @given(st.lists(st.integers(-40, 40), min_size=1), st.lists(st.integers(-40, 40)),
-           st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0]), st.floats(-1e3, 1e3))
-    @settings(max_examples=300, deadline=None)
-    def test_near_sorted_matches_all_pairs(self, ys, xs, atol, shift):
-        # quarter-integers put many distances at atol exactly; a shift rounds some of them
-        ys = np.sort(np.asarray(ys) / 4.0 + shift)
-        xs = np.asarray(xs, dtype=float) / 4.0 + shift
-        want = np.isclose(xs[:, None], ys[None, :], atol=atol, rtol=0.0).any(axis=1)
-        assert _near_sorted(xs, ys, atol).tolist() == want.tolist()
-
     @given(even_layouts())
     @example((np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0]), 5))
     @settings(max_examples=300, deadline=None)
@@ -1765,7 +1753,7 @@ class TestOracleKernel:
             (only,) = _blocks(measure, a, freq_count)
             assert bits(only) == bits(full)
             s = np.linalg.svd(full, compute_uv=False)
-            assert bits(_sigma_extremes(measure, a, 8.0)) == bits((float(s[-1]), float(s[0])))
+            assert bits(_sigma_extremes(measure, a)) == bits((float(s[-1]), float(s[0])))
 
     # the rows are scaled in place, in the reference's order of operations, so
     # every entry keeps its bits, in float64 and at EXTENDED_DPS digits

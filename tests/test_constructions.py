@@ -107,7 +107,13 @@ class TestAuxiliarySequence:
         aux = auxiliary_sequence(base, w, 0.05, 20.0)
         centers = base.points[1:-1]
         expected = (2.0 / 3.0) * np.minimum(1.0, np.exp(-np.abs(centers)))
-        assert np.allclose(aux.pair_widths, expected, rtol=1e-12)
+        # each center's pair: the A points on either side of it, each rounded to
+        # the float spacing of the center
+        a_pts = aux.a_sequence.points
+        j = np.searchsorted(a_pts, centers)
+        widths = a_pts[j] - a_pts[j - 1]
+        slack = 1e-12 * expected + 2 * np.spacing(np.abs(centers))
+        assert np.all(np.abs(widths - expected) <= slack)
 
     def test_matching_memory_is_linear(self):
         # an all-pairs match of the 4e3 base points against the 8e3 pair

@@ -41,15 +41,32 @@ REFUSED = [
      "coulomb energy needs at least 2 points"),
     ("short-interval", {"s": SEQ}, ["energy", "--input", "{s}", "--interval=0,0.5"],
      "interval length 0.5 < 1"),
+    ("interval-one-value", {"s": SEQ}, ["energy", "--input", "{s}", "--interval", "1"],
+     "--interval '1' is not 2 numbers separated by ','"),
+    ("interval-three-values", {"s": SEQ}, ["energy", "--input", "{s}", "--interval", "1,2,3"],
+     "--interval '1,2,3' is not 2 numbers separated by ','"),
+    ("interval-not-numbers", {"s": SEQ}, ["energy", "--input", "{s}", "--interval", "a,b"],
+     "--interval 'a,b' is not 2 numbers separated by ','"),
+    ("param-not-number", {}, ["construct", "arithmetic", "--param", "d=abc"],
+     "--param d=abc is not a number"),
+    ("beta-not-number", {}, ["construct", "weighted-measure", "--param", "beta=abc"],
+     "--param beta=abc is not a number"),
+    ("seed-not-integer", {}, ["construct", "perturbed", "--param", "seed=1.5"],
+     "--param seed=1.5 is not a non-negative integer"),
+    ("seed-negative", {}, ["construct", "perturbed", "--param", "seed=-1"],
+     "--param seed=-1 is not a non-negative integer"),
+    ("grid-two-values", {"s": SEQ}, ["density", "--input", "{s}", "--grid", "1:2"],
+     "--grid '1:2' is not 3 numbers separated by ':'"),
+    ("grid-not-numbers", {"s": SEQ}, ["density", "--input", "{s}", "--grid", "1,x"],
+     "--grid '1,x' is not a list of numbers separated by ','"),
+    ("grid-four-values", {"m": MEASURE}, ["type", "--input", "{m}", "--grid", "0.1:1:0.1:5"],
+     "--grid '0.1:1:0.1:5' is not 3 numbers separated by ':'"),
     ("coincident-points", {"s": {"points": [0, 1e-301], "window": 2}},
      ["energy", "--input", "{s}"],
      "two points closer than 1e-300"),
     ("oracle-grid", {"m": MEASURE},
      ["oracle", "--input", "{m}", "--a-min", "-2", "--a-max", "1", "--steps", "3"],
      "a-grid must be positive and strictly increasing"),
-    ("oracle-freq-density", {"m": MEASURE},
-     ["oracle", "--input", "{m}", "--a-max", "8", "--steps", "8", "--freq-density", "-5"],
-     "freq-density must be positive, got -5"),
     ("overlap", {"i": {"intervals": [[0, 2], [1, 3]]}}, ["classify", "--intervals", "{i}"],
      "(0.0, 2.0] overlaps (1.0, 3.0]"),
     ("not-short", {"i": {"intervals": [[2.0 ** n, 2.0 ** n + 2.0 ** (n - 1)]
@@ -100,6 +117,21 @@ def test_refused_input_message(docs, argv, message, tmp_path, capsys):
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+# options that no longer exist: refused by the parser, never silently ignored
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--input", "{m}", "--a-max", "8", "--steps", "8", "--freq-density", "8"],
+    ["regularity", "--scan", "families", "--input", "{s}", "--a", "1", "--epsilon", "0.05"],
+], ids=["oracle-freq-density", "regularity-epsilon"])
+def test_removed_option_refused(argv, tmp_path, capsys):
+    paths = {"m": tmp_path / "m.json", "s": tmp_path / "s.json"}
+    paths["m"].write_text(json.dumps(MEASURE))
+    paths["s"].write_text(json.dumps(SEQ))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "unrecognized arguments" in captured.err
 
 
 def test_only_caught_errors_subclass_typelab_error():

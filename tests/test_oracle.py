@@ -185,12 +185,6 @@ class TestResidualScan:
         with pytest.raises(TypelabError):
             residual_scan(m, [1.0, 2.0], threads=threads)
 
-    @pytest.mark.parametrize("freq_density", [0.0, -5.0, math.nan])
-    def test_freq_density_not_positive_refused(self, freq_density):
-        m = catalog.koosis_measure(10.0)
-        with pytest.raises(TypelabError, match="freq-density must be positive"):
-            residual_scan(m, [1.0, 2.0], freq_density=freq_density)
-
     @pytest.mark.parametrize("grid", [[math.nan], [1.0, math.nan], [math.nan, 2.0]])
     def test_nan_in_grid_refused(self, grid, monkeypatch):
         # an input error, not the IllConditioned that suite.bundle_curves retries

@@ -1,10 +1,11 @@
 """The benchmark's hooks into the library.
 
-``perfbench`` wraps library functions by name and builds its inputs from the
-catalog with positional arguments, so a renamed or removed function, or a
-changed signature, breaks ``perfbench/run.py --trace 1`` or its set-up.  These
-tests load the benchmark's modules from their source, without writing to
-``perfbench``, and exercise both hooks.
+``perfbench`` wraps library functions by name, builds its inputs from the
+catalog with positional arguments and runs fixed ``typelab`` command lines, so
+a renamed or removed function, a changed signature or a removed option breaks
+``perfbench/run.py --trace 1``, its set-up or its jobs.  These tests load the
+benchmark's modules from their source, without writing to ``perfbench``, and
+exercise all three hooks.
 """
 
 import sys
@@ -47,11 +48,13 @@ def test_tracer_resolves_every_probe():
 
 def test_workload_inputs_build(tmp_path):
     workloads = load("workloads")
+    parser = typelab.cli.build_parser()
     for name, make in workloads.WORKLOADS.items():
         workload = make("smoke")
         directory = tmp_path / name
         directory.mkdir()
         docs = workload.make_inputs(0, str(directory))
         for job in workload.jobs + workload.checks + workload.records:
-            job.resolve(docs)  # every document a job names was written
+            # every document a job names was written, and the CLI still has every option
+            parser.parse_args(job.resolve(docs))
         assert all(Path(path).is_file() for path in docs.values())
