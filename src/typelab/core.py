@@ -302,7 +302,7 @@ def shell_sum_verdict(locations, values) -> SumVerdict:
     against the shell index by least squares over the outer half of the
     shell range.  The slope decides: <= -0.2 convergent, >= -0.05
     divergent, otherwise inconclusive; fewer than four nonempty shells is
-    always inconclusive (:func:`shell_count`).
+    always inconclusive.
     """
     locations = np.asarray(locations, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -326,15 +326,8 @@ def shell_sum_verdict(locations, values) -> SumVerdict:
     return SumVerdict(total, shell_sums, inner_sum, classification, ratio)
 
 
-def shell_count(locations) -> int:
-    """Number of distinct dyadic shells among ``locations`` with ``|x| >= 1``;
-    a series over fewer than :data:`MIN_SHELLS` is inconclusive, whatever its values."""
-    mags = np.abs(np.asarray(locations, dtype=float))
-    return int(np.unique(shell_index(mags[~(mags < 1.0)])).size)
-
-
 def _classify_shells(shell_sums: tuple) -> tuple[str, float | None]:
-    count = len(shell_sums)     # the nonempty shells, as shell_count counts them
+    count = len(shell_sums)
     if count < MIN_SHELLS:
         return INCONCLUSIVE, None
     shells = shell_sums
@@ -364,10 +357,8 @@ def _classify_shells(shell_sums: tuple) -> tuple[str, float | None]:
     xs = np.array([p[0] for p in pts], dtype=float)
     ys = np.array([p[1] for p in pts], dtype=float)
     xbar, ybar = xs.mean(), ys.mean()
-    denom = float(np.sum((xs - xbar) ** 2))
-    if denom == 0.0:
-        return INCONCLUSIVE, None
-    slope = float(np.sum((xs - xbar) * (ys - ybar)) / denom)
+    # the fit has at least two distinct shell indices, so a positive denominator
+    slope = float(np.sum((xs - xbar) * (ys - ybar)) / np.sum((xs - xbar) ** 2))
     ratio = math.exp(min(max(slope, -700.0), 700.0))
     if slope <= SLOPE_CONVERGENT:
         return CONVERGENT, ratio
@@ -405,6 +396,13 @@ def poisson_piece_contributions(pieces) -> np.ndarray:
     u, v, owner = split_pieces_at_shells(arr[:, 0], arr[:, 1])
     contribs = arr[owner, 2] * (map_libm(math.atan, v) - map_libm(math.atan, u))
     return np.column_stack((_mids(u, v), contribs))
+
+
+def poisson_step_verdict(lefts, rights, values) -> SumVerdict:
+    """Classify the Poisson integral of the step function ``values[i]`` on
+    ``[lefts[i], rights[i]]``, from its :func:`poisson_piece_contributions`."""
+    pieces = np.column_stack((lefts, rights, values))
+    return shell_sum_verdict(*poisson_piece_contributions(pieces).T)
 
 
 # 0 and every dyadic shell boundary +-2^j (j >= 0) below the largest double

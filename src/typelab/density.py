@@ -118,12 +118,10 @@ def regularity_block_scan(seq: RealSequence, a: float) -> SumVerdict:
     """
     if a < 0:
         raise TypelabError("need a >= 0")
-    blocks = _dyadic_blocks(seq.window)
-    lefts, rights = blocks.T
-    lengths = rights - lefts
+    blocks, counts, lengths = _block_counts(seq)
     # the innermost block (-1, 1] takes no part in this scan
-    bad = blocks[(lefts != -1.0) & (np.abs(seq.count_in(lefts, rights) / lengths - a)
-                                    > BLOCK_SCAN_EPSILON * max(a, 1.0) + 1.0 / lengths)]
+    bad = blocks[(blocks[:, 0] != -1.0) & (np.abs(counts / lengths - a)
+                                           > BLOCK_SCAN_EPSILON * max(a, 1.0) + 1.0 / lengths)]
     if not bad.size:
         return SumVerdict(0.0, (), 0.0, CONVERGENT, 0.0, note="no violating blocks")
     return replace(classify_family(bad), note=f"{len(bad)} violating blocks")
@@ -204,13 +202,13 @@ def density_grid(values) -> list[float]:
 
 
 def downward_scan(support: RealSequence, grid: list[float], skip_energy: bool,
-                  judge) -> tuple[tuple, float, InteriorCertificate | None]:
-    """Scan the increasing ``grid`` downward for the first ``d`` that ``judge`` passes.
+                  judge=None) -> tuple[tuple, float, InteriorCertificate | None]:
+    """Scan the increasing ``grid`` downward for the first ``d`` that passes.
 
     For each candidate ``d`` a greedy short partition of ``support`` is
-    built, a spread-out subsequence of target density is selected inside
-    each interval, and ``judge(selected, report)`` of its d-uniformity
-    report gives ``(passed, note)``.  Returns the diagnostics in
+    built and a spread-out subsequence of target density selected inside
+    each interval; a selection that is d-uniform there passes, unless
+    ``judge(selected)`` gives ``(False, note)``.  Returns the diagnostics in
     increasing ``d``, the passing ``d`` and its certificate (0 and None
     when every candidate fails).
     """
@@ -227,7 +225,10 @@ def downward_scan(support: RealSequence, grid: list[float], skip_energy: bool,
             diagnostics.append((d, False, "selection empty"))
             continue
         report = _evaluate(selected, d, partition, "given", skip_energy, scan=True)
-        passed, note = judge(selected, report)
+        if not report.overall:
+            passed, note = False, _verdict_note(report)
+        else:
+            passed, note = judge(selected) if judge else (True, "pass")
         diagnostics.append((d, passed, note))
         if passed:
             value, certificate = d, InteriorCertificate(selected, partition, report)
@@ -246,24 +247,22 @@ def interior_density(seq: RealSequence, d_grid) -> DensityEstimate:
     d_grid = density_grid(d_grid)
     if len(seq) == 0:
         raise InsufficientData("cannot estimate the density of an empty sequence")
-    diagnostics, value, certificate = downward_scan(
-        seq, d_grid, False, lambda selected, report: (report.overall, _verdict_note(report)))
+    diagnostics, value, certificate = downward_scan(seq, d_grid, False)
     return DensityEstimate(value, INTERIOR, certificate, diagnostics)
 
 
 def _verdict_note(report: UniformityReport) -> str:
-    if report.overall:
-        return "pass"
+    """The failed legs of a failing scan report; an energy leg not run reads ``not-run``."""
     parts = []
-    if report.reason:
-        parts.append(report.reason)
-    if report.density is not None and not report.density.passed:
+    if not report.density.passed:
         parts.append(f"density dev {report.density.max_outer_deviation:.3g}")
-    if report.short_verdict is not None and report.short_verdict.classification != CONVERGENT:
+    if report.short_verdict.classification != CONVERGENT:
         parts.append(f"partition {report.short_verdict.classification}")
-    if report.energy_verdict is not None and report.energy_verdict.classification != CONVERGENT:
-        parts.append(f"energy {report.energy_verdict.classification}")
-    return "; ".join(parts) or "fail"
+    if not report.energy_skipped:
+        energy = report.energy_verdict.classification if report.energy_verdict else "not-run"
+        if energy != CONVERGENT:
+            parts.append(f"energy {energy}")
+    return "; ".join(parts)
 
 
 def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
@@ -282,8 +281,11 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
                                tuple((a, True, "empty sequence") for a in a_grid))
     diagnostics: list[tuple[float, bool, str]] = []
     value = None
+    blocks, counts, lengths = _block_counts(seq)
     for a in a_grid:
-        excess = _excess_blocks(seq, a)
+        # an absolute slack: a larger, relative one would read an upper bound on its unsafe side
+        with np.errstate(over="ignore"):  # an infinite target is never exceeded
+            excess = blocks[counts - a * lengths > SLACK_POINTS]
         if len(excess) == 0:
             feasible, note = True, "no excess blocks"
         else:
@@ -299,14 +301,10 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
     return DensityEstimate(value, EXTERIOR, None, tuple(diagnostics))
 
 
-def _excess_blocks(seq: RealSequence, a: float) -> np.ndarray:
-    """``(left, right)`` rows of the dyadic blocks where the count exceeds the repairable target."""
+def _block_counts(seq: RealSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dyadic blocks of ``seq``'s window, their point counts and their lengths."""
     blocks = _dyadic_blocks(seq.window)
-    lefts, rights = blocks.T
-    lengths = rights - lefts
-    # an absolute slack: a larger, relative one would read an upper bound on its unsafe side
-    with np.errstate(over="ignore"):  # an infinite target is never exceeded
-        return blocks[seq.count_in(lefts, rights) - a * lengths > SLACK_POINTS]
+    return blocks, seq.count_in(*blocks.T), blocks[:, 1] - blocks[:, 0]
 
 
 def _dyadic_blocks(T: float) -> np.ndarray:

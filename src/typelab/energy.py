@@ -120,15 +120,12 @@ def energy_report(config, interval: Interval) -> EnergyReport:
     if not math.isfinite(interval.length):
         raise TypelabError(f"interval ({interval.left:g}, {interval.right:g}] "
                            "is longer than the float range")
-    if interval.length < LEAST_LENGTH:
-        raise TypelabError(f"interval length {interval.length} < {LEAST_LENGTH:g}")
     pts = np.sort(_as_points(config))
-    lo = np.searchsorted(pts, interval.left, side="right")
-    hi = np.searchsorted(pts, interval.right, side="right")
-    delta = int(hi - lo)
-    energy = coulomb_energy(pts[lo:hi]) if delta >= 2 else 0.0
-    deficit = delta * delta * math.log(interval.length) - energy
-    return EnergyReport(delta, energy, deficit, interval)
+    pts = pts[slice(*np.searchsorted(pts, [interval.left, interval.right], side="right"))]
+    lo, hi, delta = np.array([0]), np.array([pts.size]), pts.size
+    check_intervals(pts, lo, hi, np.array([interval.length]))
+    energy = float(interval_energies(pts, lo, hi)[0])
+    return EnergyReport(delta, energy, delta * delta * math.log(interval.length) - energy, interval)
 
 
 def check_intervals(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,

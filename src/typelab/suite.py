@@ -190,7 +190,8 @@ def constructions() -> tuple[bool, str]:
     ok = rep.overall
     details.append(f"block construction d-uniform at 0.5: {rep.overall}")
 
-    base = arithmetic(1.0, 400.0)
+    # gaps of 2 are wider than w = 1, so a pair wider than w fits between its neighbours
+    base = arithmetic(0.5, 400.0)
     w = WeightTable(np.array([-400.0, 400.0]), np.array([1.0]))
     aux = auxiliary_sequence(base, w, 0.05, 20.0)
     gap_ok = aux.max_gap <= 1.0 / 0.05 + aux.max_pair_width + 1e-9

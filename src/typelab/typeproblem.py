@@ -33,12 +33,12 @@ from .core import (
     _mids,
     dist0,
     map_libm,
-    poisson_piece_contributions,
+    poisson_step_verdict,
     poisson_tail_sum,
     shell_index,
     shell_sum_verdict,
 )
-from .density import _verdict_note, density_grid, downward_scan
+from .density import density_grid, downward_scan
 from .partitions import InsufficientData, classify_family, family_bounds
 from .uniformity import UniformityReport, check_d_uniform
 
@@ -147,9 +147,7 @@ def _scan_type(measure: DiscreteMeasure, d_grid, separated: bool) -> TypeEstimat
     support = RealSequence(measure.positions[mask], measure.window, "weight-filtered")
     weights: list[SumVerdict] = []
 
-    def judge(selected: RealSequence, report: UniformityReport) -> tuple[bool, str]:
-        if not report.overall:
-            return False, _verdict_note(report)
+    def judge(selected: RealSequence) -> tuple[bool, str]:
         weights.append(weight_sum_verdict(measure, selected.points))
         cls = weights[-1].classification
         return cls == CONVERGENT, "pass" if cls == CONVERGENT else f"weight sum {cls}"
@@ -268,9 +266,6 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
     # M(x) = tail[k] on [b_{k-1}, b_k) with b_-1 = 0
     cuts = np.concatenate([[0.0], pos_atoms])
     zero_from = float(pos_atoms[-1]) if pos_atoms.size else 0.0
-    held = tail[:-1] > 0
-    pieces = np.column_stack((cuts[:-1][held], cuts[1:][held],
-                              np.abs(map_libm(math.log, tail[:-1][held]))))
     thresholds = _levinson_thresholds(cuts, tail)
     evidence: dict = {"thresholds": thresholds.tolist()}
     if len(thresholds) >= 2:
@@ -281,7 +276,9 @@ def levinson_check(measure: DiscreteMeasure) -> TheoremVerdict:
         evidence["zero_tail"] = [zero_from, T]
         evidence["poisson_log_tail"] = None
         return TheoremVerdict("tail-decay", True, Conclusion(MU_MUST_VANISH), evidence)
-    verdict = shell_sum_verdict(*poisson_piece_contributions(pieces).T)
+    held = tail[:-1] > 0
+    verdict = poisson_step_verdict(cuts[:-1][held], cuts[1:][held],
+                                   np.abs(map_libm(math.log, tail[:-1][held])))
     evidence["poisson_log_tail"] = verdict
     kind = MU_MUST_VANISH if verdict.classification == DIVERGENT else INCONCLUSIVE
     return TheoremVerdict("tail-decay", True, Conclusion(kind), evidence)
@@ -336,9 +333,8 @@ def debranges_check(K: WeightTable, measure: DiscreteMeasure,
     mass_series = shell_sum_verdict(measure.positions, kw * measure.masses)
     mass_ok = mass_series.classification == CONVERGENT
 
-    log_pieces = np.column_stack((K.breakpoints[:-1], K.breakpoints[1:],
-                                  map_libm(math.log, K.values)))
-    poisson_logk = shell_sum_verdict(*poisson_piece_contributions(log_pieces).T)
+    poisson_logk = poisson_step_verdict(K.breakpoints[:-1], K.breakpoints[1:],
+                                        map_libm(math.log, K.values))
     unsummable = poisson_logk.classification == DIVERGENT
 
     applicable = continuity_ok and mass_ok and unsummable
@@ -366,10 +362,7 @@ def krein_lm_check(density_samples: WeightTable, monotone_flag: bool = True) -> 
     logs = np.abs(map_libm(math.log, np.where(pos, vals, 1.0)))
 
     def log_verdict(mask: np.ndarray) -> SumVerdict | None:
-        if not mask.any():
-            return None
-        pieces = np.column_stack((lefts[mask], rights[mask], logs[mask]))
-        return shell_sum_verdict(*poisson_piece_contributions(pieces).T)
+        return poisson_step_verdict(lefts[mask], rights[mask], logs[mask]) if mask.any() else None
 
     overall = log_verdict(pos)
     evidence: dict = {"poisson_log_density": overall,

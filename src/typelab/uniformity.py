@@ -16,8 +16,6 @@ import numpy as np
 
 from .core import (
     CONVERGENT,
-    INCONCLUSIVE,
-    MIN_SHELLS,
     SLACK_POINTS,
     Partition,
     PartitionIndex,
@@ -25,7 +23,6 @@ from .core import (
     SumVerdict,
     TypelabError,
     poisson_tail_sum,
-    shell_count,
 )
 from .energy import LEAST_LENGTH, check_intervals, interval_deficits
 from .partitions import InsufficientData, classify_family, find_short_partition
@@ -49,7 +46,7 @@ class UniformityReport:
     d: float
     partition: Partition | None
     # rows of (count, length, ratio, deficit); deficit is None when the
-    # energy leg was skipped or its deficits were not computed
+    # energy leg was skipped or not run
     per_interval: tuple[tuple[int, float, float, float | None], ...]
     density: DensityCheck | None
     energy_verdict: SumVerdict | None
@@ -67,8 +64,6 @@ def merge_short_intervals(partition: Partition) -> Partition:
     never dropped: a short interval ending at 0 extends leftward instead.
     """
     bks = list(partition.breakpoints)
-    if len(bks) == 2:
-        return partition
     out = [bks[0]]
     for i, b in enumerate(bks[1:], start=1):
         is_last = i == len(bks) - 1
@@ -129,17 +124,16 @@ def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
     idx = _covering_index(seq, partition)
     density = _density_leg(idx, d)
     energy_v, deficits = None, [None] * len(partition)
-    if scan and not skip_energy and shell_count(idx.dist0) < MIN_SHELLS:
-        # energy and shortness verdicts on these locations are inconclusive: it fails
+    legs_pass = density.passed and short_v.classification == CONVERGENT
+    if not skip_energy and scan and not legs_pass:
+        # a failed density or shortness leg decides a scan candidate, whatever
+        # its energies: the energy leg only checks the intervals, and is not run
         check_intervals(seq.points, idx.lo, idx.hi, idx.lengths)
-        energy_v = SumVerdict(None, (), None, INCONCLUSIVE,
-                              note=f"deficits not computed: fewer than {MIN_SHELLS} dyadic shells")
     elif not skip_energy:
         energy_v, deficits = _energy_leg(seq, idx)
         deficits = deficits.tolist()
     rows = tuple(zip(idx.counts.tolist(), idx.lengths.tolist(), density.ratios, deficits))
-    ok = (density.passed and short_v.classification == CONVERGENT
-          and (skip_energy or energy_v.classification == CONVERGENT))
+    ok = legs_pass and (skip_energy or energy_v.classification == CONVERGENT)
     return UniformityReport(d, partition, rows, density, energy_v, short_v,
                             ok, source, skip_energy)
 

@@ -54,6 +54,7 @@ from typelab.core import (
 )
 from typelab import density, energy, uniformity
 from typelab.density import (
+    DensityEstimate,
     InteriorCertificate,
     _dyadic_blocks,
     _farthest_points,
@@ -427,6 +428,31 @@ def ref_excess_blocks(seq, a):
         if count - 2 * a > SLACK_POINTS:
             out.append(Interval(-1.0, 1.0))
     return out
+
+
+def ref_exterior_density(seq, a_grid):
+    """The exterior scan as a loop over the grid, its excess blocks found anew for
+    every grid value by :func:`ref_excess_blocks`."""
+    a_grid = sorted(a_grid)
+    if len(seq) == 0:
+        return DensityEstimate(a_grid[0], "exterior", None,
+                               tuple((a, True, "empty sequence") for a in a_grid))
+    diagnostics, value = [], None
+    for a in a_grid:
+        excess = ref_excess_blocks(seq, a)
+        if not excess:
+            feasible, note = True, "no excess blocks"
+        else:
+            verdict = classify_family(excess)
+            feasible = verdict.classification == CONVERGENT
+            note = f"excess family {verdict.classification} ({len(excess)} blocks)"
+        diagnostics.append((a, feasible, note))
+        if feasible and value is None:
+            value = a
+    if value is None:
+        raise TypelabError(f"no grid value up to {a_grid[-1]:g} is a feasible exterior "
+                           f"density ({note}); extend the grid")
+    return DensityEstimate(value, "exterior", None, tuple(diagnostics))
 
 
 def ref_regularity_block_scan(seq, a, epsilon=0.05):
@@ -836,9 +862,11 @@ def ref_levinson_thresholds(cuts, tail):
     return np.asarray(out)
 
 
-def ref_downward_scan(support, grid, skip_energy, judge):
+def ref_downward_scan(support, grid, skip_energy, judge=None):
     """The downward scan with the full ``_evaluate`` of ``check_d_uniform`` on a
-    given partition, Coulomb pass included, for every candidate."""
+    given partition, Coulomb pass included, for every candidate.  A failing
+    candidate's note drops the energy verdict exactly where its density or
+    shortness leg failed."""
     diagnostics = []
     value, certificate = 0.0, None
     for d in reversed(grid):
@@ -852,7 +880,14 @@ def ref_downward_scan(support, grid, skip_energy, judge):
             diagnostics.append((d, False, "selection empty"))
             continue
         report = _evaluate(selected, d, partition, "given", skip_energy)
-        passed, note = judge(selected, report)
+        if report.overall:
+            passed, note = judge(selected) if judge else (True, "pass")
+        else:
+            decided = not (report.density.passed
+                           and report.short_verdict.classification == CONVERGENT)
+            passed = False
+            note = density._verdict_note(
+                dataclasses.replace(report, energy_verdict=None) if decided else report)
         diagnostics.append((d, passed, note))
         if passed:
             value, certificate = d, InteriorCertificate(selected, partition, report)
@@ -1321,9 +1356,7 @@ class TestDyadicBlocks:
     def test_scans_match_loop(self, seq, a):
         assert printed(regularity_block_scan, seq, a) == printed(ref_regularity_block_scan, seq, a)
         grid = [0.05, 0.5, 1.0, 2.0, 8.0] + [a] * (a > 0)
-        with mock.patch("typelab.density._excess_blocks", ref_excess_blocks):
-            want = printed(exterior_density, seq, grid)
-        assert printed(exterior_density, seq, grid) == want
+        assert printed(exterior_density, seq, grid) == printed(ref_exterior_density, seq, grid)
 
 
 class TestBenedicksKernel:
@@ -1361,10 +1394,9 @@ class TestBenedicksKernel:
 # ---------------------------------------------------------------- density scan
 
 
-def energy_not_computed(report):
-    """Whether the scan classified ``report``'s energy leg without the Coulomb pass."""
-    v = report.energy_verdict
-    return v is not None and (v.note or "").startswith("deficits not computed")
+def energy_not_run(report):
+    """Whether the scan decided ``report`` without its Coulomb pass."""
+    return report.energy_verdict is None and not report.energy_skipped
 
 
 @st.composite
@@ -1382,12 +1414,13 @@ def scan_cases(draw):
 class TestScanShortcut:
     def test_estimators_match_full_scan(self):
         """Interior density and both type scans print what a full check of every
-        candidate prints, on cases that reach the fewer-than-4-shell shortcut."""
+        candidate prints, on cases where the scan decides candidates whose
+        density or shortness leg failed without their Coulomb pass."""
         skipped = []
 
         def counted(*args, **kwargs):
             report = _evaluate(*args, **kwargs)
-            skipped.append(energy_not_computed(report))
+            skipped.append(energy_not_run(report))
             return report
 
         @given(scan_cases())

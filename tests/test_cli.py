@@ -112,6 +112,16 @@ class TestSubcommands:
         assert csv_out == render_csv(json.loads(out))
         assert csv_out.startswith("key,value\n")
 
+    def test_uniform_merges_a_short_last_interval_leftward(self, tmp_path, capsys):
+        seq, part = tmp_path / "seq.json", tmp_path / "part.json"
+        seq.write_text(json.dumps({"points": [-9, -7, -5, -3, -1, 0.5, 2, 4, 6, 8, 9.7],
+                                   "window": 10}))
+        part.write_text(json.dumps({"breakpoints": [-10, 0, 5, 9.5, 10]}))
+        code, out = run_cli(["uniform", "--input", str(seq), "--d", "1.0",
+                             "--partition", str(part)], capsys)
+        assert code == 0
+        assert json.loads(out)["partition"]["breakpoints"] == [-10, 0, 5, 10]
+
     def test_csv_format(self, seq_file, capsys):
         code, out = run_cli(["energy", "--input", seq_file, "--format", "csv"], capsys)
         assert code == 0
@@ -223,6 +233,14 @@ class TestInputValidation:
     def test_empty_type_grid(self, measure_file, separated, capsys):
         assert exits_cleanly_with_2(["type", "--input", measure_file,
                                      "--grid", "1:0:0.1"] + separated, capsys)
+
+    def test_interior_density_of_an_empty_sequence(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"points": [], "window": 10}))
+        assert main(["density", "--input", str(path), "--kind", "interior",
+                     "--grid", "0.5,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot estimate the density of an empty sequence\n")
 
     def test_infeasible_exterior_grid(self, tmp_path, capsys):
         # every grid value is below the density of a long unit-spaced sequence

@@ -20,15 +20,17 @@ while those two checkers and ``hybrid_check`` still measured one interval
 at a time.
 The ``regularity-families`` and ``theorem-beurling-gap-union`` digests were
 taken while the dyadic blocks were still built one ``Interval`` at a time.
-The ``density-interior-pert-small``, ``type-pert-small`` and
-``uniform-pert-small`` digests were taken while the downward scan still
-computed the Coulomb energies of every candidate.  On the T = 1000
-perturbed lattice some failing scan candidates have a partition over fewer
-than four dyadic shells, which the scan now classifies without that pass
-(``test_scan_goldens_reach_the_shortcut``), and so do some on the T = 26
-``type-selection-empty`` input; the T = 2000 inputs never give one.
-``uniform-pert-small`` prints the deficits of a greedy partition over two
-shells, so it pins ``check_d_uniform`` itself.
+The ``uniform-pert-small`` digest was taken while the downward scan still
+computed the Coulomb energies of every candidate; it prints the deficits
+of a greedy partition over two shells, so it pins ``check_d_uniform``
+itself, which always runs the energy leg.  The scan runs it only where the
+density leg passed and the shortness leg is ``convergent``: elsewhere the
+candidate fails whatever its energies, and its note reads
+``energy not-run`` (``test_scan_goldens_reach_the_shortcut``).  The
+``density-interior-pert``, ``density-interior-pert-small``,
+``type-pert-small`` and ``type-selection-empty`` digests were re-recorded
+for that note, the only bytes that moved; the other scan goldens have no
+such candidate, and ``type-separated`` skips the energy leg altogether.
 The five ``type`` digests (``type``, ``type-csv``, ``type-pert-small``,
 ``type-selection-empty`` and ``type-separated``) were re-recorded when the
 weight penalty became ``max(0, -log(m / |mu|)) / (1 + x^2)``, by position
@@ -39,6 +41,7 @@ A changed digest means a changed report, not a formatting detail.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -62,7 +65,7 @@ GOLDEN = {
     "type": (["type", "--input", "koosis"],
              "78be8ab89a2e9e9375196d2dc8e32d93a53870c151d96aac448b07138d6d4a47"),
     "type-selection-empty": (["type", "--input", "super-exp", "--grid", "0.05:1.3:0.05"],
-                             "9252e9a612153552d2c577096428222c5c62b2e43943d71f1bafcb7daa8f85e9"),
+                             "fa1906583708b3df4adebac4aabe8e3e73ae0ccc03b069ea7a5e16f75228f8b0"),
     "type-separated": (["type", "--input", "koosis", "--separated"],
                        "5e4700bc3b68261a85c2a8a60e3f07d794e63a27de8e484b832dbbfa47e4bc16"),
     "regularity": (["regularity", "--input", "pert", "--a", "1"],
@@ -72,7 +75,7 @@ GOLDEN = {
     "density-interior-arith": (["density", "--input", "arith", "--kind", "interior"] + GRID,
                                "c7c7ef3197eae6bae64abf15db44a119fc21d5966e72d14dfad8ba70f62bb606"),
     "density-interior-pert": (["density", "--input", "pert", "--kind", "interior"] + GRID,
-                              "88c1059430e6ee4a8bef4bc4a0c48f97f7b5ef0a579abb2d2815100ae9f0b49a"),
+                              "fa620714745fb7c7de08727294fb9cfaaf896b4647779aa117748c2981db3ebc"),
     "density-exterior-pert": (["density", "--input", "pert", "--kind", "exterior"] + GRID,
                               "9d9f2ec1b0694977ae8d6345ee75f6c8f435cb0f55291431ae0dfa7743e7ea53"),
     "theorem-levinson": (["theorem", "levinson", "--input", "koosis"],
@@ -135,9 +138,9 @@ GOLDEN = {
                     "1216807d812b47c76a731a321457eb3309b26db17e9144920ecb0c0b04e76347"),
     "density-interior-pert-small": (["density", "--input", "pert-small", "--kind", "interior"]
                                     + GRID,
-                                    "4a26e2913a4891580372b5586b2771de95a9f2d3a6f86b4bcd9ae732067e76f5"),
+                                    "98ac7088c5abb2712ea1925f35f82e38b62d36e77a2b89e7c4dd8d2478442cb6"),
     "type-pert-small": (["type", "--input", "pert-small-poly"],
-                        "ddf90d73826cb3f76f99a972007fa04601b2e4d3dbbdad06bc59e5e1903b5131"),
+                        "ad4dbb5e6f02a02ba65df51c197e4676d976c567b8bbca4b6203d78682fbcc26"),
     "uniform-pert-small": (["uniform", "--input", "pert-small", "--d", "1.05"],
                            "b6bcc5fa95bf29fd3c678ab7a08a845d8c8e90e299d19957d6fa481f533161a4"),
 }
@@ -205,10 +208,10 @@ def test_stdout_bytes_unchanged(name, documents, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# the scan goldens: True where some failing candidate's partition spans fewer
-# than four dyadic shells, so that it is classified without its Coulomb pass
+# the scan goldens: True where some candidate's density or shortness leg
+# failed, so that the scan decides it without its Coulomb pass
 SCAN_SHORTCUT = {"density-interior-pert-small": True, "type-pert-small": True,
-                 "density-interior-arith": False, "density-interior-pert": False,
+                 "density-interior-arith": False, "density-interior-pert": True,
                  "type": False, "type-csv": False, "type-selection-empty": True,
                  "type-separated": False}
 
@@ -219,11 +222,18 @@ def test_scan_goldens_reach_the_shortcut(name, documents, capsys, monkeypatch):
 
     def counted(*args, **kwargs):
         report = uniformity._evaluate(*args, **kwargs)
-        skipped.append(report.energy_verdict is not None
-                       and report.energy_verdict.value_truncated is None)
+        skipped.append(report.energy_verdict is None and not report.energy_skipped)
         return report
 
     monkeypatch.setattr(density, "_evaluate", counted)
     assert main([documents.get(a, a) for a in GOLDEN[name][0]]) == 0
     capsys.readouterr()
     assert any(skipped) == SCAN_SHORTCUT[name]
+
+
+def test_separated_scan_notes_name_no_energy_leg(documents, capsys):
+    """A ``--separated`` scan skips the energy leg, so no failing note names it."""
+    assert main(["type", "--input", documents["pert-small-poly"], "--separated"]) == 0
+    notes = [note for _, passed, note in json.loads(capsys.readouterr().out)["diagnostics"]
+             if not passed and not note.startswith("partition:")]
+    assert notes and all("partition" in note and "energy" not in note for note in notes)
