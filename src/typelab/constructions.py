@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    COUNT_ROUNDING,
     DiscreteMeasure,
     Partition,
     RealSequence,
     TypelabError,
     WeightTable,
+    lattice_count,
 )
 from .typeproblem import benedicks_conditions
 
@@ -41,7 +41,7 @@ def arithmetic(d: float, T: float) -> RealSequence:
     if 2.0 * d * T + 1.0 > ARITHMETIC_MAX_POINTS:
         raise TypelabError(f"arithmetic progression of density {d:g} on [-{T:g}, {T:g}] "
                            f"would have more than {ARITHMETIC_MAX_POINTS} points")
-    kmax = int(math.floor(d * T + COUNT_ROUNDING))
+    kmax = int(lattice_count(d, T))
     while kmax / d > T:     # the slack may take a point just outside [-T, T]
         kmax -= 1
     pts = np.arange(-kmax, kmax + 1, dtype=float) / d

@@ -35,7 +35,7 @@ SLOPE_CONVERGENT = -0.2
 SLOPE_DIVERGENT = -0.05
 MIN_SHELLS = 4
 
-# a count meets d * length when it is at least d * length - COUNT_ROUNDING (its rounding)
+# the rounding a count may lose to d * length; read only by count_meets and lattice_count
 COUNT_ROUNDING = 1e-9
 # points a count may stray from d * length: the density leg's tolerance, a block's excess
 SLACK_POINTS = 2.0
@@ -155,6 +155,16 @@ class PartitionIndex:
 def dist0(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """Distance from 0 to the closure of every ``(lefts[i], rights[i]]``."""
     return np.where(lefts > 0.0, lefts, np.where(rights < 0.0, -rights, 0.0))
+
+
+def count_meets(count, d, length):
+    """Whether ``count`` points meet the target ``d * length``, up to its rounding."""
+    return count >= d * length - COUNT_ROUNDING
+
+
+def lattice_count(d, length):
+    """``floor(d * length)`` up to its rounding: a density-``d`` lattice's points in ``length``."""
+    return np.floor(d * length + COUNT_ROUNDING)
 
 
 @dataclass(frozen=True)

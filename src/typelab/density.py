@@ -19,12 +19,12 @@ import numpy as np
 from .core import (
     _SHELL_CUTS,
     CONVERGENT,
-    COUNT_ROUNDING,
     SLACK_POINTS,
     Partition,
     RealSequence,
     SumVerdict,
     TypelabError,
+    lattice_count,
     map_libm,
     shell_sum_verdict,
     split_pieces_at_shells,
@@ -78,7 +78,7 @@ def strong_regularity_defect(seq: RealSequence, a: float) -> SumVerdict:
     sign change); contributions are binned into dyadic shells for the
     convergence verdict.
     """
-    if a < 0:
+    if not a >= 0:  # also true on NaN
         raise TypelabError("regularity parameter must be nonnegative")
     T = seq.window
     # the antiderivative reaches a log(1 + T^2) / 2, and differences of two of them
@@ -116,7 +116,7 @@ def regularity_block_scan(seq: RealSequence, a: float) -> SumVerdict:
     with regularity.  The integral-defect form is the default instrument;
     this scan follows the primary definition directly.
     """
-    if a < 0:
+    if not a >= 0:  # also true on NaN
         raise TypelabError("need a >= 0")
     blocks, counts, lengths = _block_counts(seq)
     # the innermost block (-1, 1] takes no part in this scan
@@ -139,7 +139,7 @@ def spread_selection(seq: RealSequence, partition: Partition, d: float) -> RealS
     pts = seq.points
     idx = partition.index(pts)
     m = idx.counts
-    k = np.floor(d * idx.lengths + COUNT_ROUNDING)
+    k = lattice_count(d, idx.lengths)
     keep = np.zeros(pts.size, dtype=bool)
     # the intervals are contiguous: they hold points lo[0] .. hi[-1] - 1 in turn
     keep[idx.lo[0]:idx.hi[-1]] = np.repeat(k >= m, m)

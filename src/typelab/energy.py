@@ -5,9 +5,10 @@ pairs ``k != l`` (every unordered pair counted twice, matching the per-point
 factorial closed form for arithmetic grids).  The deficit of a configuration
 inside an interval ``I`` is ``count^2 * log|I| - energy``; it is nonnegative
 whenever ``|I| >= 1`` and measures how far the points are from uniform.
-Up to 512 points the pairs come from one table built on first use: the last
-n(n-1)/2 entries of ``np.triu_indices(512, 1) - 512``, added to the end of n
-points, are ``np.triu_indices(n, 1)``.  Longer rows reuse one buffer.
+One kernel, :func:`interval_energies`, sums every energy.  Up to 512 points
+the pairs come from one table built on first use: the last n(n-1)/2 entries
+of ``np.triu_indices(512, 1) - 512``, added to the end of n points, are
+``np.triu_indices(n, 1)``.  Longer rows reuse one buffer.
 """
 
 from __future__ import annotations
@@ -77,22 +78,7 @@ def coulomb_energy(config) -> float:
         raise TypelabError("points span more than the float range")
     if np.min(np.diff(pts)) < DEGENERATE_DISTANCE:
         raise TypelabError("two points closer than 1e-300")
-
-    if n <= _MATRIX_LIMIT:
-        # numpy's pairwise (cascade) summation keeps the error compensated
-        # and the reduction order fixed for a given size
-        return 2.0 * float(_pair_logs(pts, n, n).sum())
-
-    # row-blocked pairwise sum; fixed block size keeps the reduction order
-    # independent of the execution environment
-    block_sums, row = [], np.empty(n - 1)
-    for start in range(0, n - 1, _BLOCK):
-        acc = 0.0
-        for i in range(start, min(start + _BLOCK, n - 1)):
-            gaps = np.subtract(pts[i + 1:], pts[i], out=row[:n - 1 - i])
-            acc += float(np.log(gaps, out=gaps).sum())
-        block_sums.append(acc)
-    return 2.0 * math.fsum(block_sums)
+    return float(interval_energies(pts, np.array([0]), np.array([n]))[0])
 
 
 def grid_energy_closed_form(delta: int, d: float) -> float:
@@ -162,17 +148,31 @@ def interval_energies(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.
     ``points`` are sorted within each interval and their gaps already
     checked.  Up to 512 points, the pair logarithms of all intervals of one
     size come from one ``np.log`` call over the shared pair table, and each
-    interval's row is summed on its own, as :func:`coulomb_energy` sums it
-    (a reduction over ``axis=1`` is free to take another order).  Larger
-    intervals take the row-blocked path of :func:`coulomb_energy`.
+    interval's row is summed on its own by numpy's pairwise summation, whose
+    order is fixed for a given size (a reduction over ``axis=1`` is free to
+    take another).  Larger intervals are summed row by row.
     """
     sizes = hi - lo
     out = np.zeros(sizes.size)
     for n in np.unique(sizes[(sizes >= 2) & (sizes <= _MATRIX_LIMIT)]).tolist():
         which = np.flatnonzero(sizes == n)
         step = max(1, _BATCH_TERMS // (n * (n - 1) // 2))
-        for part in np.split(which, np.arange(step, which.size, step)):
+        for part in (which[s:s + step] for s in range(0, which.size, step)):
             out[part] = [2.0 * float(row.sum()) for row in _pair_logs(points, hi[part, None], n)]
     for i in np.flatnonzero(sizes > _MATRIX_LIMIT).tolist():
-        out[i] = coulomb_energy(points[lo[i]:hi[i]])
+        out[i] = _row_blocked_energy(points[lo[i]:hi[i]])
     return out
+
+
+def _row_blocked_energy(pts: np.ndarray) -> float:
+    """The energy of more than 512 sorted points, summed row by row in one buffer;
+    the fixed block size keeps the reduction order independent of the environment."""
+    n = pts.size
+    block_sums, row = [], np.empty(n - 1)
+    for start in range(0, n - 1, _BLOCK):
+        acc = 0.0
+        for i in range(start, min(start + _BLOCK, n - 1)):
+            gaps = np.subtract(pts[i + 1:], pts[i], out=row[:n - 1 - i])
+            acc += float(np.log(gaps, out=gaps).sum())
+        block_sums.append(acc)
+    return 2.0 * math.fsum(block_sums)

@@ -13,11 +13,11 @@ import numpy as np
 
 from .core import (
     CONVERGENT,
-    COUNT_ROUNDING,
     Partition,
     RealSequence,
     SumVerdict,
     TypelabError,
+    count_meets,
     dist0,
     poisson_tail_sum,
 )
@@ -95,7 +95,7 @@ def _grow_side(points: np.ndarray, T: float, d: float, scale: float) -> list[flo
         if xmin >= T:
             break
         reach = int(points.searchsorted(xmin, "right"))
-        nxt = (xmin if reach - base >= d * L - COUNT_ROUNDING
+        nxt = (xmin if count_meets(reach - base, d, L)
                else _first_reach(points, stop, d, b, base, xmin))
         if nxt is None or nxt >= T:
             break
@@ -124,13 +124,13 @@ def _first_reach(points: np.ndarray, stop: int, d: float, b: float, base: int,
     lo = int(points.searchsorted(xmin, "left"))
     for k in range(lo, min(lo + SCALAR_PROBE, stop)):
         p = points.item(k)
-        if k - base + 1 >= d * (p - b) - COUNT_ROUNDING:
+        if count_meets(k - base + 1, d, p - b):
             return p
     k, size = lo + SCALAR_PROBE, 64
     while k < stop:
         pk = points[k:min(k + size, stop)]
         ks = np.arange(k, k + pk.size)
-        hits = np.flatnonzero(ks - base + 1 >= d * (pk - b) - COUNT_ROUNDING)
+        hits = np.flatnonzero(count_meets(ks - base + 1, d, pk - b))
         if hits.size:
             return float(pk[hits[0]])
         k += size
@@ -147,7 +147,7 @@ def find_short_partition(seq: RealSequence, d: float, min_length_scale: float = 
     Raises :class:`InsufficientData` when fewer than four intervals fit in
     the window.
     """
-    if d <= 0:
+    if not d > 0:  # also true on NaN
         raise TypelabError("target density d must be positive")
     T = seq.window
     pts = seq.points

@@ -117,17 +117,6 @@ def weight_filter_mask(measure: DiscreteMeasure) -> np.ndarray:
     return keep
 
 
-def weight_sum_verdict(measure: DiscreteMeasure, positions) -> SumVerdict:
-    """Convergence verdict of the retained log-weight penalty series.
-
-    ``sum max(0, -log(w(x) / |mu|)) / (1 + x^2)`` over the atoms at
-    ``positions``; convergent means the signed series
-    ``sum log w(x)/(1+x^2)`` stays above minus infinity.
-    """
-    wanted = np.isin(measure.positions, np.asarray(positions))
-    return shell_sum_verdict(measure.positions[wanted], _log_weight_penalties(measure)[wanted])
-
-
 def _default_d_grid(measure: DiscreteMeasure) -> list[float]:
     density = len(measure) / (2.0 * measure.window)
     step = 0.05 * density
@@ -145,10 +134,13 @@ def _scan_type(measure: DiscreteMeasure, d_grid, separated: bool) -> TypeEstimat
         return TypeEstimate(0.0, None, method, separated,
                             ((grid[0], False, "weight filter removed every atom"),))
     support = RealSequence(measure.positions[mask], measure.window, "weight-filtered")
-    weights: list[SumVerdict] = []
+    penalties, weights = _log_weight_penalties(measure), []
 
     def judge(selected: RealSequence) -> tuple[bool, str]:
-        weights.append(weight_sum_verdict(measure, selected.points))
+        # the selection's atoms are among the sorted positions; a convergent penalty
+        # series keeps sum log w(x) / (1 + x^2) above -inf
+        at = np.searchsorted(measure.positions, selected.points)
+        weights.append(shell_sum_verdict(selected.points, penalties[at]))
         cls = weights[-1].classification
         return cls == CONVERGENT, "pass" if cls == CONVERGENT else f"weight sum {cls}"
 

@@ -5,7 +5,8 @@ condition (per-interval counts close to ``d * length``) and the energy
 condition (Poisson-summable Coulomb deficits).  At finite truncation the
 verdict is constructive: a deterministic greedy partition is tried, then a
 length-doubled variant, and a fail means "no witness found", never a proof
-of impossibility.
+of impossibility.  A supplied partition's intervals shorter than the energy
+leg's least length are merged into a neighbour; greedy ones have none.
 """
 
 from __future__ import annotations
@@ -60,19 +61,15 @@ class UniformityReport:
 def merge_short_intervals(partition: Partition) -> Partition:
     """Merge intervals shorter than the energy leg's least length into a neighbour.
 
-    Short intervals are absorbed rightward, except that the breakpoint 0 is
-    never dropped: a short interval ending at 0 extends leftward instead.
+    Short intervals are absorbed rightward, except that 0 and the last breakpoint
+    are never dropped: a short interval ending at either extends leftward instead.
     """
-    bks = list(partition.breakpoints)
-    out = [bks[0]]
-    for i, b in enumerate(bks[1:], start=1):
-        is_last = i == len(bks) - 1
-        if b == 0.0:
-            # keep 0; a short piece ending at 0 swallows its left neighbour
-            while len(out) > 1 and b - out[-1] < LEAST_LENGTH:
-                out.pop()
-            out.append(b)
-        elif is_last:
+    bks = partition.breakpoints.tolist()
+    out = bks[:1]
+    for b in bks[1:]:
+        if b == 0.0 or b == bks[-1]:
+            # 0 and the last breakpoint stay: a short piece ending there swallows
+            # its left neighbours, but never the breakpoint 0
             while len(out) > 1 and out[-1] != 0.0 and b - out[-1] < LEAST_LENGTH:
                 out.pop()
             out.append(b)
@@ -119,7 +116,6 @@ def _energy_leg(seq: RealSequence, idx: PartitionIndex) -> tuple[SumVerdict, np.
 
 def _evaluate(seq: RealSequence, d: float, partition: Partition, source: str,
               skip_energy: bool, scan: bool = False) -> UniformityReport:
-    partition = merge_short_intervals(partition)
     short_v = classify_family(partition)
     idx = _covering_index(seq, partition)
     density = _density_leg(idx, d)
@@ -149,10 +145,10 @@ def check_d_uniform(seq: RealSequence, d: float,
     ``"partition-not-found"`` rather than an error: at finite scale a missing
     witness is an ordinary negative verdict.
     """
-    if d <= 0:
+    if not d > 0:  # also true on NaN
         raise TypelabError("d must be positive")
     if partition is not None:
-        return _evaluate(seq, d, partition, "given", False)
+        return _evaluate(seq, d, merge_short_intervals(partition), "given", False)
 
     candidates = (("greedy", 1.0), ("greedy-doubled", 2.0))
     last: UniformityReport | None = None

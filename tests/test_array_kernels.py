@@ -1443,8 +1443,10 @@ class TestScanShortcut:
         ([-1e-300, -2e-301, 0.3], [-2.0, 0.0, 0.5], "two points closer than 1e-300"),
         ([-0.3, 2e-301, 1e-300], [-0.5, 0.0, 2.0], "interval length 0.5 < 1")])
     def test_shortcut_raises_the_energy_leg_error(self, points, breakpoints, error):
-        seq, partition = RealSequence(np.array(points), 0.5), Partition(np.array(breakpoints))
-        assert len(uniformity.merge_short_intervals(partition)) == 2
+        seq = RealSequence(np.array(points), 0.5)
+        # _evaluate takes merged partitions: merging leaves the 0.5-long (0, 0.5] next to 0
+        partition = uniformity.merge_short_intervals(Partition(np.array(breakpoints)))
+        assert len(partition) == 2
         want = outcome(check_d_uniform, seq, 1.0, partition)
         assert want == error
         assert outcome(lambda: _evaluate(seq, 1.0, partition, "given", False, scan=True)) == want

@@ -1,5 +1,6 @@
 """Dead code fails the tests: an import a module never uses, or a module-level
-private name that nothing reads.
+private name that nothing reads.  So does a second home for the count rule:
+only ``core.py`` names ``COUNT_ROUNDING``.
 
 A private name (one leading underscore) counts as used when some module of
 ``src/typelab`` loads it, reads it as an attribute or imports it, or when it
@@ -81,6 +82,12 @@ def test_every_private_name_is_read():
     assert unread_private_names(trees, perfbench) == []
 
 
+def test_count_rounding_named_only_in_core():
+    # the count rule's rounding is read through core.count_meets and core.lattice_count
+    assert [p.name for p in MODULES
+            if p.name != "core.py" and "COUNT_ROUNDING" in read_names([_tree(p)])] == []
+
+
 def test_the_checks_see_dead_code():
     dead_import = ast.parse("import math\nfrom .core import CONVERGENT, SLACK_POINTS\n"
                             "x = SLACK_POINTS\n")
@@ -89,3 +96,6 @@ def test_the_checks_see_dead_code():
                                    "def _used():\n    return 0\n\n_LIMIT = 3\n")}
     assert unread_private_names(dead_private, "") == ["m._LIMIT", "m._kept"]
     assert unread_private_names(dead_private, "probe _kept and _LIMIT") == []
+    for source in ("from .core import COUNT_ROUNDING\n", "x = core.COUNT_ROUNDING\n",
+                   "def f(d):\n    return d - COUNT_ROUNDING\n"):
+        assert "COUNT_ROUNDING" in read_names([ast.parse(source)])

@@ -14,7 +14,11 @@ import pytest
 
 import typelab
 from typelab.cli import main
+from typelab.constructions import arithmetic
 from typelab.core import TypelabError
+from typelab.density import regularity_block_scan, strong_regularity_defect
+from typelab.partitions import find_short_partition
+from typelab.uniformity import check_d_uniform
 
 SEQ = {"points": list(range(-20, 21)), "window": 20}
 MEASURE = {"atoms": [[n, (1.0 + n * n) ** -2] for n in range(-20, 21)], "window": 20}
@@ -140,3 +144,19 @@ def test_only_caught_errors_subclass_typelab_error():
     defined = {obj for module in modules for obj in vars(module).values()
                if inspect.isclass(obj) and issubclass(obj, TypelabError) and obj is not TypelabError}
     assert {cls.__name__ for cls in defined} == {"InsufficientData", "IllConditioned"}
+
+
+# library entry points whose guard, written `x <= 0`, was false on NaN
+NAN_REFUSALS = {
+    regularity_block_scan: "need a >= 0",
+    strong_regularity_defect: "regularity parameter must be nonnegative",
+    check_d_uniform: "d must be positive",
+    find_short_partition: "target density d must be positive",
+}
+
+
+@pytest.mark.parametrize("entry", list(NAN_REFUSALS), ids=lambda f: f.__name__)
+def test_nan_parameter_refused(entry):
+    with pytest.raises(TypelabError) as exc:
+        entry(arithmetic(1, 100), float("nan"))
+    assert str(exc.value) == NAN_REFUSALS[entry]

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from typelab.constructions import arithmetic
+from typelab.constructions import arithmetic, perturb_exponential
 from typelab.core import Interval, RealSequence, TypelabError
+from typelab.energy import LEAST_LENGTH
 from typelab.partitions import (
     InsufficientData,
     classify_family,
     find_short_partition,
     short2I_diagnostic,
 )
+from typelab.uniformity import merge_short_intervals
 
 
 def geometric_family(width):
@@ -117,3 +121,35 @@ class TestShort2I:
         part = find_short_partition(seq, 1.0)
         v = short2I_diagnostic(part, 2.0)
         assert v.classification == "convergent"
+
+
+@st.composite
+def greedy_inputs(draw):
+    """A perturbed lattice or uniformly scattered points on a window of 3 to 400."""
+    T = float(draw(st.integers(3, 400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        seq = perturb_exponential(arithmetic(draw(st.sampled_from([0.5, 1.0, 1.5])), T), 1.0,
+                                  draw(st.integers(0, 30)))
+    else:
+        seq = RealSequence(np.unique(rng.uniform(-T, T, size=int(rng.integers(1, 4 * T)))), T)
+    return seq, draw(st.floats(0.1, 2.0)), draw(st.sampled_from([1.0, 2.0]))
+
+
+@given(greedy_inputs())
+@settings(max_examples=300, deadline=None)
+def test_greedy_partition_needs_no_merging(case):
+    # check_d_uniform merges only partitions it is given: a greedy one has no
+    # interval shorter than the energy leg's least length
+    seq, d, scale = case
+    try:
+        part = find_short_partition(seq, d, scale)
+    except InsufficientData:
+        assume(False)
+    bks, T = part.breakpoints, seq.window
+    assert bks[0] == -T and bks[-1] == T and 0.0 in bks.tolist()
+    lengths = np.diff(bks)
+    # a side closes at the window edge once the rest is at least the least length
+    assert lengths.min() >= LEAST_LENGTH
+    assert lengths[1:-1].min(initial=np.inf) >= scale * LEAST_LENGTH
+    assert np.array_equal(merge_short_intervals(part).breakpoints, bks)
