@@ -94,17 +94,18 @@ def _parse_grid(spec: str) -> list[float]:
     start, stop, step = values
     if not step > 0:
         raise TypelabError(f"grid {spec!r} needs a positive step")
-    if (stop - start) / step >= GRID_MAX_VALUES:
+    end = stop + 1e-12  # the last value may overshoot stop by rounding
+    if (end - start) / step >= GRID_MAX_VALUES:  # counted to end, where the loop stops
         raise TypelabError(f"grid {spec!r} has more than {GRID_MAX_VALUES} values")
     out = []
     x = start
-    while x <= stop + 1e-12:
+    while x <= end:
         out.append(round(x, 12))
         x += step
     return out
 
 
-# each command returns the report main writes, or its exit code if it writes its own
+# each command returns the report main writes; suite alone writes its own and returns its exit code
 def _cmd_energy(args):
     seq = load_sequence(args.input)
     if args.interval:
@@ -151,53 +152,11 @@ def _cmd_type(args):
     return estimate(measure, grid)
 
 
-def _beurling_gap(args):
-    if (args.input is None) == (args.intervals is None):
-        raise TypelabError("theorem beurling-gap takes exactly one of --input and --intervals")
-    if args.intervals is not None:
-        return beurling_gap_check(load_intervals(args.intervals))
-    return beurling_gap_check(load_sequence(args.input))
-
-
-# theorem name -> (required options, {optional option: default}, checker)
-_THEOREMS = {
-    "beurling-gap": ((), {"input": None, "intervals": None}, _beurling_gap),
-    "levinson": (("input",), {}, lambda a: levinson_check(load_measure(a.input))),
-    "hybrid": (("input", "intervals"), {}, lambda a: hybrid_check(
-        load_measure(a.input), load_intervals(a.intervals))),
-    "debranges": (("input", "weight"), {"modulus": 1.0}, lambda a: debranges_check(
-        load_weight_table(a.weight), load_measure(a.input), a.modulus)),
-    "krein-lm": (("weight",), {"no_monotone": False}, lambda a: krein_lm_check(
-        load_weight_table(a.weight), monotone_flag=not a.no_monotone)),
-    "borichev-sodin": (("input", "other"), {"delta": 1.0, "C": 1.0, "l": 1.0}, lambda a: (
-        borichev_sodin_compare(load_measure(a.input), load_measure(a.other), a.delta, a.C, a.l))),
-    "duffin-schaeffer": (("input",), {"L": 1.0, "c": 0.5}, lambda a: duffin_schaeffer_check(
-        load_measure(a.input), a.L, a.c)),
-    "benedicks": (("partition",), dict(zip(("c1", "c2", "c3"), BENEDICKS_CONSTANTS)),
-                  lambda a: benedicks_conditions(load_partition(a.partition), a.c1, a.c2, a.c3)),
-    "suffgen": (("input", "sequence"), {"d": 1.0}, lambda a: suffgen_bound(
-        load_measure(a.input), load_sequence(a.sequence), a.d)),
-}
-
-
-def _cmd_theorem(args):
-    needs, defaults, check = _THEOREMS[args.name]
-    given = [key for key in vars(args) if key not in ("command", "func", "name", "format")]
-    unread = [f"--{key.replace('_', '-')}" for key in given
-              if key not in needs and key not in defaults]
-    if unread:
-        raise TypelabError(f"theorem {args.name} does not read {', '.join(unread)}")
-    for needed in needs:
-        if needed not in given:
-            raise TypelabError(f"theorem {args.name} requires --{needed}")
-    return check(argparse.Namespace(**{**defaults, **vars(args)}))
-
-
 def _cmd_rescale(args):
     return polynomial_rescale(load_measure(args.input), args.alpha)
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     unpaired = [item for item in args.param or [] if "=" not in item]
     if unpaired:
         raise TypelabError(f"--param {unpaired[0]!r} is not key=value")
@@ -222,9 +181,13 @@ def _cmd_construct(args) -> int:
         obj = base = arithmetic(num("d", 1.0), num("T", 400.0 if family == "auxiliary" else 100.0))
         if family == "perturbed":
             seed = params.pop("seed", "0")
-            if not seed.isdecimal():  # digits only: int() reads it, and it is not negative
-                raise TypelabError(f"--param seed={seed} is not a non-negative integer")
-            obj = perturb_exponential(base, num("c", 1.0), int(seed))
+            try:
+                if not seed.isdecimal():  # digits only: not negative
+                    raise ValueError(seed)
+                rng_seed = int(seed)  # refuses more digits than int()'s limit
+            except ValueError:
+                raise TypelabError(f"--param seed={seed} is not a non-negative integer") from None
+            obj = perturb_exponential(base, num("c", 1.0), rng_seed)
         elif family == "auxiliary":
             w = WeightTable(np.array([-base.window, base.window]), np.array([num("w", 1.0)]))
             obj = auxiliary_sequence(base, w, num("epsilon", 0.05), num("L", 20.0))
@@ -233,14 +196,11 @@ def _cmd_construct(args) -> int:
                                        {k: num(k, 0.0) for k in ("beta", "c") if k in params})
     if params:
         raise TypelabError(f"construct {family} does not read --param {sorted(params)[0]}")
-    text = canonical_json(obj) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        sys.stdout.write(canonical_json({"written": args.out}) + "\n")
-    else:
-        sys.stdout.write(text)
-    return 0
+    if not args.out:
+        return obj
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(obj) + "\n")
+    return {"written": args.out}
 
 
 def _cmd_oracle(args):
@@ -275,10 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "type estimators, classical checkers and a completeness oracle.")
     parser.add_argument("--version", action="version", version=f"typelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []  # the parsers that run a command
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+    def command(name: str, func, summary: str | None, group=sub) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=summary)
         p.set_defaults(func=func)
+        leaves.append(p)
         return p
 
     p = command("energy", _cmd_energy, "Coulomb energy or per-interval report")
@@ -316,18 +278,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separated", action="store_true")
     p.add_argument("--grid", help="density grid, start:stop:step or comma list")
 
-    p = command("theorem", _cmd_theorem, "classical checker verdicts")
-    p.argument_default = argparse.SUPPRESS  # an option not given is left out of the args
-    p.add_argument("name", choices=tuple(_THEOREMS))
-    p.add_argument("--input", help="measure or sequence JSON document")
-    p.add_argument("--intervals")
-    p.add_argument("--weight")
-    p.add_argument("--other", help="second measure (borichev-sodin)")
-    p.add_argument("--sequence", help="d-uniform sequence (suffgen)")
-    p.add_argument("--partition")
-    p.add_argument("--no-monotone", action="store_true")
-    for name in ("--modulus", "--delta", "--C", "--l", "--L", "--c", "--c1", "--c2", "--c3", "--d"):
-        p.add_argument(name, type=float)
+    checkers = sub.add_parser("theorem", help="classical checker verdicts").add_subparsers(
+        dest="name", required=True)
+
+    def theorem(name: str, check, *documents: str, **constants: float) -> argparse.ArgumentParser:
+        """A checker that reads the JSON ``documents`` and float ``constants`` it is given."""
+        p = command(name, check, None, checkers)
+        for option in documents:
+            p.add_argument(f"--{option}", required=True)
+        for option, default in constants.items():
+            p.add_argument(f"--{option}", type=float, default=default)
+        return p
+
+    p = theorem("beurling-gap", lambda a: beurling_gap_check(
+        load_sequence(a.input) if a.intervals is None else load_intervals(a.intervals)))
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--input")
+    either.add_argument("--intervals")
+    theorem("levinson", lambda a: levinson_check(load_measure(a.input)), "input")
+    theorem("hybrid", lambda a: hybrid_check(load_measure(a.input), load_intervals(a.intervals)),
+            "input", "intervals")
+    theorem("debranges", lambda a: debranges_check(
+        load_weight_table(a.weight), load_measure(a.input), a.modulus), "input", "weight",
+        modulus=1.0)
+    theorem("krein-lm", lambda a: krein_lm_check(
+        load_weight_table(a.weight), monotone_flag=not a.no_monotone), "weight").add_argument(
+        "--no-monotone", action="store_true")
+    theorem("borichev-sodin", lambda a: borichev_sodin_compare(
+        load_measure(a.input), load_measure(a.other), a.delta, a.C, a.l), "input", "other",
+        delta=1.0, C=1.0, l=1.0)
+    theorem("duffin-schaeffer", lambda a: duffin_schaeffer_check(load_measure(a.input), a.L, a.c),
+            "input", L=1.0, c=0.5)
+    theorem("benedicks", lambda a: benedicks_conditions(
+        load_partition(a.partition), a.c1, a.c2, a.c3), "partition",
+        **dict(zip(("c1", "c2", "c3"), BENEDICKS_CONSTANTS)))
+    theorem("suffgen", lambda a: suffgen_bound(
+        load_measure(a.input), load_sequence(a.sequence), a.d), "input", "sequence", d=1.0)
 
     p = command("rescale", _cmd_rescale, "divide masses by 1+|x|^alpha (type-invariant)")
     p.add_argument("--input", required=True)
@@ -352,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
 
     # every command reports in JSON or CSV; added last, so it ends each --help
-    for p in sub.choices.values():
+    for p in leaves:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
@@ -373,8 +359,7 @@ def main(argv=None) -> int:
             return report
         _emit(args, report)
         return 0
-    except (TypelabError, FileNotFoundError, ValueError, TypeError, KeyError,
-            OverflowError) as exc:  # OverflowError: an integer beyond the float range
+    except (TypelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -206,6 +206,8 @@ def _loader(kind: str):
                 return build(load_document(doc) if isinstance(doc, str) else doc)
             except KeyError as exc:
                 raise TypelabError(f"{kind} document missing field {exc}") from exc
+            except (ValueError, TypeError, OverflowError) as exc:  # not JSON, or a field misshapen
+                raise TypelabError(f"{kind} document: {exc}") from exc
         return load
     return wrap
 

@@ -106,9 +106,9 @@ def _log_weight_penalties(measure: DiscreteMeasure) -> np.ndarray:
         return pen / (1.0 + x * x)
 
 
-def weight_filter_mask(measure: DiscreteMeasure) -> np.ndarray:
-    """Atoms surviving the per-shell log-weight budget :data:`WEIGHT_BUDGET`."""
-    penalties, x = _log_weight_penalties(measure), measure.positions
+def weight_filter_mask(measure: DiscreteMeasure, penalties: np.ndarray) -> np.ndarray:
+    """Atoms whose log-weight ``penalties`` fit the per-shell budget :data:`WEIGHT_BUDGET`."""
+    x = measure.positions
     outer = np.abs(x) >= 1.0
     shells, where = np.unique(shell_index(np.abs(x[outer])), return_inverse=True)
     caps = np.array([WEIGHT_BUDGET * 2.0 ** (-1.5 * j) for j in shells.tolist()])
@@ -129,12 +129,12 @@ def _scan_type(measure: DiscreteMeasure, d_grid, separated: bool) -> TypeEstimat
         raise InsufficientData("need at least 2 atoms")
     method = "separated-scan" if separated else "discrete-scan"
     grid = density_grid(d_grid if d_grid is not None else _default_d_grid(measure))
-    mask = weight_filter_mask(measure)
+    penalties, weights = _log_weight_penalties(measure), []
+    mask = weight_filter_mask(measure, penalties)
     if not np.any(mask):
         return TypeEstimate(0.0, None, method, separated,
                             ((grid[0], False, "weight filter removed every atom"),))
     support = RealSequence(measure.positions[mask], measure.window, "weight-filtered")
-    penalties, weights = _log_weight_penalties(measure), []
 
     def judge(selected: RealSequence) -> tuple[bool, str]:
         # the selection's atoms are among the sorted positions; a convergent penalty

@@ -1146,7 +1146,7 @@ class TestEstimatorKernels:
     @settings(max_examples=150, deadline=None)
     def test_weight_filter_matches(self, measure, budget):
         with mock.patch.object(typeproblem, "WEIGHT_BUDGET", budget):
-            got = weight_filter_mask(measure)
+            got = weight_filter_mask(measure, typeproblem._log_weight_penalties(measure))
         assert np.array_equal(got, ref_weight_filter_mask(measure, budget))
 
     @given(measures())

@@ -1,4 +1,5 @@
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -127,6 +128,39 @@ class TestSubcommands:
         assert code == 0
         assert out.startswith("key,value")
 
+    def test_construct_csv_format(self, tmp_path, capsys):
+        # --format applies to construct as to every command; --out still writes JSON
+        argv = ["construct", "arithmetic", "--param", "T=2"]
+        code, out = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        assert out == render_csv(json.loads(run_cli(argv, capsys)[1]))
+        assert out.startswith("key,value\ngenerator,arithmetic(d=1)\npoints[0],-2\n")
+        path = tmp_path / "seq.json"
+        code, out = run_cli(argv + ["--out", str(path), "--format", "csv"], capsys)
+        assert (code, out) == (0, f"key,value\nwritten,{path}\n")
+        assert path.read_text() == run_cli(argv, capsys)[1]
+
+
+# each checker with the options it reads
+THEOREM_OPTIONS = {
+    "beurling-gap": {"--input", "--intervals"},
+    "levinson": {"--input"},
+    "hybrid": {"--input", "--intervals"},
+    "debranges": {"--input", "--weight", "--modulus"},
+    "krein-lm": {"--weight", "--no-monotone"},
+    "borichev-sodin": {"--input", "--other", "--delta", "--C", "--l"},
+    "duffin-schaeffer": {"--input", "--L", "--c"},
+    "benedicks": {"--partition", "--c1", "--c2", "--c3"},
+    "suffgen": {"--input", "--sequence", "--d"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_OPTIONS))
+def test_theorem_help_lists_only_read_options(name, capsys):
+    assert main(["theorem", name, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert listed == THEOREM_OPTIONS[name] | {"--help", "--format"}
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -190,7 +224,9 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("grid", ["0.2:1.4:0", "0.2:1.4:-0.1", "1.4:0.2:-0.1",
                                       "0:inf:0.1", "nan:1:0.1", "0.5,nan", "0.5,inf",
-                                      "0.1:1", "0:1e9:1e-9"])
+                                      "0.1:1", "0:1e9:1e-9",
+                                      # a step far below the loop's 1e-12 overshoot allowance
+                                      "5e-324:0:1e-300"])
     def test_bad_density_grid(self, seq_file, grid, capsys):
         argv = ["density", "--input", seq_file, "--kind", "exterior", "--grid", grid]
         assert exits_cleanly_with_2(argv, capsys)

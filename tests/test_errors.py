@@ -1,8 +1,10 @@
 """Refused input: one error type, and the messages the CLI prints for it.
 
-Every input the CLI refuses raises :class:`TypelabError`; callers tell apart
-only the two subclasses they catch.  The commands below each fail at a
-different check, and their stderr is pinned byte for byte.
+Every input the library refuses raises :class:`TypelabError`; callers tell
+apart only the two subclasses they catch.  The commands below each fail at a
+different check, and their stderr is pinned byte for byte.  Options the
+parser refuses, and paths that cannot be opened, exit 2 as well; any other
+exception is a fault and leaves ``main``.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import pkgutil
 import pytest
 
 import typelab
+from typelab import cli
 from typelab.cli import main
 from typelab.constructions import arithmetic
 from typelab.core import TypelabError
@@ -96,18 +99,16 @@ REFUSED = [
     ("partition-window", {"s": SEQ, "p": {"breakpoints": [-5, 0, 5]}},
      ["uniform", "--input", "{s}", "--d", "1", "--partition", "{p}"],
      "partition does not cover the sequence window"),
-    ("theorem-unread", {"m": MEASURE},
-     ["theorem", "levinson", "--input", "{m}", "--C", "5", "--sequence", "nonexistent.json",
-      "--L", "-3"],
-     "theorem levinson does not read --C, --sequence, --L"),
-    ("theorem-unread-default", {"m": MEASURE},
-     ["theorem", "duffin-schaeffer", "--input", "{m}", "--no-monotone", "--modulus", "1.0"],
-     "theorem duffin-schaeffer does not read --no-monotone, --modulus"),
-    ("beurling-gap-both", {"s": SEQ, "i": {"intervals": [[1, 2]]}},
-     ["theorem", "beurling-gap", "--input", "{s}", "--intervals", "{i}"],
-     "theorem beurling-gap takes exactly one of --input and --intervals"),
-    ("beurling-gap-neither", {}, ["theorem", "beurling-gap"],
-     "theorem beurling-gap takes exactly one of --input and --intervals"),
+    ("seed-beyond-int-limit", {}, ["construct", "perturbed", "--param", "seed=" + "1" * 5000],
+     f"--param seed={'1' * 5000} is not a non-negative integer"),
+    # a document whose field json reads but the loader cannot: named by the document's kind
+    ("points-not-numbers", {"s": {"points": ["a"], "window": 2}}, ["energy", "--input", "{s}"],
+     "sequence document: could not convert string to float: 'a'"),
+    ("window-a-list", {"m": {"atoms": [[0, 1]], "window": [1]}}, ["type", "--input", "{m}"],
+     "measure document: float() argument must be a string or a real number, not 'list'"),
+    ("int-beyond-float", {"i": {"intervals": [[0, 10 ** 400]]}},
+     ["classify", "--intervals", "{i}"],
+     "interval document: int too large to convert to float"),
 ]
 
 
@@ -136,6 +137,56 @@ def test_removed_option_refused(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "unrecognized arguments" in captured.err
+
+
+# options a checker does not read, even at their defaults, and beurling-gap
+# with both or neither of its sources: argparse refuses each, naming the options
+@pytest.mark.parametrize("argv, options", [
+    (["theorem", "levinson", "--input", "{m}", "--C", "5", "--sequence", "nonexistent.json",
+      "--L", "-3"], ["--C", "--sequence", "--L"]),
+    (["theorem", "duffin-schaeffer", "--input", "{m}", "--no-monotone", "--modulus", "1.0"],
+     ["--no-monotone", "--modulus"]),
+    (["theorem", "beurling-gap", "--input", "{s}", "--intervals", "{i}"],
+     ["--input", "--intervals"]),
+    (["theorem", "beurling-gap"], ["--input", "--intervals"]),
+], ids=["theorem-unread", "theorem-unread-default", "beurling-gap-both", "beurling-gap-neither"])
+def test_theorem_option_refused(argv, options, tmp_path, capsys):
+    paths = {key: tmp_path / f"{key}.json" for key in "msi"}
+    for key, doc in zip("msi", (MEASURE, SEQ, {"intervals": [[1, 2]]})):
+        paths[key].write_text(json.dumps(doc))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    error = captured.err.splitlines()[-1]
+    assert "error: " in error and all(option in error for option in options)
+
+
+# a directory where a file belongs: an input error like any other OSError
+@pytest.mark.parametrize("argv", [
+    ["energy", "--input", "{d}"],
+    ["construct", "arithmetic", "--out", "{d}"],
+    ["oracle", "--input", "{m}", "--a-max", "6", "--steps", "8", "--csv", "{d}"],
+], ids=["energy-input", "construct-out", "oracle-csv"])
+def test_directory_as_path(argv, tmp_path, capsys):
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps(MEASURE))
+    code = main([arg.format(d=tmp_path, m=measure) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_library_fault_is_not_an_input_error(tmp_path, monkeypatch):
+    # main exits 2 only on TypelabError and OSError: any other exception is a fault
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MEASURE))
+
+    def faulty(measure):
+        raise ValueError("a fault in the checker")
+
+    monkeypatch.setattr(cli, "levinson_check", faulty)
+    with pytest.raises(ValueError, match="a fault in the checker"):
+        main(["theorem", "levinson", "--input", str(path)])
 
 
 def test_only_caught_errors_subclass_typelab_error():

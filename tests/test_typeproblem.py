@@ -148,11 +148,11 @@ class TestTypeSeparated:
 
     def test_agrees_with_interior_density_of_filtered_support(self):
         from typelab.density import interior_density
-        from typelab.typeproblem import weight_filter_mask
+        from typelab.typeproblem import _log_weight_penalties, weight_filter_mask
 
         for m in (catalog.koosis_measure(T), catalog.mixed_parity_measure(600.0)):
             est = type_separated(m, D_GRID)
-            mask = weight_filter_mask(m)
+            mask = weight_filter_mask(m, _log_weight_penalties(m))
             support = RealSequence(m.positions[mask], m.window)
             den = interior_density(support, [0.05 * k for k in range(1, 27)])
             assert abs(est.lower_bound_type - TWO_PI * den.value) <= 0.1 * max(
