@@ -22,7 +22,7 @@ from .constructions import (
 )
 from .core import Interval, WeightTable
 from .density import interior_density
-from .energy import coulomb_energy, energy_report, grid_energy_closed_form, interval_deficits
+from .energy import energy_report, grid_energy_closed_form, interval_deficits, interval_energies
 from .oracle import SVD_CUTOFF, IllConditioned, _sigma_extremes, residual_scan
 from .typeproblem import (
     TWO_PI,
@@ -43,14 +43,13 @@ SUITE_DEFICIT_SCALE = (20240511, 50.0, 100.0, 30)
 
 
 def energy_closed_form() -> tuple[bool, str]:
-    worst = 0.0
-    for d in (0.5, 1.0, 2.0):
-        for delta in range(2, 201):
-            pts = np.arange(delta, dtype=float) / d
-            brute = coulomb_energy(pts)
-            closed = grid_energy_closed_form(delta, d)
-            rel = abs(brute - closed) / max(1.0, abs(closed))
-            worst = max(worst, rel)
+    """The energies of 597 arithmetic grids, taken in one pass, against the closed form."""
+    grids = [(delta, d) for d in (0.5, 1.0, 2.0) for delta in range(2, 201)]
+    sizes = np.array([delta for delta, _ in grids])
+    brute = interval_energies(np.concatenate([np.arange(delta, dtype=float) / d for delta, d in grids]),
+                              np.cumsum(sizes) - sizes, np.cumsum(sizes))
+    closed = [grid_energy_closed_form(delta, d) for delta, d in grids]
+    worst = max([0.0, *(abs(b - c) / max(1.0, abs(c)) for b, c in zip(brute.tolist(), closed))])
     return worst <= 1e-9, f"max rel err {worst:.3e}"
 
 

@@ -72,6 +72,7 @@ from typelab.energy import (
     _as_points,
     coulomb_energy,
     energy_report,
+    grid_energy_closed_form,
     interval_deficits,
     interval_energies,
 )
@@ -123,7 +124,7 @@ from typelab.oracle import (
     annihilation_matrix,
     default_freq_count,
 )
-from typelab.suite import SUITE_DEFICIT_SCALE, deficit_positivity
+from typelab.suite import SUITE_DEFICIT_SCALE, deficit_positivity, energy_closed_form
 from typelab.uniformity import _energy_leg, _evaluate, check_d_uniform
 
 # |x| <= 1e300: the former splitter overflows computing 2.0 ** 1024
@@ -381,6 +382,19 @@ def ref_deficit_positivity(seed, max_length, max_left, max_points):
         grid_ok = grid_ok and ratio <= 2.0
         detail.append(f"grid {delta}: deficit/D^2={ratio:.3f}")
     return (min_deficit >= -1e-9 and grid_ok, "; ".join(detail)), deficits
+
+
+def ref_energy_closed_form():
+    """The former energy-closed-form row, one coulomb_energy per grid; its result
+    and the energies of those grids."""
+    worst, energies = 0.0, []
+    for d in (0.5, 1.0, 2.0):
+        for delta in range(2, 201):
+            brute = coulomb_energy(np.arange(delta, dtype=float) / d)
+            closed = grid_energy_closed_form(delta, d)
+            worst = max(worst, abs(brute - closed) / max(1.0, abs(closed)))
+            energies.append(brute)
+    return (worst <= 1e-9, f"max rel err {worst:.3e}"), energies
 
 
 def ref_check_density(seq, partition, d):
@@ -1274,6 +1288,12 @@ class TestPartitionKernels:
     @example(512, 3, 0.0)
     @example(513, 4, -7.25)
     @example(1024, 5, 1e6)
+    # the row-blocked path's tails: a last block of 1 row, of exactly one
+    # 16-row chunk, of a full chunk and a part-filled one; rows filling 16 blocks
+    @example(514, 6, 0.0)
+    @example(529, 7, -7.25)
+    @example(1050, 8, 1e6)
+    @example(4097, 9, 0.0)
     @settings(max_examples=60, deadline=None)
     def test_coulomb_energy_matches_reference(self, n, seed, shift):
         # sorted, unsorted and shifted inputs give the former function's float
@@ -1303,6 +1323,21 @@ class TestPartitionKernels:
         assert got == want
         assert bits(batched[0].tolist()) == bits(deficits)
         assert float.hex(float(batched[0].min())) == float.hex(min(deficits))
+
+    def test_closed_form_row_matches_loop(self):
+        # the one-pass row: the loop's (passed, detail), and each grid's energy
+        # bits from coulomb_energy
+        batched = []
+
+        def spy(*args):
+            batched.append(interval_energies(*args))
+            return batched[-1]
+
+        with mock.patch("typelab.suite.interval_energies", spy):
+            got = energy_closed_form()
+        want, energies = ref_energy_closed_form()
+        assert got == want
+        assert len(batched) == 1 and bits(batched[0].tolist()) == bits(energies)
 
     @given(st.lists(st.floats(0.01, 1e6), min_size=1, max_size=40), st.integers(0, 40))
     @example([36.17805559993731], 1)  # its pow(x, 2) is not x * x
