@@ -8,6 +8,7 @@ runs with identical inputs (and any ``--threads``) are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -228,6 +229,7 @@ def _cmd_suite(args) -> int:
     return 0 if all(r["status"] == "pass" for r in rows) else 1
 
 
+@functools.cache  # one parser per process, built on first use (not at import): it takes ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typelab",

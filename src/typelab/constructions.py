@@ -198,16 +198,11 @@ def benedicks_sequence(partition: Partition, C: float) -> BenedicksFamily:
     n_max = len(bks) - 1 - i0
 
     # block boundaries in units of even-interval index: n_{k+1} = n_k + growth(n_k)
-    # rightward and n_{k-1} = n_k - growth(n_k) leftward, growth = default_block_growth
-    marks = [0]
-    n = 0
-    while 2 * (n + default_block_growth(n)) <= n_max:
-        n += default_block_growth(n)
-        marks.append(n)
-    n = 0
-    while 2 * (n - default_block_growth(n)) >= n_min:
-        n -= default_block_growth(n)
-        marks.insert(0, n)
+    # rightward; growth = default_block_growth is even in n, so leftward they are negated
+    steps = [0]
+    while 2 * (steps[-1] + default_block_growth(steps[-1])) <= max(n_max, -n_min):
+        steps.append(steps[-1] + default_block_growth(steps[-1]))
+    marks = [-n for n in steps[:0:-1] if 2 * n <= -n_min] + [n for n in steps if 2 * n <= n_max]
     if len(marks) < 2:
         raise TypelabError("partition too small to form one block")
 

@@ -403,7 +403,7 @@ def poisson_piece_contributions(pieces) -> np.ndarray:
     ``value/(1+x^2)`` over ``[u, v]`` is ``value * (atan v - atan u)``.
     """
     arr = np.asarray(pieces, dtype=float).reshape(-1, 3)
-    u, v, owner = split_pieces_at_shells(arr[:, 0], arr[:, 1])
+    u, v, owner = split_at_shells(arr[:, 0], arr[:, 1])
     contribs = arr[owner, 2] * (map_libm(math.atan, v) - map_libm(math.atan, u))
     return np.column_stack((_mids(u, v), contribs))
 
@@ -420,7 +420,7 @@ _SHELL_CUTS = np.concatenate([-np.ldexp(1.0, np.arange(1023, -1, -1)), [0.0],
                               np.ldexp(1.0, np.arange(1024))])
 
 
-def split_pieces_at_shells(lefts, rights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_at_shells(lefts, rights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut every ``[left, right]`` at 0 and at each ``+-2^j`` strictly inside it.
 
     Returns ``(u, v, owner)``: the cut pieces ``[u, v]`` in input order,
@@ -439,8 +439,3 @@ def split_pieces_at_shells(lefts, rights) -> tuple[np.ndarray, np.ndarray, np.nd
     v = np.where(k == inside[owner], rights[owner], _SHELL_CUTS.take(cut, mode="clip"))
     return u, v, owner
 
-
-def split_at_shells(left: float, right: float) -> list[tuple[float, float]]:
-    """Cut ``[left, right]`` at 0 and at every ``+-2^j`` inside it."""
-    u, v, _ = split_pieces_at_shells([left], [right])
-    return list(zip(u.tolist(), v.tolist()))

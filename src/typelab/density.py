@@ -27,7 +27,7 @@ from .core import (
     lattice_count,
     map_libm,
     shell_sum_verdict,
-    split_pieces_at_shells,
+    split_at_shells,
 )
 from .partitions import InsufficientData, classify_family, find_short_partition
 from .uniformity import UniformityReport, _evaluate
@@ -88,7 +88,7 @@ def strong_regularity_defect(seq: RealSequence, a: float) -> SumVerdict:
     cuts = np.concatenate([[-T], pts[(pts > -T) & (pts < T)], [T]])
     lefts, rights = cuts[:-1], cuts[1:]
     counts = counting_function(seq, 0.5 * (lefts + rights))
-    u, v, owner = split_pieces_at_shells(lefts, rights)
+    u, v, owner = split_at_shells(lefts, rights)
     c = counts[owner].astype(float)
     # split where c - a x changes sign, at x = c / a (infinite for a tiny a: no crossing)
     with np.errstate(over="ignore"):
@@ -302,14 +302,10 @@ def exterior_density(seq: RealSequence, a_grid) -> DensityEstimate:
 
 
 def _block_counts(seq: RealSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dyadic blocks of ``seq``'s window, their point counts and their lengths."""
-    blocks = _dyadic_blocks(seq.window)
-    return blocks, seq.count_in(*blocks.T), blocks[:, 1] - blocks[:, 0]
-
-
-def _dyadic_blocks(T: float) -> np.ndarray:
-    """``(left, right)`` rows of the blocks inside ``[-T, T]``, in increasing order:
-    ``(-2^(j+1), -2^j]``, the innermost ``(-1, 1]`` and ``(2^j, 2^(j+1)]``, j = 0, 1, ..."""
+    """The dyadic blocks inside ``seq``'s window as ``(left, right)`` rows in increasing
+    order (``(-2^(j+1), -2^j]``, the innermost ``(-1, 1]`` and ``(2^j, 2^(j+1)]``,
+    j = 0, 1, ...), their point counts and their lengths."""
     mags = np.abs(_SHELL_CUTS)
-    ends = _SHELL_CUTS[(mags >= 1.0) & (mags <= T)]
-    return np.column_stack((ends[:-1], ends[1:]))
+    ends = _SHELL_CUTS[(mags >= 1.0) & (mags <= seq.window)]
+    blocks = np.column_stack((ends[:-1], ends[1:]))
+    return blocks, seq.count_in(*blocks.T), blocks[:, 1] - blocks[:, 0]

@@ -50,13 +50,12 @@ from typelab.core import (
     poisson_piece_contributions,
     shell_sum_verdict,
     split_at_shells,
-    split_pieces_at_shells,
 )
 from typelab import density, energy, uniformity
 from typelab.density import (
     DensityEstimate,
     InteriorCertificate,
-    _dyadic_blocks,
+    _block_counts,
     _farthest_points,
     counting_function,
     exterior_density,
@@ -148,6 +147,12 @@ def ref_split_at_shells(left, right):
         j += 1
     seq = sorted(cuts)
     return [(seq[i], seq[i + 1]) for i in range(len(seq) - 1) if seq[i + 1] > seq[i]]
+
+
+def shell_pieces(left, right):
+    """The pieces of the one interval ``[left, right]``, as ``(u, v)`` pairs."""
+    u, v, _ = split_at_shells([left], [right])
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def ref_shell_bins(locations, values):
@@ -1048,7 +1053,7 @@ class TestShellSplit:
     @given(st.lists(ordered_pairs(), max_size=30))
     @settings(max_examples=300)
     def test_array_splitter_matches_scalar_loop(self, pairs):
-        u, v, owner = split_pieces_at_shells([p[0] for p in pairs], [p[1] for p in pairs])
+        u, v, owner = split_at_shells([p[0] for p in pairs], [p[1] for p in pairs])
         expected = [(i, piece) for i, (l, r) in enumerate(pairs)
                     for piece in ref_split_at_shells(l, r)]
         assert owner.tolist() == [i for i, _ in expected]
@@ -1057,7 +1062,7 @@ class TestShellSplit:
     @given(ordered_pairs())
     @settings(max_examples=300)
     def test_scalar_entry_point_matches(self, pair):
-        assert split_at_shells(*pair) == ref_split_at_shells(*pair)
+        assert shell_pieces(*pair) == ref_split_at_shells(*pair)
 
     @given(ordered_pairs(small_coords))
     @settings(max_examples=300)
@@ -1065,7 +1070,7 @@ class TestShellSplit:
         left, right = pair
         if not left < right:
             return
-        pieces = split_at_shells(left, right)
+        pieces = shell_pieces(left, right)
         assert pieces[0][0] == left and pieces[-1][1] == right
         for (a, b), (c, _) in zip(pieces, pieces[1:]):
             assert b == c
@@ -1075,9 +1080,9 @@ class TestShellSplit:
             assert not any(a < s < b for j in range(14) for s in (2.0 ** j, -(2.0 ** j)))
 
     def test_empty_and_degenerate_pieces(self):
-        u, v, owner = split_pieces_at_shells([], [])
+        u, v, owner = split_at_shells([], [])
         assert u.size == v.size == owner.size == 0
-        assert split_at_shells(3.0, 3.0) == []
+        assert shell_pieces(3.0, 3.0) == []
 
 
 class TestShellBinning:
@@ -1382,7 +1387,8 @@ class TestDyadicBlocks:
         for T in windows.tolist():
             want = [[iv.left, iv.right] for iv in ref_dyadic_blocks(T)]
             want += [[-1.0, 1.0]] if T >= 1.0 else []
-            assert _dyadic_blocks(T).tolist() == sorted(want), T
+            blocks = _block_counts(RealSequence(np.zeros(0), T))[0]
+            assert blocks.tolist() == sorted(want), T
 
     @given(block_sequences(), st.sampled_from([0.0, 0.3, 0.7, 1.0, 2.5]))
     @example(RealSequence(np.array([-1.0, 0.0, 1.0]), 1.0), 0.3)

@@ -188,6 +188,19 @@ class TestExitCodes:
         ])
         assert main(["suite"]) == 1
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import typelab.cli as cli
+
+        cli.build_parser.cache_clear()
+        assert main(["theorem", "krein-lm"]) == 2
+        seen = []
+        # a library function patched after the parser is built still runs
+        monkeypatch.setattr(cli, "run_suite", lambda threads: seen.append(threads) or [
+            {"check": "x", "status": "pass", "detail": ""}])
+        assert main(["suite", "--threads", "3"]) == 0
+        assert seen == [3]
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_type_has_no_denominator_option(self, measure_file, capsys):
         assert main(["type", "--input", measure_file, "--denominator", "index"]) == 2
 

@@ -152,7 +152,8 @@ class TestShellProperties:
 
 class TestShellMachinery:
     def test_split_at_shells_covers(self):
-        pieces = split_at_shells(-10.0, 37.0)
+        u, v, _ = split_at_shells([-10.0], [37.0])
+        pieces = list(zip(u.tolist(), v.tolist()))
         assert pieces[0][0] == -10.0 and pieces[-1][1] == 37.0
         for (a, b), (c, _) in zip(pieces, pieces[1:]):
             assert b == c

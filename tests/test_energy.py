@@ -111,6 +111,16 @@ class TestClosedForm:
                 want = math.fsum(two) - delta * (delta - 1) * math.log(d)
                 assert float.hex(grid_energy_closed_form(delta, d)) == float.hex(want), (delta, d)
 
+    def test_suite_grids_match_uncached_expression(self):
+        # the suite's 597 grids, each twice: a cached sum gives the bits of a fresh one
+        for _ in range(2):
+            for d in (0.5, 1.0, 2.0):
+                for delta in range(2, 201):
+                    lg = [math.lgamma(m) for m in range(1, delta + 1)]
+                    want = (math.fsum(a + b for a, b in zip(lg, reversed(lg)))
+                            - delta * (delta - 1) * math.log(d))
+                    assert float.hex(grid_energy_closed_form(delta, d)) == float.hex(want)
+
     def test_101_points_tight(self):
         closed = grid_energy_closed_form(101, 1.0)
         brute = coulomb_energy(np.arange(101.0))

@@ -12,15 +12,32 @@ import inspect
 import json
 import pkgutil
 
+import numpy as np
 import pytest
 
 import typelab
-from typelab import cli
+from typelab import cli, constructions
 from typelab.cli import main
-from typelab.constructions import arithmetic
-from typelab.core import TypelabError
+from typelab.constructions import arithmetic, auxiliary_sequence, benedicks_sequence
+from typelab.core import (
+    DiscreteMeasure,
+    Partition,
+    RealSequence,
+    TypelabError,
+    WeightTable,
+    shell_sum_verdict,
+)
 from typelab.density import regularity_block_scan, strong_regularity_defect
-from typelab.partitions import find_short_partition
+from typelab.partitions import InsufficientData, find_short_partition
+from typelab.serialize import canonical_json
+from typelab.typeproblem import (
+    TYPE_ZERO,
+    Conclusion,
+    TheoremVerdict,
+    polynomial_rescale,
+    suffgen_bound,
+    type_discrete,
+)
 from typelab.uniformity import check_d_uniform
 
 SEQ = {"points": list(range(-20, 21)), "window": 20}
@@ -211,3 +228,71 @@ def test_nan_parameter_refused(entry):
     with pytest.raises(TypelabError) as exc:
         entry(arithmetic(1, 100), float("nan"))
     assert str(exc.value) == NAN_REFUSALS[entry]
+
+
+def atoms(*positions, window=100.0):
+    return DiscreteMeasure(np.array(positions, dtype=float), np.ones(len(positions)), window)
+
+
+UNIT_WEIGHT = WeightTable(np.array([-2e12, 2e12]), np.array([1.0]))
+
+# library refusals that no command line reaches: (cause, call, error type, message)
+LIBRARY_REFUSED = [
+    ("measure-misaligned", lambda: DiscreteMeasure(np.zeros(2), np.ones(3), 1.0),
+     TypelabError, "positions and masses must align"),
+    ("negative-sample", lambda: WeightTable(np.array([0.0, 1.0]), np.array([-1.0]), "samples"),
+     TypelabError, "sample values must be >= 0"),
+    ("unknown-table-kind", lambda: WeightTable(np.array([0.0, 1.0]), np.array([1.0]), "odd"),
+     TypelabError, "unknown weight table kind 'odd'"),
+    ("series-misaligned", lambda: shell_sum_verdict([1.0, 2.0], [1.0]),
+     TypelabError, "locations and values must align"),
+    ("series-negative-term", lambda: shell_sum_verdict([1.0, 2.0], [1.0, -1.0]),
+     TypelabError, "series terms must be nonnegative"),
+    ("defect-overflow", lambda: strong_regularity_defect(arithmetic(1.0, 100.0), 1e308),
+     TypelabError, "the regularity defect overflows at a=1e+308 on window T=100"),
+    ("auxiliary-epsilon", lambda: auxiliary_sequence(arithmetic(1.0, 10.0), UNIT_WEIGHT, 0.0, 20.0),
+     TypelabError, "epsilon must be positive"),
+    ("auxiliary-base", lambda: auxiliary_sequence(
+        RealSequence(np.array([0.0, 1.0]), 10.0), UNIT_WEIGHT, 0.05, 20.0),
+     TypelabError, "base sequence needs at least 3 points"),
+    ("auxiliary-zero-weight", lambda: auxiliary_sequence(
+        arithmetic(1.0, 10.0), WeightTable(np.array([-10.0, 10.0]), np.array([0.0]), "samples"),
+        0.05, 20.0),
+     TypelabError, "weights must be positive and finite"),
+    # two pairs 2e12 apart, filled every unit length
+    ("auxiliary-fill", lambda: auxiliary_sequence(
+        RealSequence(np.array([-2e12, -1e12, 1e12, 2e12]), 2e12), UNIT_WEIGHT, 1.0, 1.0),
+     TypelabError, "the gap fill would have more than 100000 points"),
+    ("verdict-invariant", lambda: TheoremVerdict("t", False, Conclusion(TYPE_ZERO)),
+     TypelabError, "a definite conclusion requires applicable hypotheses"),
+    ("type-one-atom", lambda: type_discrete(atoms(0.0)),
+     InsufficientData, "need at least 2 atoms"),
+    # two points pass the d-uniformity verdict at a density far below one point per window
+    ("suffgen-two-points", lambda: suffgen_bound(
+        atoms(0.0), RealSequence(np.array([0.0, 1.0]), 100.0), 1e-12),
+     InsufficientData, "need at least 3 points for neighbourhoods"),
+    ("rescale-overflow", lambda: polynomial_rescale(atoms(0.0, 1e10, window=1e10), 100.0),
+     TypelabError, "|x|^alpha overflows at alpha=100"),
+    ("unserializable", lambda: canonical_json(object()),
+     TypelabError, "cannot serialize <class 'object'>"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in LIBRARY_REFUSED],
+                         ids=[case[0] for case in LIBRARY_REFUSED])
+def test_library_refusal(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_too_small_partition_fails_the_conditions_first(monkeypatch):
+    # one interval each side of 0 cannot form a block, but its odd-length series
+    # has fewer than four shells, so the admissibility conditions refuse it first
+    small = Partition(np.array([-5.0, 0.0, 1.0]))
+    with pytest.raises(TypelabError, match="odd-length series inconclusive"):
+        benedicks_sequence(small, 1.0)
+    monkeypatch.setattr(constructions, "benedicks_conditions",
+                        lambda *args: TheoremVerdict("t", True, Conclusion("inconclusive")))
+    with pytest.raises(TypelabError, match="partition too small to form one block"):
+        benedicks_sequence(small, 1.0)

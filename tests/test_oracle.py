@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from typelab import catalog, oracle
+from typelab import catalog, oracle, suite
 from typelab.core import DiscreteMeasure, TypelabError
 from typelab.oracle import (
     IllConditioned,
@@ -385,6 +386,32 @@ class TestPinnedReadings:
     def test_mixed_parity_60_ill_conditioned(self):
         with pytest.raises(IllConditioned, match="no knee resolvable"):
             residual_scan(catalog.mixed_parity_measure(60.0), GRID_64)
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    # platforms without sched_getaffinity fall back to the CPU count, or to one CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert oracle._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert oracle._usable_cpus() == 1
+
+
+def test_bundle_falls_back_to_extended_precision(monkeypatch):
+    calls = []
+
+    def scan(measure, grid, extended_precision=False, threads=1):
+        calls.append(extended_precision)
+        if not extended_precision:
+            raise IllConditioned("no knee resolvable")
+        return types.SimpleNamespace(knee=None)
+
+    monkeypatch.setattr(suite, "residual_scan", scan)
+    curves = suite.bundle_curves(1)
+    assert calls == [False, True] * 3
+    # a curve without a knee fails the cross-check, naming each member
+    assert suite.oracle_formula_cross(curves) == (False, "; ".join(
+        f"{ex.name}: missing knee or zero type" for ex, _ in curves))
 
 
 def check_worker_processes(tmp):

@@ -8,6 +8,8 @@ benchmark's modules from their source, without writing to ``perfbench``, and
 exercise all three hooks.
 """
 
+import contextlib
+import io
 import sys
 import types
 from pathlib import Path
@@ -58,3 +60,32 @@ def test_workload_inputs_build(tmp_path):
             # every document a job names was written, and the CLI still has every option
             parser.parse_args(job.resolve(docs))
         assert all(Path(path).is_file() for path in docs.values())
+
+
+def test_blind_probes(tmp_path):
+    # a probe that no workload's jobs reach is a benchmark metric that reads 0
+    tracing, workloads = load("tracing"), load("workloads")
+    runs = []
+    for name, make in workloads.WORKLOADS.items():
+        workload = make("smoke")
+        directory = tmp_path / name
+        directory.mkdir()
+        docs = workload.make_inputs(0, str(directory))
+        runs += [(name, job.key, job.resolve(docs)) for job in workload.jobs]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, key, argv in runs:
+            tracer.begin((name, key))
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert typelab.cli.main(argv) == 0, key
+            finally:
+                tracer.end()
+    finally:
+        tracer.uninstall()
+    recorded = {span.name for spans in tracer.spans.values() for span in spans}
+    recorded |= {name for counts in tracer.counts.values() for name, n in counts.items() if n}
+    probes = ({name for _, _, name, _ in tracing.SPANS} | {name for _, _, name in tracing.COUNTED}
+              | {"oracle.svd"})
+    assert probes - recorded == {"energy.coulomb_energy", "oracle.annihilation_matrix"}

@@ -13,6 +13,7 @@ from typelab.serialize import (
     load_partition,
     load_sequence,
     load_weight_table,
+    render_csv,
     render_curve_csv,
 )
 
@@ -93,6 +94,9 @@ class TestCanonicalForm:
         once = canonical_json(doc)
         again = canonical_json(json.loads(once))
         assert once == again
+
+    def test_csv_quotes_commas_and_quotes(self):
+        assert render_csv({"detail": 'a, "b"'}) == 'key,value\ndetail,"a, ""b"""\n'
 
     def test_curve_csv_shape(self):
         from typelab.oracle import ResidualCurve

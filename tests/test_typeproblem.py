@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from typelab import catalog
+from typelab import catalog, typeproblem
 from typelab.constructions import arithmetic, measure_from_weights
 from typelab.core import (
     DiscreteMeasure,
@@ -57,6 +57,13 @@ class TestTypeDiscrete:
         m = catalog.spaced_polynomial_measure(0.5, T)
         est = type_discrete(m, D_GRID)
         assert abs(est.lower_bound_type - math.pi) <= 0.1 * math.pi
+
+    def test_filter_removing_every_atom(self, monkeypatch):
+        # no atom lies in (-1, 1) and each carries a positive penalty: a zero budget drops all
+        monkeypatch.setattr(typeproblem, "WEIGHT_BUDGET", 0.0)
+        est = type_discrete(DiscreteMeasure(np.array([1.0, 2.0, 3.0]), np.ones(3), 3.0), [0.5])
+        assert (est.lower_bound_type, est.certificate) == (0.0, None)
+        assert est.diagnostics[0] == (0.5, False, "weight filter removed every atom")
 
     def test_certificate_invariant(self):
         from typelab.uniformity import check_d_uniform
