@@ -109,52 +109,10 @@ def _parse_grid(spec: str) -> list[float]:
 # each command returns the report main writes; suite alone writes its own and returns its exit code
 def _cmd_energy(args):
     seq = load_sequence(args.input)
-    if args.interval:
+    if args.interval is not None:
         left, right = _floats("--interval", args.interval, ",", 2)
         return energy_report(seq, Interval(left, right))
     return {"energy": coulomb_energy(seq), "points": len(seq)}
-
-
-def _cmd_partition(args):
-    return find_short_partition(load_sequence(args.input), args.d)
-
-
-def _cmd_classify(args):
-    return classify_family(load_intervals(args.intervals))
-
-
-def _cmd_short2i(args):
-    return short2I_diagnostic(load_intervals(args.intervals), args.C)
-
-
-def _cmd_density(args):
-    seq = load_sequence(args.input)
-    grid = _parse_grid(args.grid)
-    return interior_density(seq, grid) if args.kind == "interior" else exterior_density(seq, grid)
-
-
-def _cmd_regularity(args):
-    seq = load_sequence(args.input)
-    if args.scan == "families":
-        return regularity_block_scan(seq, args.a)
-    return strong_regularity_defect(seq, args.a)
-
-
-def _cmd_uniform(args):
-    seq = load_sequence(args.input)
-    partition = load_partition(args.partition) if args.partition else None
-    return check_d_uniform(seq, args.d, partition)
-
-
-def _cmd_type(args):
-    measure = load_measure(args.input)
-    grid = _parse_grid(args.grid) if args.grid else None
-    estimate = type_separated if args.separated else type_discrete
-    return estimate(measure, grid)
-
-
-def _cmd_rescale(args):
-    return polynomial_rescale(load_measure(args.input), args.alpha)
 
 
 def _cmd_construct(args):
@@ -197,7 +155,7 @@ def _cmd_construct(args):
                                        {k: num(k, 0.0) for k in ("beta", "c") if k in params})
     if params:
         raise TypelabError(f"construct {family} does not read --param {sorted(params)[0]}")
-    if not args.out:
+    if args.out is None:
         return obj
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(obj) + "\n")
@@ -212,7 +170,7 @@ def _cmd_oracle(args):
     grid = [args.a_min + step * k for k in range(1, args.steps + 1)]
     curve = residual_scan(measure, grid, extended_precision=args.extended_precision,
                           threads=args.threads)
-    if args.csv:
+    if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(render_curve_csv(curve))
     # a value below the clip floor is rounding noise: print the bound
@@ -239,59 +197,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     leaves = []  # the parsers that run a command
 
-    def command(name: str, func, summary: str | None, group=sub) -> argparse.ArgumentParser:
+    def command(name: str, call, *documents: str, summary: str | None = None, group=sub,
+                **numbers: float | int | None) -> argparse.ArgumentParser:
+        """A command that reads the JSON ``documents`` and the ``numbers`` it names, then ``call``.
+
+        A number whose default is None is a required float, an int default makes
+        an int option, and ``a_min`` is read from ``--a-min``.
+        """
         p = group.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=call)
         leaves.append(p)
+        for option in documents:
+            p.add_argument(f"--{option}", required=True)
+        for option, default in numbers.items():
+            p.add_argument(f"--{option.replace('_', '-')}", default=default,
+                           type=int if isinstance(default, int) else float,
+                           required=default is None)
         return p
 
-    p = command("energy", _cmd_energy, "Coulomb energy or per-interval report")
-    p.add_argument("--input", required=True, help="sequence JSON document")
+    p = command("energy", _cmd_energy, "input", summary="Coulomb energy or per-interval report")
     p.add_argument("--interval", help="a,b for a per-interval report")
-
-    p = command("partition", _cmd_partition, "greedy short partition adapted to a sequence")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d", type=float, required=True)
-
-    p = command("classify", _cmd_classify, "long/short verdict for an interval family")
-    p.add_argument("--intervals", required=True, help="intervals JSON document")
-
-    p = command("short2i", _cmd_short2i, "overlap-length diagnostic of a short family")
-    p.add_argument("--intervals", required=True)
-    p.add_argument("--C", type=float, default=2.0)
-
-    p = command("density", _cmd_density, "interior/exterior density estimate")
-    p.add_argument("--input", required=True)
+    command("partition", lambda a: find_short_partition(load_sequence(a.input), a.d), "input",
+            d=None, summary="greedy short partition adapted to a sequence")
+    command("classify", lambda a: classify_family(load_intervals(a.intervals)), "intervals",
+            summary="long/short verdict for an interval family")
+    command("short2i", lambda a: short2I_diagnostic(load_intervals(a.intervals), a.C),
+            "intervals", C=2.0, summary="overlap-length diagnostic of a short family")
+    p = command("density", lambda a: (
+        interior_density if a.kind == "interior" else exterior_density)(
+        load_sequence(a.input), _parse_grid(a.grid)), "input",
+        summary="interior/exterior density estimate")
     p.add_argument("--kind", choices=("interior", "exterior"), default="interior")
     p.add_argument("--grid", required=True, help="start:stop:step or comma list")
-
-    p = command("regularity", _cmd_regularity, "regularity defect of a sequence at rate a")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a", type=float, required=True)
+    p = command("regularity", lambda a: (
+        regularity_block_scan if a.scan == "families" else strong_regularity_defect)(
+        load_sequence(a.input), a.a), "input", a=None,
+        summary="regularity defect of a sequence at rate a")
     p.add_argument("--scan", choices=("integral", "families"), default="integral")
-
-    p = command("uniform", _cmd_uniform, "d-uniformity verdict")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d", type=float, required=True)
+    p = command("uniform", lambda a: check_d_uniform(
+        load_sequence(a.input), a.d, None if a.partition is None else load_partition(a.partition)),
+        "input", d=None, summary="d-uniformity verdict")
     p.add_argument("--partition", help="optional partition JSON document")
-
-    p = command("type", _cmd_type, "type estimate for a discrete measure")
-    p.add_argument("--input", required=True, help="measure JSON document")
+    p = command("type", lambda a: (type_separated if a.separated else type_discrete)(
+        load_measure(a.input), None if a.grid is None else _parse_grid(a.grid)), "input",
+        summary="type estimate for a discrete measure")
     p.add_argument("--separated", action="store_true")
     p.add_argument("--grid", help="density grid, start:stop:step or comma list")
 
     checkers = sub.add_parser("theorem", help="classical checker verdicts").add_subparsers(
         dest="name", required=True)
-
-    def theorem(name: str, check, *documents: str, **constants: float) -> argparse.ArgumentParser:
-        """A checker that reads the JSON ``documents`` and float ``constants`` it is given."""
-        p = command(name, check, None, checkers)
-        for option in documents:
-            p.add_argument(f"--{option}", required=True)
-        for option, default in constants.items():
-            p.add_argument(f"--{option}", type=float, default=default)
-        return p
-
+    theorem = functools.partial(command, group=checkers)
     p = theorem("beurling-gap", lambda a: beurling_gap_check(
         load_sequence(a.input) if a.intervals is None else load_intervals(a.intervals)))
     either = p.add_mutually_exclusive_group(required=True)
@@ -317,27 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     theorem("suffgen", lambda a: suffgen_bound(
         load_measure(a.input), load_sequence(a.sequence), a.d), "input", "sequence", d=1.0)
 
-    p = command("rescale", _cmd_rescale, "divide masses by 1+|x|^alpha (type-invariant)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    command("rescale", lambda a: polynomial_rescale(load_measure(a.input), a.alpha), "input",
+            alpha=None, summary="divide masses by 1+|x|^alpha (type-invariant)")
 
-    p = command("construct", _cmd_construct, "generate bundled families")
+    p = command("construct", _cmd_construct, summary="generate bundled families")
     p.add_argument("family", choices=("arithmetic", "perturbed", "alternating-partition",
                                       "benedicks", "auxiliary", "weighted-measure"))
     p.add_argument("--param", action="append", help="key=value, repeatable")
     p.add_argument("--out", help="write the JSON document here")
 
-    p = command("oracle", _cmd_oracle, "completeness probe: residual curve and knee")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a-min", type=float, default=0.0)
-    p.add_argument("--a-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=64)
+    p = command("oracle", _cmd_oracle, "input", a_min=0.0, a_max=None, steps=64, threads=1,
+                summary="completeness probe: residual curve and knee")
     p.add_argument("--extended-precision", action="store_true")
     p.add_argument("--csv", help="write the residual curve CSV here")
-    p.add_argument("--threads", type=int, default=1)
 
-    p = command("suite", _cmd_suite, "bundled acceptance battery")
-    p.add_argument("--threads", type=int, default=1)
+    command("suite", _cmd_suite, threads=1, summary="bundled acceptance battery")
 
     # every command reports in JSON or CSV; added last, so it ends each --help
     for p in leaves:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import resource
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from typelab import catalog
-from typelab.cli import main
+from typelab.cli import build_parser, main
 from typelab.serialize import canonical_json, render_csv
 
 
@@ -142,24 +143,60 @@ class TestSubcommands:
 
 
 # each checker with the options it reads
-THEOREM_OPTIONS = {
-    "beurling-gap": {"--input", "--intervals"},
-    "levinson": {"--input"},
-    "hybrid": {"--input", "--intervals"},
-    "debranges": {"--input", "--weight", "--modulus"},
-    "krein-lm": {"--weight", "--no-monotone"},
-    "borichev-sodin": {"--input", "--other", "--delta", "--C", "--l"},
-    "duffin-schaeffer": {"--input", "--L", "--c"},
-    "benedicks": {"--partition", "--c1", "--c2", "--c3"},
-    "suffgen": {"--input", "--sequence", "--d"},
+# the options each leaf command reads, as its --help lists them besides --help
+# and --format; recorded before the commands shared one declaration helper
+COMMAND_OPTIONS = {
+    "energy": {"--input", "--interval"},
+    "partition": {"--input", "--d"},
+    "classify": {"--intervals"},
+    "short2i": {"--intervals", "--C"},
+    "density": {"--input", "--kind", "--grid"},
+    "regularity": {"--input", "--a", "--scan"},
+    "uniform": {"--input", "--d", "--partition"},
+    "type": {"--input", "--separated", "--grid"},
+    "rescale": {"--input", "--alpha"},
+    "construct": {"--param", "--out"},
+    "oracle": {"--input", "--a-min", "--a-max", "--steps", "--extended-precision", "--csv",
+               "--threads"},
+    "suite": {"--threads"},
+    "theorem beurling-gap": {"--input", "--intervals"},
+    "theorem levinson": {"--input"},
+    "theorem hybrid": {"--input", "--intervals"},
+    "theorem debranges": {"--input", "--weight", "--modulus"},
+    "theorem krein-lm": {"--weight", "--no-monotone"},
+    "theorem borichev-sodin": {"--input", "--other", "--delta", "--C", "--l"},
+    "theorem duffin-schaeffer": {"--input", "--L", "--c"},
+    "theorem benedicks": {"--partition", "--c1", "--c2", "--c3"},
+    "theorem suffgen": {"--input", "--sequence", "--d"},
 }
 
 
-@pytest.mark.parametrize("name", sorted(THEOREM_OPTIONS))
-def test_theorem_help_lists_only_read_options(name, capsys):
-    assert main(["theorem", name, "--help"]) == 0
+def test_every_leaf_command_is_listed():
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [path.strip()]
+        return [leaf for name, child in subs[0].choices.items()
+                for leaf in leaves(child, f"{path} {name}")]
+
+    assert sorted(leaves(build_parser(), "")) == sorted(COMMAND_OPTIONS)
+
+
+def assert_help_lists_only_read_options(command, capsys):
+    assert main([*command.split(), "--help"]) == 0
     listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
-    assert listed == THEOREM_OPTIONS[name] | {"--help", "--format"}
+    assert listed == COMMAND_OPTIONS[command] | {"--help", "--format"}
+
+
+@pytest.mark.parametrize("name", sorted(c for c in COMMAND_OPTIONS if " " not in c))
+def test_help_lists_only_read_options(name, capsys):
+    assert_help_lists_only_read_options(name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(c.split()[1] for c in COMMAND_OPTIONS
+                                        if c.startswith("theorem ")))
+def test_theorem_help_lists_only_read_options(name, capsys):
+    assert_help_lists_only_read_options(f"theorem {name}", capsys)
 
 
 class TestExitCodes:

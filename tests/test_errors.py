@@ -85,6 +85,11 @@ REFUSED = [
      "--grid '1,x' is not a list of numbers separated by ','"),
     ("grid-four-values", {"m": MEASURE}, ["type", "--input", "{m}", "--grid", "0.1:1:0.1:5"],
      "--grid '0.1:1:0.1:5' is not 3 numbers separated by ':'"),
+    # an empty value is a value: refused, never read as the option left out
+    ("interval-empty", {"s": SEQ}, ["energy", "--input", "{s}", "--interval", ""],
+     "--interval '' is not 2 numbers separated by ','"),
+    ("grid-empty", {"m": MEASURE}, ["type", "--input", "{m}", "--grid", ""],
+     "--grid '' is not a list of numbers separated by ','"),
     ("coincident-points", {"s": {"points": [0, 1e-301], "window": 2}},
      ["energy", "--input", "{s}"],
      "two points closer than 1e-300"),
@@ -188,6 +193,22 @@ def test_directory_as_path(argv, tmp_path, capsys):
     measure = tmp_path / "m.json"
     measure.write_text(json.dumps(MEASURE))
     code = main([arg.format(d=tmp_path, m=measure) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# an empty path is a path that cannot be opened, never read as the option left out
+@pytest.mark.parametrize("argv", [
+    ["uniform", "--input", "{s}", "--d", "1", "--partition", ""],
+    ["oracle", "--input", "{m}", "--a-max", "6", "--steps", "8", "--csv", ""],
+    ["construct", "arithmetic", "--out", ""],
+], ids=["uniform-partition", "oracle-csv", "construct-out"])
+def test_empty_path_refused(argv, tmp_path, capsys):
+    paths = {"m": tmp_path / "m.json", "s": tmp_path / "s.json"}
+    paths["m"].write_text(json.dumps(MEASURE))
+    paths["s"].write_text(json.dumps(SEQ))
+    code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -37,6 +37,9 @@ weight penalty became ``max(0, -log(m / |mu|)) / (1 + x^2)``, by position
 rather than by index, which moves the certificate's weight sums but not a
 type value, and when a failing scan candidate's note began to name the leg
 that failed, as in ``density``, instead of reading "uniformity fail".
+The ``energy``, ``rescale``, ``construct-arithmetic``, ``construct-perturbed``
+and ``construct-weighted-measure`` digests were taken while those commands
+still had hand-written handlers and option declarations.
 A changed digest means a changed report, not a formatting detail.
 """
 
@@ -143,6 +146,18 @@ GOLDEN = {
                         "ad4dbb5e6f02a02ba65df51c197e4676d976c567b8bbca4b6203d78682fbcc26"),
     "uniform-pert-small": (["uniform", "--input", "pert-small", "--d", "1.05"],
                            "b6bcc5fa95bf29fd3c678ab7a08a845d8c8e90e299d19957d6fa481f533161a4"),
+    "energy": (["energy", "--input", "pert"],
+               "4f7080392d838a70e175c8e06e1245e9590437c31cbff79199c8e2806506c555"),
+    "rescale": (["rescale", "--input", "koosis", "--alpha", "2"],
+                "591731b9664d30b37cc56cff509a1da2fdbedae188aa1b90402605d3bf77101b"),
+    "construct-arithmetic": (["construct", "arithmetic", "--param", "d=0.5", "--param", "T=50"],
+                             "8fed858ed53179b6392fa7f05ac6d744227808ba7926cc207eb539488975e3f6"),
+    "construct-perturbed": (["construct", "perturbed", "--param", "T=50", "--param", "c=0.5",
+                             "--param", "seed=7"],
+                            "7ac46b1f1b53b4aea3cca7207f088bd741ca480d3492dad33f48847f314905f7"),
+    "construct-weighted-measure": (["construct", "weighted-measure", "--param", "T=50",
+                                    "--param", "weights=polynomial", "--param", "beta=2"],
+                                   "a9e16059de31b5b0733ded4b676b4ca8afea027736619f76bd240107ea14ae4a"),
 }
 
 
